@@ -30,8 +30,6 @@ from .regularity import DecayProfile, beta_constant, minimal_regularity_constant
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
 
-FORMULAS = ("thm1.1", "thm1.3", "thm5.1", "thm5.2", "cor2.7", "prop2.6")
-
 
 # ---------------------------------------------------------------------------
 # constants
@@ -79,6 +77,16 @@ def _gauss_exponent(theta, d, t):
     return -theta * d * d / t
 
 
+def _log_gaussian_bound(f1, f2, nu1, nu2, d, t, log_C1, log_prefactor, theta):
+    """Log of C1 P (nu2/nu1)^{1/2} / sqrt(f1 f2) * exp(-theta d^2 / t), the
+    display of Theorems 1.1 and 1.3 (P = A^beta) and 5.1 and 5.2 (P = 1)."""
+    if f1 <= 0 or f2 <= 0:
+        raise ValueError("profile values must be positive")
+    return (log_C1 + log_prefactor + 0.5 * (math.log(nu2) - math.log(nu1))
+            - 0.5 * (math.log(f1) + math.log(f2))
+            + _gauss_exponent(theta, d, t))
+
+
 def bound_main(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t, A, beta,
                log_C1, theta):
     """Log of the headline Gaussian bound; caller evaluates f at alpha*t.
@@ -89,12 +97,8 @@ def bound_main(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t, A, beta,
     Returns (log_bound, in_domain) with in_domain = (t >= d); the value is
     still computed out of domain, flagged rather than refused.
     """
-    if f1_at_alpha_t <= 0 or f2_at_alpha_t <= 0:
-        raise ValueError("profile values must be positive")
-    log_bound = (log_C1 + beta * math.log(A)
-                 + 0.5 * (math.log(nu2) - math.log(nu1))
-                 - 0.5 * (math.log(f1_at_alpha_t) + math.log(f2_at_alpha_t))
-                 + _gauss_exponent(theta, d, t))
+    log_bound = _log_gaussian_bound(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2,
+                                    d, t, log_C1, beta * math.log(A), theta)
     return log_bound, bool(t >= d)
 
 
@@ -113,7 +117,10 @@ def bound_interval(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t, A, beta,
 
 
 def subexp_window_start(delta, epsilon, T1, d):
-    """Sub-exponential window start: (2^9 delta T1^{1+eps}) v d."""
+    """Sub-exponential window start: (2^9 delta T1^{1+eps}) v d, for
+    eps in [0, 1) and delta >= 0."""
+    if not (0.0 <= epsilon < 1.0) or delta < 0:
+        raise ValueError("need eps in [0,1) and delta >= 0")
     return max(2.0 ** 9 * delta * T1 ** (1.0 + epsilon), d)
 
 
@@ -124,19 +131,16 @@ def bound_subexp(f1_at_arg, f2_at_arg, nu1, nu2, d, t, log_C1, theta,
 
         C1 (nu2/nu1)^{1/2} / sqrt(f1(t/2g) f2(t/2g)) * exp(-theta d^2 / t)
     """
-    if not (0.0 <= epsilon < 1.0) or delta < 0:
-        raise ValueError("need eps in [0,1) and delta >= 0")
-    if f1_at_arg <= 0 or f2_at_arg <= 0:
-        raise ValueError("profile values must be positive")
-    log_bound = (log_C1 + 0.5 * (math.log(nu2) - math.log(nu1))
-                 - 0.5 * (math.log(f1_at_arg) + math.log(f2_at_arg))
-                 + _gauss_exponent(theta, d, t))
     t1_eff = subexp_window_start(delta, epsilon, T1, d)
+    log_bound = _log_gaussian_bound(f1_at_arg, f2_at_arg, nu1, nu2, d, t,
+                                    log_C1, 0.0, theta)
     return log_bound, bool(t1_eff <= t < T2), t1_eff
 
 
 def poly_window_start(epsilon, T1, d):
-    """Polynomial window start: (2^10 eps T1 log(T1 v 1)) v d."""
+    """Polynomial window start: (2^10 eps T1 log(T1 v 1)) v d, for eps >= 0."""
+    if epsilon < 0:
+        raise ValueError("need eps >= 0")
     return max(2.0 ** 10 * epsilon * T1 * math.log(max(T1, 1.0)), d)
 
 
@@ -144,15 +148,37 @@ def bound_poly(f1_at_arg, f2_at_arg, nu1, nu2, d, t, log_C1, theta,
                epsilon, T1, T2=math.inf):
     """Polynomial-growth variant: same display as the sub-exponential one
     with window start (2^10 eps T1 log(T1 v 1)) v d."""
-    if epsilon < 0:
-        raise ValueError("need eps >= 0")
-    if f1_at_arg <= 0 or f2_at_arg <= 0:
-        raise ValueError("profile values must be positive")
-    log_bound = (log_C1 + 0.5 * (math.log(nu2) - math.log(nu1))
-                 - 0.5 * (math.log(f1_at_arg) + math.log(f2_at_arg))
-                 + _gauss_exponent(theta, d, t))
     t1_eff = poly_window_start(epsilon, T1, d)
+    log_bound = _log_gaussian_bound(f1_at_arg, f2_at_arg, nu1, nu2, d, t,
+                                    log_C1, 0.0, theta)
     return log_bound, bool(t1_eff <= t < T2), t1_eff
+
+
+def _alpha_t(setup, t):
+    return setup.alpha * t
+
+
+def _half_gamma_t(setup, t):
+    return t / (2.0 * setup.gamma)
+
+
+# The theorem formulas of bound_sweep, one row each: the profile argument
+# s(setup, t), whether the A^beta prefactor applies, and the window
+# [start, end) = window(setup, d) of times the theorem covers.
+THEOREMS = {
+    "thm1.1": (_alpha_t, True, lambda su, d: (d, math.inf)),
+    "thm1.3": (_alpha_t, True,
+               lambda su, d: (interval_window_start(su.T1, su.alpha, d),
+                              su.T2)),
+    "thm5.1": (_half_gamma_t, False,
+               lambda su, d: (subexp_window_start(su.delta, su.epsilon or 0.0,
+                                                  su.T1, d), su.T2)),
+    "thm5.2": (_half_gamma_t, False,
+               lambda su, d: (poly_window_start(su.epsilon or 0.0, su.T1, d),
+                              su.T2)),
+}
+
+FORMULAS = (*THEOREMS, "cor2.7", "prop2.6")
 
 
 @dataclass(frozen=True)
@@ -376,8 +402,12 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
         ledger = paper_constants()
     pair_list = all_pairs(g, pairs)
     times = [float(t) for t in times]
-    if setup is None and formula in ("thm1.1", "thm1.3", "thm5.1", "thm5.2"):
-        setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
+    theorem = THEOREMS.get(formula)
+    if theorem is not None:
+        if setup is None:
+            setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
+        profile_arg, prefactor, window = theorem
+        log_prefactor = setup.beta * math.log(setup.A) if prefactor else 0.0
 
     kernels = {t: kernel_matrix(g, t, tol=tol) for t in sorted(set(times))}
     evolutions = {}
@@ -386,16 +416,26 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
         i1, i2 = g.index(x1), g.index(x2)
         d = float(metric.dist[i1, i2])
         nu1, nu2 = float(g.nu[i1]), float(g.nu[i2])
+        if theorem is not None:
+            start, end = window(setup, d)
+            prof1, prof2 = setup.profiles[x1], setup.profiles[x2]
         for t in times:
             p = float(kernels[t][i1, i2])
-            if formula == "prop2.6":
+            if theorem is not None:
+                s = profile_arg(setup, t)
+                log_b = _log_gaussian_bound(prof1.value(s), prof2.value(s),
+                                            nu1, nu2, d, t, ledger.log_C1,
+                                            log_prefactor, ledger.theta)
+                rows.append(_mk_row(formula, x1, x2, t, d, p, log_b,
+                                    ledger.provenance, bool(start <= t < end)))
+            elif formula == "prop2.6":
                 if x1 not in evolutions:
                     evolutions[x1] = KernelEvolution(g, x1, tol=tol)
                 tail = evolutions[x1].tail_mass(t, ~metric.ball(x1, d))
                 log_b = log_tail_bound_short_time(d, t)
                 rows.append(_mk_row("prop2.6", x1, x2, t, d, tail, log_b,
                                     ledger.provenance, True))
-            elif formula == "cor2.7":
+            else:
                 sl = bound_short_long(nu1, nu2, d, t)
                 if sl.log_long is not None:
                     rows.append(_mk_row("cor2.7-long", x1, x2, t, d, p,
@@ -403,42 +443,6 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 if sl.log_short is not None:
                     rows.append(_mk_row("cor2.7-short", x1, x2, t, d, p,
                                         sl.log_short, ledger.provenance, True))
-            elif formula == "thm1.1":
-                f1 = setup.profiles[x1].value(setup.alpha * t)
-                f2 = setup.profiles[x2].value(setup.alpha * t)
-                log_b, ok = bound_main(f1, f2, nu1, nu2, d, t, setup.A,
-                                       setup.beta, ledger.log_C1, ledger.theta)
-                rows.append(_mk_row("thm1.1", x1, x2, t, d, p, log_b,
-                                    ledger.provenance, ok))
-            elif formula == "thm1.3":
-                f1 = setup.profiles[x1].value(setup.alpha * t)
-                f2 = setup.profiles[x2].value(setup.alpha * t)
-                log_b, ok, _ = bound_interval(f1, f2, nu1, nu2, d, t, setup.A,
-                                              setup.beta, ledger.log_C1,
-                                              ledger.theta, setup.T1, setup.T2,
-                                              setup.alpha)
-                rows.append(_mk_row("thm1.3", x1, x2, t, d, p, log_b,
-                                    ledger.provenance, ok))
-            elif formula == "thm5.1":
-                arg = t / (2.0 * setup.gamma)
-                f1 = setup.profiles[x1].value(arg)
-                f2 = setup.profiles[x2].value(arg)
-                log_b, ok, _ = bound_subexp(f1, f2, nu1, nu2, d, t,
-                                            ledger.log_C1, ledger.theta,
-                                            setup.delta, setup.epsilon or 0.0,
-                                            setup.T1, setup.T2)
-                rows.append(_mk_row("thm5.1", x1, x2, t, d, p, log_b,
-                                    ledger.provenance, ok))
-            elif formula == "thm5.2":
-                arg = t / (2.0 * setup.gamma)
-                f1 = setup.profiles[x1].value(arg)
-                f2 = setup.profiles[x2].value(arg)
-                log_b, ok, _ = bound_poly(f1, f2, nu1, nu2, d, t,
-                                          ledger.log_C1, ledger.theta,
-                                          setup.epsilon or 0.0, setup.T1,
-                                          setup.T2)
-                rows.append(_mk_row("thm5.2", x1, x2, t, d, p, log_b,
-                                    ledger.provenance, ok))
     return rows
 
 
@@ -468,6 +472,33 @@ def summarize_rows(rows):
     }
 
 
+def least_constant(rows):
+    """Least C1 making every row hold, for rows computed at C1 = 1: the
+    exponential of their largest log_ratio, or 0 when no row has p > 0."""
+    best = max((r.log_ratio for r in rows), default=-math.inf)
+    return math.exp(best) if math.isfinite(best) else 0.0
+
+
+def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
+                    tol=DEFAULT_TOL):
+    """(ledger, rows) of a theorem sweep at the least C1 holding on the grid.
+
+    The constant is read off one sweep at C1 = 1, whose rows then move to it
+    by adding log C1 to log_bound, with no further kernel work.
+    """
+    if formula not in THEOREMS:
+        raise ValueError(
+            "empirical constants only apply to the theorem formulas; "
+            f"{formula} carries fully explicit constants")
+    unit = replace(paper_constants(), log_C1=0.0)
+    rows = bound_sweep(g, metric, formula, times, pairs=pairs, ledger=unit,
+                       setup=setup, tol=tol)
+    ledger = unit.with_empirical_C1(max(least_constant(rows), 1e-300))
+    return ledger, [_mk_row(r.formula, r.x1, r.x2, r.t, r.d_nu, r.p_computed,
+                            r.log_bound + ledger.log_C1, ledger.provenance,
+                            r.in_domain) for r in rows]
+
+
 def fit_empirical_constant(g, metric, x1, x2, times, formula="thm1.1",
                            setup=None, tol=DEFAULT_TOL, **setup_kwargs):
     """Least C1 making the chosen bound hold on the grid: max of p / (bound|C1=1).
@@ -478,11 +509,7 @@ def fit_empirical_constant(g, metric, x1, x2, times, formula="thm1.1",
     times = [float(t) for t in times]
     if not times:
         raise ValueError("empty time grid")
-    if setup is None and formula in ("thm1.1", "thm1.3", "thm5.1", "thm5.2"):
-        setup = fit_sweep_setup(g, [(x1, x2)], times, tol=tol, **setup_kwargs)
-    unit = paper_constants()
-    unit = replace(unit, log_C1=0.0)
+    unit = replace(paper_constants(), log_C1=0.0)
     rows = bound_sweep(g, metric, formula, times, pairs=[(x1, x2)],
-                       ledger=unit, setup=setup, tol=tol)
-    best = max((r.log_ratio for r in rows), default=-math.inf)
-    return math.exp(best) if math.isfinite(best) else 0.0
+                       ledger=unit, setup=setup, tol=tol, **setup_kwargs)
+    return least_constant(rows)

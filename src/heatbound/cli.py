@@ -5,9 +5,9 @@ here.  Reports are CSV (plot-ready, diff-able) plus a JSON summary on stdout.
 Exit codes: 0 all checks passed, 1 verification failures present, 2 input
 error (machine-readable JSON on stderr).
 
-The environment variable HEATBOUND_THREADS caps worker parallelism; the
-current implementation evaluates report rows serially (always within the
-cap), and the value is validated and echoed in summaries.
+The environment variable HEATBOUND_THREADS changes nothing today: every
+report is computed serially, and the value is only validated and echoed in
+summaries.
 """
 
 from __future__ import annotations
@@ -202,29 +202,20 @@ def _cmd_bounds(args):
     metric = _load_metric(g, args)
     times = _time_grid(args)
     pairs = _parse_pairs(args.pairs)
-    ledger = bounds_mod.paper_constants()
     setup = None
     formula = args.formula
-    needs_setup = formula in ("thm1.1", "thm1.3", "thm5.1", "thm5.2")
-    if needs_setup:
+    if formula in bounds_mod.THEOREMS:
         setup = bounds_mod.fit_sweep_setup(
             g, bounds_mod.all_pairs(g, pairs), times, gamma=args.gamma,
             delta=args.delta, epsilon=args.eps, T1=args.T1,
             T2=args.T2 if args.T2 is not None else math.inf, tol=args.tol)
     if args.constants == "empirical":
-        if not needs_setup:
-            raise ValueError(
-                "empirical constants only apply to the theorem formulas; "
-                f"{formula} carries fully explicit constants")
-        pair_list = bounds_mod.all_pairs(g, pairs)
-        fitted = 0.0
-        for x1, x2 in pair_list:
-            fitted = max(fitted, bounds_mod.fit_empirical_constant(
-                g, metric, x1, x2, times, formula=formula, setup=setup,
-                tol=args.tol))
-        ledger = ledger.with_empirical_C1(max(fitted, 1e-300))
-    rows = bounds_mod.bound_sweep(g, metric, formula, times, pairs=pairs,
-                                  ledger=ledger, setup=setup, tol=args.tol)
+        ledger, rows = bounds_mod.empirical_sweep(
+            g, metric, formula, times, pairs=pairs, setup=setup, tol=args.tol)
+    else:
+        ledger = bounds_mod.paper_constants()
+        rows = bounds_mod.bound_sweep(g, metric, formula, times, pairs=pairs,
+                                      ledger=ledger, setup=setup, tol=args.tol)
     _write_csv(args.out, ("formula", "x1", "x2", "t", "d_nu", "p_computed",
                           "log_bound", "log_ratio", "constants_provenance",
                           "pass", "domain_flag"),

@@ -58,8 +58,8 @@ class WeightedGraph:
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (n,):
             raise GraphFormatError("nu must provide one value per vertex")
-        if not np.all(nu > 0):
-            raise GraphFormatError("vertex measure nu must be strictly positive")
+        if not np.all((nu > 0) & np.isfinite(nu)):
+            raise GraphFormatError("vertex measure nu must be positive and finite")
 
         mu = np.asarray(mu, dtype=float)
         pairs = []
@@ -75,8 +75,8 @@ class WeightedGraph:
             pairs.append(key)
         if mu.shape != (len(pairs),):
             raise GraphFormatError("mu must provide one weight per edge")
-        if len(pairs) and not np.all(mu > 0):
-            raise GraphFormatError("edge weights mu must be strictly positive")
+        if len(pairs) and not np.all((mu > 0) & np.isfinite(mu)):
+            raise GraphFormatError("edge weights mu must be positive and finite")
 
         self.edge_index = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
         self.edge_mu = mu.copy()

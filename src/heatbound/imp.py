@@ -114,43 +114,20 @@ class TestFunction:
 
 def make_lemma23(tau, rho):
     """Logarithmic-drift profile h(t,z) = exp{(rho(z) - m) log(1 v rho(z)/m) - t/tau}
-    with m = (e/4)(t + tau).
+    with m = (e/4)(t + tau): the radial class GClassFunction.from_lemma23
+    applied to rho.
 
     The analytic derivative evaluates the max(1, .) branch first and uses the
     one-sided form at the branch point rho = m:
     -d/dt log h = 1/tau + (e/4) log(1 v rho/m) + ((rho - m) v 0)/(t + tau).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    vals = rho.values
-
-    def log_h(t):
-        m = E4 * (t + tau)
-        ratio = np.maximum(vals / m, 1.0)
-        return (vals - m) * np.log(ratio) - t / tau
-
-    def dlog(t):
-        m = E4 * (t + tau)
-        ratio = np.maximum(vals / m, 1.0)
-        return -(1.0 / tau + E4 * np.log(ratio)
-                 + np.maximum(vals - m, 0.0) / (t + tau))
-
-    return TestFunction("lemma23", rho, log_h, dlog, params={"tau": tau})
+    return GClassFunction.from_lemma23(tau)._applied(rho, "lemma23")
 
 
 def make_drift(a, rho):
-    """Exponential drift h(t,x) = exp(a rho(x) - a^2 t / 2), a in [0, 1/4]."""
-    if not 0.0 <= a <= 0.25:
-        raise ValueError("drift parameter a must lie in [0, 1/4]")
-    vals = rho.values
-
-    def log_h(t):
-        return a * vals - 0.5 * a * a * t
-
-    def dlog(t):
-        return np.full(len(vals), -0.5 * a * a)
-
-    return TestFunction("drift", rho, log_h, dlog, params={"a": a})
+    """Exponential drift h(t,x) = exp(a rho(x) - a^2 t / 2), a in [0, 1/4]:
+    the radial class GClassFunction.from_drift applied to rho."""
+    return GClassFunction.from_drift(a)._applied(rho, "drift")
 
 
 def make_gaussian(D, R, Delta, s, rho):
@@ -334,14 +311,16 @@ class GClassFunction:
     def g(self, t, r):
         return np.exp(self.log_g(t, r))
 
+    def _applied(self, rho, kind):
+        """The test function h(t, x) = g(t, rho(x)), labelled ``kind``."""
+        vals = rho.values
+        return TestFunction(kind, rho, lambda t: self._log_g(t, vals),
+                            lambda t: self._dlog(t, vals),
+                            interval=self.interval, params=self.params)
+
     def compose(self, metric, o, R):
         rho = make_rho(metric, o, R, variant="capped-dist")
-        vals = rho.values
-        return TestFunction(
-            f"g-class:{self.kind}", rho,
-            lambda t: self._log_g(t, vals),
-            lambda t: self._dlog(t, vals),
-            interval=self.interval, params=self.params)
+        return self._applied(rho, f"g-class:{self.kind}")
 
     @classmethod
     def from_lemma23(cls, tau):

@@ -161,7 +161,7 @@ def _ode_kernel(p0, q_mat, t, tol):
 
 
 def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
-    """P_source(X_t = .) on the whole graph with a priori error at most tol.
+    """P_source(X_t = .) on the whole graph; err_bound covers truncation only.
 
     Parameters
     ----------
@@ -170,6 +170,8 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
     t : float, >= 0
     tol : float, > 0
         Bound on the truncation error (uniformization: exact Poisson tail).
+        Rounding over the K sparse matvecs, of order K times the unit
+        roundoff, is not included in err_bound.
     method : {"uniformization", "ode"}
     """
     if t < 0:

@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import heatbound as hb
+from heatbound import bounds as bounds_mod
+from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
 from heatbound.cli import main
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
@@ -114,6 +117,45 @@ class TestBoundsCommand:
         assert summary["provenance"] == "empirical-fit"
         assert summary["log_C1"] < 10.0
         assert summary["failures_in_domain"] == 0
+
+    EMPIRICAL_GRID = ("--tmin", "1", "--tmax", "8", "--tcount", "4")
+
+    def test_empirical_constant_is_least_over_pairs(self, random_file,
+                                                    tmp_path, capsys):
+        out_csv = tmp_path / "emp.csv"
+        code, out, _ = run_cli(capsys, "bounds", "--graph", random_file,
+                               "--formula", "thm1.1", "--constants",
+                               "empirical", *self.EMPIRICAL_GRID,
+                               "--out", str(out_csv))
+        assert code == 0
+        g = hb.load_graph_file(random_file)
+        m = hb.shortest_path_metric(g)
+        times = np.geomspace(1.0, 8.0, 4)
+        setup = fit_sweep_setup(g, all_pairs(g), times)
+        fitted = max(hb.fit_empirical_constant(g, m, a, b, times, setup=setup)
+                     for a, b in all_pairs(g))
+        assert json.loads(out)["log_C1"] == pytest.approx(math.log(fitted),
+                                                          rel=0, abs=1e-12)
+        lines = out_csv.read_text().splitlines()[1:]
+        assert len(lines) == len(all_pairs(g)) * len(times)
+        assert abs(max(float(line.split(",")[7]) for line in lines)) <= LOG_TOL
+
+    def test_empirical_one_kernel_matrix_per_time(self, random_file, tmp_path,
+                                                  capsys, monkeypatch):
+        calls = []
+        real = bounds_mod.kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_mod, "kernel_matrix", counting)
+        code, _, _ = run_cli(capsys, "bounds", "--graph", random_file,
+                             "--formula", "thm1.1", "--constants",
+                             "empirical", *self.EMPIRICAL_GRID,
+                             "--out", str(tmp_path / "emp.csv"))
+        assert code == 0
+        assert len(calls) == 4  # one per grid time, none per pair
 
 
 class TestRegularityCommand:
@@ -226,6 +268,27 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "GraphFormatError"
         assert "line 3" in payload["message"]
+
+    def test_non_finite_nu_in_json_graph(self, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"vertices": [{"id": "a", "nu": Infinity}, '
+                       '{"id": "b", "nu": 1}], '
+                       '"edges": [{"a": "a", "b": "b", "mu": 1}]}')
+        code, out, err = run_cli(capsys, "metric", "--graph", str(bad))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "GraphFormatError"
+
+    def test_non_finite_override_length(self, tmp_path, capsys):
+        path = tmp_path / "p3.graph"
+        path.write_text("v a 1\nv b 1\nv c 1\ne a b 1\ne b c 1\n")
+        override = tmp_path / "lengths.txt"
+        override.write_text("l a b inf\n")
+        code, out, err = run_cli(capsys, "metric", "--graph", str(path),
+                                 "--metric", str(override))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "GraphFormatError"
+        assert "line 1" in payload["message"]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")

@@ -66,10 +66,21 @@ class TestLoadGraph:
         ("v a 1\nv b 1\ne a q 1\n", "unknown vertex"),
         ("w a 1\n", "unknown record"),
         ("v a 1 extra\n", "expected"),
+        ("v a inf\nv b 1\ne a b 1\n", "line 1: nu must be strictly positive"),
     ])
     def test_format_errors(self, text, msg):
         with pytest.raises(GraphFormatError, match=msg):
             hb.load_graph(text)
+
+    @pytest.mark.parametrize("nu,mu", [([np.inf, 1.0], [1.0]),
+                                       ([1.0, 1.0], [np.inf])])
+    def test_non_finite_weights_rejected(self, nu, mu):
+        with pytest.raises(GraphFormatError, match="finite"):
+            hb.WeightedGraph(["a", "b"], nu, [("a", "b")], mu)
+        obj = {"vertices": [{"id": "a", "nu": nu[0]}, {"id": "b", "nu": nu[1]}],
+               "edges": [{"a": "a", "b": "b", "mu": mu[0]}]}
+        with pytest.raises(GraphFormatError, match="finite"):
+            hb.load_graph(json.dumps(obj))
 
     def test_error_carries_line_number(self):
         try:

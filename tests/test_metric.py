@@ -66,6 +66,10 @@ class TestShortestPath:
         with pytest.raises(ValueError, match="positive"):
             hb.shortest_path_metric(p3, np.array([1.0, 0.0]))
 
+    def test_rejects_non_finite_lengths(self, p3):
+        with pytest.raises(ValueError, match="finite"):
+            hb.shortest_path_metric(p3, np.array([1.0, np.inf]))
+
 
 class TestVerifyAdapted:
     def test_default_passes_on_random_suite(self):
@@ -113,6 +117,7 @@ class TestOverrideFile:
         ("l 0 2 0.5\n", "no edge"),
         ("l 0 1 -2\n", "positive"),
         ("x 0 1 1\n", "expected"),
+        ("# inf is not a length\nl 0 1 inf\n", "line 2: .*finite"),
     ])
     def test_errors(self, p3, text, msg):
         with pytest.raises(GraphFormatError, match=msg):
