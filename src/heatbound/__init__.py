@@ -48,7 +48,6 @@ from .imp import (
 from .kernel import (
     HeatKernelResult,
     KernelEvolution,
-    KilledKernel,
     SimulationResult,
     Trajectory,
     heat_kernel,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_matrix,
-                     on_diagonal_curve)
+                     on_diagonal_curve, point_mass_values, weighted_tail_mass)
 from .regularity import DecayProfile, beta_constant, minimal_regularity_constant
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
@@ -410,7 +410,6 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
         log_prefactor = setup.beta * math.log(setup.A) if prefactor else 0.0
 
     kernels = {t: kernel_matrix(g, t, tol=tol) for t in sorted(set(times))}
-    evolutions = {}
     rows = []
     for x1, x2 in pair_list:
         i1, i2 = g.index(x1), g.index(x2)
@@ -419,6 +418,8 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
         if theorem is not None:
             start, end = window(setup, d)
             prof1, prof2 = setup.profiles[x1], setup.profiles[x2]
+        elif formula == "prop2.6":
+            outside = ~metric.ball(x1, d)
         for t in times:
             p = float(kernels[t][i1, i2])
             if theorem is not None:
@@ -429,9 +430,9 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 rows.append(_mk_row(formula, x1, x2, t, d, p, log_b,
                                     ledger.provenance, bool(start <= t < end)))
             elif formula == "prop2.6":
-                if x1 not in evolutions:
-                    evolutions[x1] = KernelEvolution(g, x1, tol=tol)
-                tail = evolutions[x1].tail_mass(t, ~metric.ball(x1, d))
+                # row i1 of the kernel matrix is P_{x1}(X_t = .)
+                u = point_mass_values(g, i1, kernels[t][i1])
+                tail = weighted_tail_mass(g, u, outside)
                 log_b = log_tail_bound_short_time(d, t)
                 rows.append(_mk_row("prop2.6", x1, x2, t, d, tail, log_b,
                                     ledger.provenance, True))
@@ -479,6 +480,18 @@ def least_constant(rows):
     return math.exp(best) if math.isfinite(best) else 0.0
 
 
+def _unit_sweep(g, metric, formula, times, pairs, setup, tol, **setup_kwargs):
+    """(ledger, rows) of a theorem sweep at C1 = 1, the rows the least C1 is
+    read off; only the theorem displays carry a C1 to fit."""
+    if formula not in THEOREMS:
+        raise ValueError(
+            "empirical constants only apply to the theorem formulas; "
+            f"{formula} carries fully explicit constants")
+    unit = replace(paper_constants(), log_C1=0.0)
+    return unit, bound_sweep(g, metric, formula, times, pairs=pairs,
+                             ledger=unit, setup=setup, tol=tol, **setup_kwargs)
+
+
 def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
                     tol=DEFAULT_TOL):
     """(ledger, rows) of a theorem sweep at the least C1 holding on the grid.
@@ -486,13 +499,7 @@ def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
     The constant is read off one sweep at C1 = 1, whose rows then move to it
     by adding log C1 to log_bound, with no further kernel work.
     """
-    if formula not in THEOREMS:
-        raise ValueError(
-            "empirical constants only apply to the theorem formulas; "
-            f"{formula} carries fully explicit constants")
-    unit = replace(paper_constants(), log_C1=0.0)
-    rows = bound_sweep(g, metric, formula, times, pairs=pairs, ledger=unit,
-                       setup=setup, tol=tol)
+    unit, rows = _unit_sweep(g, metric, formula, times, pairs, setup, tol)
     ledger = unit.with_empirical_C1(max(least_constant(rows), 1e-300))
     return ledger, [_mk_row(r.formula, r.x1, r.x2, r.t, r.d_nu, r.p_computed,
                             r.log_bound + ledger.log_C1, ledger.provenance,
@@ -509,7 +516,6 @@ def fit_empirical_constant(g, metric, x1, x2, times, formula="thm1.1",
     times = [float(t) for t in times]
     if not times:
         raise ValueError("empty time grid")
-    unit = replace(paper_constants(), log_C1=0.0)
-    rows = bound_sweep(g, metric, formula, times, pairs=[(x1, x2)],
-                       ledger=unit, setup=setup, tol=tol, **setup_kwargs)
+    _, rows = _unit_sweep(g, metric, formula, times, [(x1, x2)], setup, tol,
+                          **setup_kwargs)
     return least_constant(rows)

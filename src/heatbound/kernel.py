@@ -2,10 +2,12 @@
 
 The default method is series uniformization: with Lam = max_x mu_x/nu_x and
 Pi = I + Q/Lam, the distribution at time t is the Poisson(Lam*t) mixture of
-powers of Pi, truncated with an explicit Poisson-tail bound.  An adaptive ODE
-integration of d/dt p = p Q is kept as a cross-check.  Killed kernels solve
-the Dirichlet problem on a vertex subset (generator restricted to the subset,
-absorption outside).
+powers of Pi, truncated with an explicit Poisson-tail bound.  Every kernel
+entry point calls one engine, in which a single power sequence v <- Pi^T v
+on a block of start vectors (one column per source) serves every requested
+time and every source.  An adaptive ODE integration of d/dt p = p Q is kept
+as a cross-check.  Killed kernels solve the Dirichlet problem on a vertex
+subset (generator restricted to the subset, absorption outside).
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HeatKernelResult:
-    """Distribution of the walk at one time: probs[z] = P_source(X_t = z)."""
+    """Distribution of the walk at one time: probs[z] = P_source(X_t = z).
+
+    For the walk killed on first exit from ``domain`` (None: never killed),
+    probs[z] = P_source(X_t = z, exit time > t) and total_mass() <= 1."""
 
     graph: WeightedGraph
     source: str
@@ -33,6 +38,7 @@ class HeatKernelResult:
     probs: np.ndarray
     method: str
     err_bound: float
+    domain: frozenset | None = None
 
     def prob(self, vertex_id):
         return float(self.probs[self.graph.index(vertex_id)])
@@ -44,31 +50,6 @@ class HeatKernelResult:
         """CSV-ready rows (source, target, t, prob, method, err_bound)."""
         return [(self.source, v, self.time, float(p), self.method, self.err_bound)
                 for v, p in zip(self.graph.vertex_ids, self.probs)]
-
-
-@dataclass(frozen=True)
-class KilledKernel:
-    """Kernel of the walk absorbed on first exit from the domain B.
-
-    Unnormalized values are P_o(X_t = z, exit time > t); with
-    ``normalized=True`` each entry carries the nu_o^{1/2}/nu_z weighting, the
-    initial condition of the point-mass subsolution class.
-    """
-
-    graph: WeightedGraph
-    source: str
-    time: float
-    probs: np.ndarray
-    method: str
-    err_bound: float
-    domain: frozenset
-    normalized: bool
-
-    def prob(self, vertex_id):
-        return float(self.probs[self.graph.index(vertex_id)])
-
-    def mass(self):
-        return float(self.probs.sum())
 
 
 @dataclass(frozen=True)
@@ -109,7 +90,6 @@ class SimulationResult:
 
 def rate_matrix(g):
     """Q with Q_xy = mu_xy/nu_x off the diagonal and vanishing row sums."""
-    n = g.n
     inv_nu = sparse.diags(1.0 / g.nu)
     off = inv_nu @ g.weights
     return (off - sparse.diags(g.rates)).tocsr()
@@ -125,26 +105,54 @@ def _poisson_weights(lam_t, tol):
         csum = np.cumsum(w)
         if csum[-1] >= 1.0 - tol:
             break
+        if w[-1] == 0.0:
+            # past the mode every further weight underflows too
+            raise ValueError(f"tol={tol!r} is below the rounding of the "
+                             f"Poisson({lam_t!r}) weights")
         guess *= 2
     k_used = int(np.searchsorted(csum, 1.0 - tol))
     tail = max(1.0 - csum[k_used], 0.0)
     return w[:k_used + 1], tail
 
 
-def _uniformized(p0, q_mat, rates_max, t, tol):
-    """Poisson mixture of powers of Pi = I + Q/Lam applied to the row vector p0."""
-    lam = float(rates_max)
-    if t == 0.0 or lam == 0.0:
-        return p0.copy(), 0.0
-    w, tail = _poisson_weights(lam * t, tol)
-    # row-vector iteration v <- v Pi done via Pi^T
-    pi_t = (sparse.eye(q_mat.shape[0], format="csr") + q_mat.T * (1.0 / lam)).tocsr()
-    v = p0.copy()
-    acc = w[0] * v
-    for k in range(1, len(w)):
-        v = pi_t @ v
-        acc += w[k] * v
-    return acc, tail
+def _checked_times(times, tol):
+    """The times as floats, once they and tol are checked."""
+    times = [float(t) for t in times]
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError("times must be finite and nonnegative")
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
+    return times
+
+
+def _uniformized(q_mat, lam, p0, times, tol):
+    """[(p_t, tail)] for each time: the Poisson(Lam t) mixture of the powers
+    of Pi = I + Q/Lam applied to p0, one start distribution per column.
+
+    One power sequence v <- Pi^T v runs up to the largest truncation point;
+    each time adds its own weights into its own accumulator.
+    """
+    times = _checked_times(times, tol)
+    lam = float(lam)
+    out, runs = [], []
+    for t in times:
+        if t == 0.0 or lam == 0.0:
+            out.append((p0.copy(), 0.0))
+            continue
+        w, tail = _poisson_weights(lam * t, tol)
+        acc = w[0] * p0
+        out.append((acc, tail))
+        runs.append((acc, w))
+    if runs:
+        pi_t = (sparse.eye(q_mat.shape[0], format="csr")
+                + q_mat.T * (1.0 / lam)).tocsr()
+        v = p0
+        for k in range(1, max(len(w) for _, w in runs)):
+            v = pi_t @ v
+            for acc, w in runs:
+                if k < len(w):
+                    acc += w[k] * v
+    return out
 
 
 def _ode_kernel(p0, q_mat, t, tol):
@@ -167,24 +175,22 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
     ----------
     g : WeightedGraph
     source : vertex id
-    t : float, >= 0
-    tol : float, > 0
+    t : float, finite and >= 0
+    tol : float, finite with 0 < tol < 1
         Bound on the truncation error (uniformization: exact Poisson tail).
         Rounding over the K sparse matvecs, of order K times the unit
         roundoff, is not included in err_bound.
     method : {"uniformization", "ode"}
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     src = g.index(source)
     p0 = np.zeros(g.n)
     p0[src] = 1.0
     if method == "uniformization":
-        probs, err = _uniformized(p0, rate_matrix(g), g.rates.max(), t, tol)
+        [(probs, err)] = _uniformized(rate_matrix(g), g.rates.max(), p0, [t],
+                                      tol)
         tag = "series-uniformization"
     elif method == "ode":
+        [t] = _checked_times([t], tol)
         probs, err = _ode_kernel(p0, rate_matrix(g), t, tol)
         tag = "ode"
     else:
@@ -195,64 +201,45 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
 
 
 def kernel_matrix(g, t, tol=DEFAULT_TOL):
-    """All-sources kernel matrix M[i, j] = P_i(X_t = j)."""
-    q_mat = rate_matrix(g)
-    lam = g.rates.max()
-    out = np.empty((g.n, g.n))
-    for i in range(g.n):
-        p0 = np.zeros(g.n)
-        p0[i] = 1.0
-        out[i], _ = _uniformized(p0, q_mat, lam, t, tol)
-    return out
+    """All-sources kernel matrix M[i, j] = P_i(X_t = j), one identity block."""
+    [(block, _)] = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n),
+                                [t], tol)
+    return np.ascontiguousarray(block.T)
 
 
-def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL, normalized=False):
+def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL):
     """Kernel of the walk killed on first exit from ``domain``.
 
     Solves the Dirichlet problem: the generator restricted to the domain with
     absorption outside.  The result vanishes off the domain and is dominated
     by the full kernel pointwise.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     idx = sorted({g.index(v) for v in domain})
     o_idx = g.index(o)
     if o_idx not in idx:
         raise ValueError(f"origin {o!r} not in the killed domain")
     sub = np.array(idx, dtype=np.intp)
-    q_sub = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
-    lam = g.rates[sub].max()
     p0 = np.zeros(len(sub))
     p0[int(np.searchsorted(sub, o_idx))] = 1.0
-    inner, err = _uniformized(p0, q_sub, lam, t, tol)
+    [(inner, err)] = _uniformized(rate_matrix(g)[np.ix_(sub, sub)].tocsr(),
+                                  g.rates[sub].max(), p0, [t], tol)
     probs = np.zeros(g.n)
     probs[sub] = inner
-    if normalized:
-        probs *= math.sqrt(g.nu[o_idx]) / g.nu
     probs.flags.writeable = False
-    return KilledKernel(graph=g, source=g.vertex_ids[o_idx], time=float(t),
-                        probs=probs, method="series-uniformization",
-                        err_bound=float(err),
-                        domain=frozenset(g.vertex_ids[i] for i in idx),
-                        normalized=normalized)
+    return HeatKernelResult(graph=g, source=g.vertex_ids[o_idx], time=float(t),
+                            probs=probs, method="series-uniformization",
+                            err_bound=float(err),
+                            domain=frozenset(g.vertex_ids[i] for i in idx))
 
 
 def on_diagonal_curve(g, x, times, tol=DEFAULT_TOL):
     """[(t, P_x(X_t = x))] over the given times; input to regularity fitting."""
     xi = g.index(x)
-    q_mat = rate_matrix(g)
-    lam = g.rates.max()
+    times = [float(t) for t in times]
     p0 = np.zeros(g.n)
     p0[xi] = 1.0
-    out = []
-    for t in times:
-        if t < 0:
-            raise ValueError("times must be nonnegative")
-        probs, _ = _uniformized(p0, q_mat, lam, float(t), tol)
-        out.append((float(t), float(probs[xi])))
-    return out
+    dists = _uniformized(rate_matrix(g), g.rates.max(), p0, times, tol)
+    return [(t, float(p[xi])) for t, (p, _) in zip(times, dists)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +323,17 @@ def simulate(g, source, t_max, n_paths, seed, jump_cap=10_000,
 # ---------------------------------------------------------------------------
 # point-mass evolutions used by the integral-maximum-principle machinery
 
+def point_mass_values(g, origin_index, probs):
+    """u(z) = (nu_o^{1/2}/nu_z) probs[z] for a kernel row from o."""
+    return probs * (math.sqrt(g.nu[origin_index]) / g.nu)
+
+
+def weighted_tail_mass(g, u, outside_mask):
+    """<u^2, 1 - 1_B> for B given by the complementary mask."""
+    sq = u * u * g.nu
+    return float(sq[outside_mask].sum())
+
+
 class KernelEvolution:
     """u(t, z) = (nu_o^{1/2}/nu_z) P_o(X_t = z [, exit > t]) on a finite graph.
 
@@ -355,20 +353,15 @@ class KernelEvolution:
     def u(self, t):
         t = float(t)
         if t not in self._cache:
+            g = self.graph
             if self.domain is None:
-                res = heat_kernel(self.graph, self.origin, t, tol=self.tol)
-                weight = (math.sqrt(self.graph.nu[self.graph.index(self.origin)])
-                          / self.graph.nu)
-                vals = res.probs * weight
-                err = res.err_bound
+                res = heat_kernel(g, self.origin, t, tol=self.tol)
             else:
-                res = killed_kernel(self.graph, self.domain, self.origin, t,
-                                    tol=self.tol, normalized=True)
-                vals = res.probs
-                err = res.err_bound
-            vals = np.asarray(vals)
+                res = killed_kernel(g, self.domain, self.origin, t,
+                                    tol=self.tol)
+            vals = point_mass_values(g, g.index(self.origin), res.probs)
             vals.flags.writeable = False
-            self._cache[t] = (vals, err)
+            self._cache[t] = (vals, res.err_bound)
         return self._cache[t][0]
 
     def err_bound(self, t):
@@ -382,6 +375,4 @@ class KernelEvolution:
 
     def tail_mass(self, t, outside_mask):
         """<u(t,.)^2, 1 - 1_B> for B given by the complementary mask."""
-        vals = self.u(t)
-        sq = vals * vals * self.graph.nu
-        return float(sq[outside_mask].sum())
+        return weighted_tail_mass(self.graph, self.u(t), outside_mask)

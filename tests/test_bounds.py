@@ -10,6 +10,7 @@ from heatbound.bounds import (
     LOG_TOL,
     all_pairs,
     bound_sweep,
+    empirical_sweep,
     fit_sweep_setup,
     interval_window_start,
     log_tail_bound_short_time,
@@ -360,6 +361,17 @@ class TestEmpiricalFit:
         tiny = hb.fit_empirical_constant(g, m, "a", "b", [1e-4], setup=setup)
         ref = hb.fit_empirical_constant(g, m, "a", "b", [1.0], setup=setup)
         assert tiny < ref
+
+    @pytest.mark.parametrize("formula", ["cor2.7", "prop2.6"])
+    def test_explicit_formulas_rejected(self, formula):
+        g = hb.path_graph(4)
+        m = hb.shortest_path_metric(g)
+        match = "only apply to the theorem formulas"
+        with pytest.raises(ValueError, match=match):
+            hb.fit_empirical_constant(g, m, "0", "3", [1.0, 4.0],
+                                      formula=formula)
+        with pytest.raises(ValueError, match=match):
+            empirical_sweep(g, m, formula, [1.0, 4.0])
 
     def test_empirical_ledger_bounds_hold_on_fit_grid(self, two_state):
         g = two_state

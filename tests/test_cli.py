@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,36 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "GraphFormatError"
         assert "line 1" in payload["message"]
+
+    @pytest.mark.parametrize("tol", ["2", "inf", "0"])
+    def test_tol_outside_unit_interval(self, two_state_file, tol, tmp_path,
+                                       capsys):
+        code, out, err = run_cli(capsys, "kernel", "--graph", two_state_file,
+                                 "--tol", tol, "--out",
+                                 str(tmp_path / "k.csv"))
+        assert code == 2 and out == ""
+        assert "0 < tol < 1" in json.loads(err)["message"]
+
+    def test_tol_nan_returns(self, two_state_file, tmp_path):
+        # used to hang: the Poisson weight array doubled forever
+        src = str(Path(hb.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatbound.cli", "kernel", "--graph",
+             two_state_file, "--tol", "nan", "--out", str(tmp_path / "k.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "0 < tol < 1" in json.loads(proc.stderr)["message"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["kernel", "regularity", "bounds"])
+    def test_infinite_tmax(self, two_state_file, command, tmp_path, capsys):
+        code, out, err = run_cli(capsys, command, "--graph", two_state_file,
+                                 "--tmax", "inf", "--tscale", "linear",
+                                 "--out", str(tmp_path / "out.csv"))
+        assert code == 2 and out == ""
+        assert "finite and nonnegative" in json.loads(err)["message"]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")

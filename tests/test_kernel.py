@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import heatbound as hb
-from heatbound.kernel import KernelEvolution, rate_matrix
+from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _uniformized,
+                              rate_matrix)
 
 from conftest import random_suite
 
@@ -59,6 +62,39 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             hb.heat_kernel(two_state, "a", 1.0, method="magic")
 
+    @pytest.mark.parametrize("method", ["uniformization", "ode"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, two_state, method, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            hb.heat_kernel(two_state, "a", t, method=method)
+
+    @pytest.mark.parametrize("method", ["uniformization", "ode"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 2.0, 1.0, -1e-3])
+    def test_tol_outside_unit_interval_rejected(self, two_state, method, tol):
+        # tol = nan used to double the Poisson weight array forever
+        with pytest.raises(ValueError, match="0 < tol < 1"):
+            hb.heat_kernel(two_state, "a", 1.0, tol=tol, method=method)
+
+    def test_tol_below_weight_rounding_rejected(self, p5_csrw):
+        # the Poisson(1000) weights never sum to 1 - 1e-13 in double
+        # precision; this used to double the weight array forever
+        with pytest.raises(ValueError, match="below the rounding"):
+            hb.heat_kernel(p5_csrw, "0", 1000.0, tol=1e-13)
+
+    def test_every_entry_point_validates(self, p5_csrw):
+        g = p5_csrw
+        calls = [lambda: hb.kernel_matrix(g, math.nan),
+                 lambda: hb.kernel_matrix(g, 1.0, tol=math.nan),
+                 lambda: hb.killed_kernel(g, ["1", "2"], "2", math.inf),
+                 lambda: hb.killed_kernel(g, ["1", "2"], "2", 1.0, tol=2.0),
+                 lambda: hb.on_diagonal_curve(g, "2", [0.5, math.inf]),
+                 lambda: hb.on_diagonal_curve(g, "2", [0.5, -1.0]),
+                 lambda: hb.on_diagonal_curve(g, "2", [0.5], tol=math.inf),
+                 lambda: KernelEvolution(g, "2", tol=math.nan).u(1.0)]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
     def test_reversibility(self):
         for g in random_suite(4, 12, seed0=60, nu_range=(0.2, 5),
                               mu_range=(0.2, 5)):
@@ -97,10 +133,10 @@ class TestKilledKernel:
 
     def test_normalized_weighting(self, p5_csrw):
         g = p5_csrw
-        kk = hb.killed_kernel(g, g.vertex_ids, "2", 0.9, normalized=True)
-        raw = hb.killed_kernel(g, g.vertex_ids, "2", 0.9)
+        evo = KernelEvolution(g, "2", domain=["1", "2", "3"])
+        raw = hb.killed_kernel(g, ["1", "2", "3"], "2", 0.9)
         w = np.sqrt(g.nu[g.index("2")]) / g.nu
-        assert np.allclose(kk.probs, raw.probs * w)
+        assert np.allclose(evo.u(0.9), raw.probs * w)
 
     def test_single_vertex_survival(self, two_state):
         for t in (0.5, 2.0):
@@ -121,7 +157,8 @@ class TestKilledKernel:
         kk = hb.killed_kernel(g, ["1", "2", "3"], "2", 1.5, tol=1e-12)
         hk = hb.heat_kernel(g, "2", 1.5, tol=1e-12)
         assert np.all(kk.probs <= hk.probs + 1e-10)
-        assert kk.mass() <= 1.0 + 1e-12
+        assert kk.total_mass() <= 1.0 + 1e-12
+        assert kk.domain == {"1", "2", "3"} and hk.domain is None
         outside = [v for v in g.vertex_ids if v not in kk.domain]
         assert all(kk.prob(v) == 0.0 for v in outside)
 
@@ -150,6 +187,69 @@ class TestOnDiagonal:
         curve = hb.on_diagonal_curve(two_state, "a", grid, tol=1e-12)
         for t, p in curve:
             assert p == pytest.approx(two_state_exact(t), abs=1e-11)
+
+
+class TestEngine:
+    """Every entry point is one call to the same power sequence, so their
+    values agree bit for bit, not just within tol."""
+
+    SUITE = (random_suite(4, 10, seed0=300, csrw=True)
+             + random_suite(4, 10, seed0=320, nu_range=(0.2, 5),
+                            mu_range=(0.2, 5)))
+
+    def test_on_diagonal_equals_heat_kernel(self):
+        grid = [0.0, 0.05, 0.7, 0.7, 3.0, 11.0]
+        for g in self.SUITE:
+            for x in g.vertex_ids[:3]:
+                curve = hb.on_diagonal_curve(g, x, grid)
+                assert [t for t, _ in curve] == grid
+                for t, p in curve:
+                    assert p == hb.heat_kernel(g, x, t).prob(x)
+
+    def test_kernel_matrix_rows_equal_heat_kernel(self):
+        for g in self.SUITE:
+            for t in (0.0, 0.4, 2.5):
+                mat = hb.kernel_matrix(g, t)
+                assert mat.shape == (g.n, g.n) and mat.flags.c_contiguous
+                for i, x in enumerate(g.vertex_ids):
+                    row = hb.heat_kernel(g, x, t).probs
+                    assert np.array_equal(mat[i], row)
+
+    def test_grid_with_zero(self, p5_csrw):
+        curve = hb.on_diagonal_curve(p5_csrw, "2", [1.0, 0.0, 2.0])
+        assert curve[1] == (0.0, 1.0)
+        assert np.array_equal(hb.kernel_matrix(p5_csrw, 0.0), np.eye(5))
+        r = hb.heat_kernel(p5_csrw, "2", 0.0)
+        assert r.err_bound == 0.0 and not r.probs.flags.writeable
+
+    def test_block_of_sources_over_a_grid(self, p5_csrw):
+        g = p5_csrw
+        times = [2.5, 0.0, 0.4, 2.5]
+        runs = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n), times,
+                            DEFAULT_TOL)
+        for t, (block, tail) in zip(times, runs):
+            assert np.array_equal(block.T, hb.kernel_matrix(g, t))
+            assert tail == hb.heat_kernel(g, "0", t).err_bound <= DEFAULT_TOL
+
+    def test_one_vertex_graph(self):
+        g = hb.load_graph("v a 2\n")  # Lam = 0: the walk never moves
+        r = hb.heat_kernel(g, "a", 5.0)
+        assert r.prob("a") == 1.0 and r.err_bound == 0.0
+        assert hb.kernel_matrix(g, 3.0).tolist() == [[1.0]]
+        assert hb.on_diagonal_curve(g, "a", [0.0, 1.0, 9.0]) == [
+            (0.0, 1.0), (1.0, 1.0), (9.0, 1.0)]
+        assert hb.killed_kernel(g, ["a"], "a", 2.0).total_mass() == 1.0
+
+    def test_prop26_tails_equal_evolution_tails(self):
+        for g in self.SUITE:
+            m = hb.shortest_path_metric(g)
+            times = [0.3, 1.0, 4.0]
+            rows = hb.bound_sweep(g, m, "prop2.6", times)
+            evolutions = {x: KernelEvolution(g, x) for x in g.vertex_ids}
+            for r in rows:
+                outside = ~m.ball(r.x1, r.d_nu)
+                assert r.p_computed == evolutions[r.x1].tail_mass(r.t,
+                                                                  outside)
 
 
 class TestSimulate:
