@@ -408,6 +408,10 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
             setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
         profile_arg, prefactor, window = theorem
         log_prefactor = setup.beta * math.log(setup.A) if prefactor else 0.0
+        # each profile value once per paired vertex and time, not per row
+        args = {t: profile_arg(setup, t) for t in set(times)}
+        values = {x: {t: setup.profiles[x].value(s) for t, s in args.items()}
+                  for x in {x for pair in pair_list for x in pair}}
 
     kernels = {t: kernel_matrix(g, t, tol=tol) for t in sorted(set(times))}
     rows = []
@@ -417,14 +421,13 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
         nu1, nu2 = float(g.nu[i1]), float(g.nu[i2])
         if theorem is not None:
             start, end = window(setup, d)
-            prof1, prof2 = setup.profiles[x1], setup.profiles[x2]
+            values1, values2 = values[x1], values[x2]
         elif formula == "prop2.6":
             outside = ~metric.ball(x1, d)
         for t in times:
             p = float(kernels[t][i1, i2])
             if theorem is not None:
-                s = profile_arg(setup, t)
-                log_b = _log_gaussian_bound(prof1.value(s), prof2.value(s),
+                log_b = _log_gaussian_bound(values1[t], values2[t],
                                             nu1, nu2, d, t, ledger.log_C1,
                                             log_prefactor, ledger.theta)
                 rows.append(_mk_row(formula, x1, x2, t, d, p, log_b,

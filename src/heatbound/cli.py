@@ -67,6 +67,10 @@ def _threads():
 def _time_grid(args):
     if args.tcount < 1:
         raise ValueError("tcount must be at least 1")
+    # before numpy builds a grid from them, which warns on inf and nan
+    if not all(math.isfinite(t) and t >= 0.0 for t in (args.tmin, args.tmax)):
+        raise ValueError("--tmin and --tmax must be finite and nonnegative, "
+                         f"got {args.tmin!r} and {args.tmax!r}")
     if args.tscale == "log":
         if args.tmin <= 0:
             raise ValueError("log-scale grids need tmin > 0")

@@ -2,12 +2,26 @@
 
 The default method is series uniformization: with Lam = max_x mu_x/nu_x and
 Pi = I + Q/Lam, the distribution at time t is the Poisson(Lam*t) mixture of
-powers of Pi, truncated with an explicit Poisson-tail bound.  Every kernel
-entry point calls one engine, in which a single power sequence v <- Pi^T v
-on a block of start vectors (one column per source) serves every requested
-time and every source.  An adaptive ODE integration of d/dt p = p Q is kept
-as a cross-check.  Killed kernels solve the Dirichlet problem on a vertex
-subset (generator restricted to the subset, absorption outside).
+powers of Pi.  Each time sums only the powers k in its Poisson window
+[L, K].  Below the Fox-Glynn left point L the weights hold at most
+tol * 2^-53, under the rounding of err_bound itself; K is the first right
+point at which the window holds 1 - tol.  err_bound is the mass outside the
+window, left and right.
+
+Every kernel entry point calls one engine.  Sparse steps v <- Pi^T v on a
+block of start vectors (one column per source) make the powers.  When L is
+large they do not start from p0 but from an anchor A <= L, a multiple of a
+block length fixed by n and nnz(Pi): (Pi^T)^A p0 comes from about 2 log2(A)
+dense n x n products (binary powering of Pi^T) and one product with p0.  The
+engine jumps when a cost model of n, nnz(Pi) and L says this is cheaper than
+A sparse steps; for Lam*t below about 60 (at tol = 1e-10) L is 0 and it
+never does.  Times that share an anchor share its power sequence, so a
+time's value does not depend on the other times of a call or on the entry
+point.
+
+An adaptive ODE integration of d/dt p = p Q is kept as a cross-check.
+Killed kernels solve the Dirichlet problem on a vertex subset (generator
+restricted to the subset, absorption outside).
 """
 
 from __future__ import annotations
@@ -95,24 +109,78 @@ def rate_matrix(g):
     return (off - sparse.diags(g.rates)).tocsr()
 
 
-def _poisson_weights(lam_t, tol):
-    """Poisson weights w_0..w_K with sum >= 1 - tol, plus the tail mass."""
+def _poisson_window(lam_t, tol):
+    """(w, first, err): the Poisson(lam_t) weights w_first..w_K of a window
+    [first, K] that holds at least 1 - tol of the mass, and err, the mass
+    outside it: the left mass below the Fox-Glynn point ``first`` plus the
+    right tail beyond K."""
+    # a left mass under tol * 2^-53 is below the rounding of err itself, so
+    # the cut leaves err_bound as it was
+    left_budget = math.ldexp(tol, -53)
     guess = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 30.0)
     while True:
         ks = np.arange(guess + 1)
         logw = -lam_t + ks * math.log(lam_t) - gammaln(ks + 1.0)
         w = np.exp(logw)
         csum = np.cumsum(w)
-        if csum[-1] >= 1.0 - tol:
+        first = int(np.searchsorted(csum, left_budget, side="right"))
+        left = float(csum[first - 1]) if first else 0.0
+        if csum[-1] >= 1.0 - tol + left:
             break
         if w[-1] == 0.0:
             # past the mode every further weight underflows too
             raise ValueError(f"tol={tol!r} is below the rounding of the "
                              f"Poisson({lam_t!r}) weights")
         guess *= 2
-    k_used = int(np.searchsorted(csum, 1.0 - tol))
-    tail = max(1.0 - csum[k_used], 0.0)
-    return w[:k_used + 1], tail
+    last = int(np.searchsorted(csum, 1.0 - tol + left))
+    err = max(1.0 - csum[last], 0.0) + left
+    return w[first:last + 1], first, err
+
+
+# cost model of the jump, in multiply-adds: a dense n x n product costs n^3,
+# a sparse step nnz(Pi), and either call about _CALL_COST more
+_CALL_COST = 2e4
+_JUMP_MAX_ENTRIES = 1 << 24  # 128 MB of dense powers of Pi
+
+
+def _jump_anchor(n, nnz, first):
+    """Where the power sequence that serves a window starting at ``first``
+    begins: 0 (steps from p0) or a multiple of a block length, reached by
+    a dense jump when the cost model says that is cheaper than the steps.
+
+    It depends on n, nnz(Pi) and first alone, so a time is computed the same
+    way whatever else is in the call and whichever entry point asks.
+    """
+    dense, step = n ** 3 + _CALL_COST, nnz + _CALL_COST
+    # the least power of two >= dense / step: the steps from the anchor up to
+    # first cost under two dense products, and the anchor's low bits are 0
+    block = 1 << (math.ceil(dense / step) - 1).bit_length()
+    anchor = first - first % block
+    if anchor == 0 or n * n * anchor.bit_length() > _JUMP_MAX_ENTRIES:
+        return 0
+    products = anchor.bit_length() + bin(anchor).count("1") - 1
+    return anchor if products * dense < anchor * step else 0
+
+
+def _jump_starts(pi_t, p0, anchors):
+    """{a: (Pi^T)^a @ p0} for each anchor a.  (Pi^T)^a is the product of
+    the squares (Pi^T)^(2^j) over the set bits j of a, lowest bit first, so it
+    is the same matrix in every call, and a unit column of p0 picks out one of
+    its columns exactly."""
+    squares, starts = [], {}
+    for a in anchors:
+        if a == 0:
+            starts[a] = p0
+            continue
+        power = None
+        for j in range(a.bit_length()):
+            if j == len(squares):
+                squares.append(squares[-1] @ squares[-1] if squares
+                               else pi_t.toarray())
+            if a >> j & 1:
+                power = squares[j] if power is None else squares[j] @ power
+        starts[a] = power @ p0
+    return starts
 
 
 def _checked_times(times, tol):
@@ -126,32 +194,56 @@ def _checked_times(times, tol):
 
 
 def _uniformized(q_mat, lam, p0, times, tol):
-    """[(p_t, tail)] for each time: the Poisson(Lam t) mixture of the powers
+    """[(p_t, err)] for each time: the Poisson(Lam t) mixture of the powers
     of Pi = I + Q/Lam applied to p0, one start distribution per column.
 
-    One power sequence v <- Pi^T v runs up to the largest truncation point;
-    each time adds its own weights into its own accumulator.
+    Each time sums the powers k in its Poisson window [first, K].  They come
+    from one power sequence v <- Pi^T v per anchor (see _jump_anchor), shared
+    by every time on that anchor; the sequences advance together as the
+    column blocks of one matrix.  Every time adds weight times power into its
+    own accumulator at every step, with weight 0 outside its window, which
+    adds exact zeros.
     """
     times = _checked_times(times, tol)
     lam = float(lam)
-    out, runs = [], []
+    n = q_mat.shape[0]
+    out, windows = [], []
     for t in times:
         if t == 0.0 or lam == 0.0:
             out.append((p0.copy(), 0.0))
             continue
-        w, tail = _poisson_weights(lam * t, tol)
-        acc = w[0] * p0
-        out.append((acc, tail))
-        runs.append((acc, w))
-    if runs:
-        pi_t = (sparse.eye(q_mat.shape[0], format="csr")
-                + q_mat.T * (1.0 / lam)).tocsr()
-        v = p0
-        for k in range(1, max(len(w) for _, w in runs)):
-            v = pi_t @ v
-            for acc, w in runs:
-                if k < len(w):
-                    acc += w[k] * v
+        w, first, err = _poisson_window(lam * t, tol)
+        windows.append((len(out), w, first))
+        out.append((None, err))
+    if not windows:
+        return out
+    pi_t = (sparse.eye(n, format="csr") + q_mat.T * (1.0 / lam)).tocsr()
+    anchors = [_jump_anchor(n, pi_t.nnz, first) for _, _, first in windows]
+    order = sorted(set(anchors))
+    # weights[j, r]: the weight of window r at step j of its sequence, the
+    # step that reaches power anchor + j
+    opens = [first - a for (_, _, first), a in zip(windows, anchors)]
+    weights = np.zeros((max(o + len(w) for o, (_, w, _) in zip(opens, windows)),
+                        len(windows)))
+    for r, (o, (_, w, _)) in enumerate(zip(opens, windows)):
+        weights[o:o + len(w), r] = w
+    first_open = min(opens)
+    starts = _jump_starts(pi_t, p0, order)
+    if len(order) == 1:
+        # v[..., None] spreads the one sequence over every window
+        v, seq = starts[order[0]], None
+    else:
+        v = np.stack([starts[a] for a in order], axis=-1)
+        seq = [order.index(a) for a in anchors]
+    acc = np.zeros(p0.shape + (len(windows),))
+    for j in range(len(weights)):
+        if j:
+            v = (pi_t @ v if seq is None
+                 else (pi_t @ v.reshape(n, -1)).reshape(v.shape))
+        if j >= first_open:
+            acc += v[..., seq] * weights[j]
+    for r, (slot, _, _) in enumerate(windows):
+        out[slot] = (np.ascontiguousarray(acc[..., r]), out[slot][1])
     return out
 
 
@@ -177,9 +269,10 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
     source : vertex id
     t : float, finite and >= 0
     tol : float, finite with 0 < tol < 1
-        Bound on the truncation error (uniformization: exact Poisson tail).
-        Rounding over the K sparse matvecs, of order K times the unit
-        roundoff, is not included in err_bound.
+        Bound on the truncation error (uniformization: the Poisson mass
+        outside the window [L, K]).  Rounding over the K sparse matvecs, of
+        order K times the unit roundoff u, is not included in err_bound;
+        nor is that of a dense jump, of order log2(L) n u, which is smaller.
     method : {"uniformization", "ode"}
     """
     src = g.index(source)

@@ -324,6 +324,24 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "finite and nonnegative" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("bound", [("--tmax", "inf", "log"),
+                                       ("--tmax", "inf", "linear"),
+                                       ("--tmin", "nan", "log")])
+    def test_non_finite_grid_end(self, two_state_file, tmp_path, bound):
+        # numpy used to print a RuntimeWarning ahead of the JSON error
+        flag, value, scale = bound
+        src = str(Path(hb.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatbound.cli", "kernel", "--graph",
+             two_state_file, flag, value, "--tscale", scale, "--out",
+             str(tmp_path / "k.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert "must be finite" in json.loads(line)["message"]
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")
         assert code == 2

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.special import pdtr
 
 import heatbound as hb
-from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _uniformized,
-                              rate_matrix)
+from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _jump_anchor,
+                              _poisson_window, _uniformized, rate_matrix)
 
 from conftest import random_suite
+
+# holding rates over four decades and Lam = 1.2e3, so that Lam t reaches the
+# dense jump at the times of the engine tests
+STIFF = hb.random_connected_graph(8, seed=352, nu_range=(1e-4, 1),
+                                  mu_range=(1e-2, 1))
 
 
 def expm_oracle(g, source, t):
@@ -195,7 +202,8 @@ class TestEngine:
 
     SUITE = (random_suite(4, 10, seed0=300, csrw=True)
              + random_suite(4, 10, seed0=320, nu_range=(0.2, 5),
-                            mu_range=(0.2, 5)))
+                            mu_range=(0.2, 5))
+             + [STIFF])
 
     def test_on_diagonal_equals_heat_kernel(self):
         grid = [0.0, 0.05, 0.7, 0.7, 3.0, 11.0]
@@ -250,6 +258,58 @@ class TestEngine:
                 outside = ~m.ball(r.x1, r.d_nu)
                 assert r.p_computed == evolutions[r.x1].tail_mass(r.t,
                                                                   outside)
+
+
+class TestJump:
+    """The Poisson window [first, K] of each time, and the dense jump of the
+    power sequence to the anchor below first."""
+
+    LAM = float(STIFF.rates.max())
+
+    def window(self, t):
+        """(first, K, anchor) the engine uses for time t on STIFF."""
+        w, first, _ = _poisson_window(self.LAM * t, DEFAULT_TOL)
+        pi_t = (sparse.eye(STIFF.n, format="csr")
+                + rate_matrix(STIFF).T * (1.0 / self.LAM)).tocsr()
+        return first, first + len(w) - 1, _jump_anchor(STIFF.n, pi_t.nnz,
+                                                       first)
+
+    @pytest.mark.parametrize("lam_t", [1e2, 1e4])
+    def test_err_bound_includes_left_mass(self, lam_t):
+        _, first, err = _poisson_window(lam_t, DEFAULT_TOL)
+        left = pdtr(first - 1, lam_t)  # P(N < first), N ~ Poisson(lam_t)
+        assert first > 0 and 0.0 < left <= math.ldexp(DEFAULT_TOL, -53)
+        assert left <= err <= DEFAULT_TOL
+        r = hb.heat_kernel(STIFF, "0", lam_t / self.LAM)
+        assert r.err_bound == err
+
+    def test_matches_expm_oracle_after_a_jump(self):
+        t = 1e4 / self.LAM
+        first, last, anchor = self.window(t)
+        assert 0 < anchor <= first
+        expected = expm(rate_matrix(STIFF).toarray() * t)
+        for i, x in enumerate(STIFF.vertex_ids):
+            r = hb.heat_kernel(STIFF, x, t)
+            # truncation, plus rounding of order K u, which err_bound leaves out
+            allowance = r.err_bound + last * math.ldexp(1.0, -53)
+            assert np.max(np.abs(r.probs - expected[i])) <= allowance
+
+    def test_grid_equals_single_times(self):
+        t1 = 1e3 / self.LAM
+        times = [t1, t1 * (1.0 + 1e-9), 3e3 / self.LAM, 60.0 / self.LAM, 0.0]
+        (_, _, a1), (_, _, a2), (_, _, a3), (f4, _, a4) = (
+            self.window(t) for t in times[:4])
+        assert a1 == a2 > 0 and a3 > 0 and a3 != a1  # shared and not
+        assert f4 > 0 and a4 == 0  # a left cut reached by steps alone
+        for x in STIFF.vertex_ids[:3]:
+            curve = hb.on_diagonal_curve(STIFF, x, times)
+            for t, p in curve:
+                assert p == hb.heat_kernel(STIFF, x, t).prob(x)
+                assert hb.on_diagonal_curve(STIFF, x, [t]) == [(t, p)]
+        for t in times[::2]:
+            mat = hb.kernel_matrix(STIFF, t)
+            for i, x in enumerate(STIFF.vertex_ids):
+                assert np.array_equal(mat[i], hb.heat_kernel(STIFF, x, t).probs)
 
 
 class TestSimulate:
