@@ -5,11 +5,7 @@ from .bounds import (
     BoundRow,
     ConstantLedger,
     ShortLongBound,
-    bound_interval,
-    bound_main,
-    bound_poly,
     bound_short_long,
-    bound_subexp,
     bound_sweep,
     elementary_inequality_slacks,
     fit_empirical_constant,

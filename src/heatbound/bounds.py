@@ -14,11 +14,17 @@ Constant chain (exact by construction):
 These paper-explicit values are deliberately loose; the empirical fit of the
 least working constant is an explicit opt-in reported side by side, never
 silently substituted.
+
+Every formula a sweep checks is one entry of the table ``FORMULAS``: the
+displays of Theorems 1.1, 1.3, 5.1 and 5.2 (the ones carrying C1), the two
+branches of Corollary 2.7 and the tail mass of Proposition 2.6.  An entry
+gives the rows of one (pair, t) cell; bound_sweep is one loop over the cells.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +32,8 @@ from scipy.special import logsumexp
 
 from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_matrix,
                      on_diagonal_curve, point_mass_values, weighted_tail_mass)
-from .regularity import DecayProfile, beta_constant, minimal_regularity_constant
+from .regularity import (DecayProfile, alpha_constant, beta_constant,
+                         minimal_regularity_constant)
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
 
@@ -87,33 +94,9 @@ def _log_gaussian_bound(f1, f2, nu1, nu2, d, t, log_C1, log_prefactor, theta):
             + _gauss_exponent(theta, d, t))
 
 
-def bound_main(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t, A, beta,
-               log_C1, theta):
-    """Log of the headline Gaussian bound; caller evaluates f at alpha*t.
-
-        C1 A^beta (nu2/nu1)^{1/2} / sqrt(f1(alpha t) f2(alpha t))
-            * exp(-theta d^2 / t)
-
-    Returns (log_bound, in_domain) with in_domain = (t >= d); the value is
-    still computed out of domain, flagged rather than refused.
-    """
-    log_bound = _log_gaussian_bound(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2,
-                                    d, t, log_C1, beta * math.log(A), theta)
-    return log_bound, bool(t >= d)
-
-
 def interval_window_start(T1, alpha, d):
     """Interval-regular window start: (8 alpha^-2 T1^2) v d."""
     return max(8.0 * T1 * T1 / (alpha * alpha), d)
-
-
-def bound_interval(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t, A, beta,
-                   log_C1, theta, T1, T2, alpha):
-    """Headline bound restricted to the interval-regular window [T1~, T2)."""
-    log_bound, _ = bound_main(f1_at_alpha_t, f2_at_alpha_t, nu1, nu2, d, t,
-                              A, beta, log_C1, theta)
-    t1_eff = interval_window_start(T1, alpha, d)
-    return log_bound, bool(t1_eff <= t < T2), t1_eff
 
 
 def subexp_window_start(delta, epsilon, T1, d):
@@ -124,61 +107,11 @@ def subexp_window_start(delta, epsilon, T1, d):
     return max(2.0 ** 9 * delta * T1 ** (1.0 + epsilon), d)
 
 
-def bound_subexp(f1_at_arg, f2_at_arg, nu1, nu2, d, t, log_C1, theta,
-                 delta, epsilon, T1, T2=math.inf):
-    """Sub-exponential-growth variant; f is evaluated at t/(2 gamma), not
-    alpha*t -- the caller supplies those values.
-
-        C1 (nu2/nu1)^{1/2} / sqrt(f1(t/2g) f2(t/2g)) * exp(-theta d^2 / t)
-    """
-    t1_eff = subexp_window_start(delta, epsilon, T1, d)
-    log_bound = _log_gaussian_bound(f1_at_arg, f2_at_arg, nu1, nu2, d, t,
-                                    log_C1, 0.0, theta)
-    return log_bound, bool(t1_eff <= t < T2), t1_eff
-
-
 def poly_window_start(epsilon, T1, d):
     """Polynomial window start: (2^10 eps T1 log(T1 v 1)) v d, for eps >= 0."""
     if epsilon < 0:
         raise ValueError("need eps >= 0")
     return max(2.0 ** 10 * epsilon * T1 * math.log(max(T1, 1.0)), d)
-
-
-def bound_poly(f1_at_arg, f2_at_arg, nu1, nu2, d, t, log_C1, theta,
-               epsilon, T1, T2=math.inf):
-    """Polynomial-growth variant: same display as the sub-exponential one
-    with window start (2^10 eps T1 log(T1 v 1)) v d."""
-    t1_eff = poly_window_start(epsilon, T1, d)
-    log_bound = _log_gaussian_bound(f1_at_arg, f2_at_arg, nu1, nu2, d, t,
-                                    log_C1, 0.0, theta)
-    return log_bound, bool(t1_eff <= t < T2), t1_eff
-
-
-def _alpha_t(setup, t):
-    return setup.alpha * t
-
-
-def _half_gamma_t(setup, t):
-    return t / (2.0 * setup.gamma)
-
-
-# The theorem formulas of bound_sweep, one row each: the profile argument
-# s(setup, t), whether the A^beta prefactor applies, and the window
-# [start, end) = window(setup, d) of times the theorem covers.
-THEOREMS = {
-    "thm1.1": (_alpha_t, True, lambda su, d: (d, math.inf)),
-    "thm1.3": (_alpha_t, True,
-               lambda su, d: (interval_window_start(su.T1, su.alpha, d),
-                              su.T2)),
-    "thm5.1": (_half_gamma_t, False,
-               lambda su, d: (subexp_window_start(su.delta, su.epsilon or 0.0,
-                                                  su.T1, d), su.T2)),
-    "thm5.2": (_half_gamma_t, False,
-               lambda su, d: (poly_window_start(su.epsilon or 0.0, su.T1, d),
-                              su.T2)),
-}
-
-FORMULAS = (*THEOREMS, "cor2.7", "prop2.6")
 
 
 @dataclass(frozen=True)
@@ -247,7 +180,7 @@ class NormTailReport:
     R: float
     t: float
     tail_mass: float
-    log_tail_bound: float          # short-time two-branch bound (min if both)
+    log_tail_bound: float          # log_tail_bound_short_time(R, t)
     tail_pass: bool
     weighted_norm: float           # <u^2, exp(theta2 (d ^ 2t)^2 / t)>
     log_weighted_bound: float      # C1 A^beta / f(2 alpha t)
@@ -274,13 +207,10 @@ def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
     outside = ~metric.ball(o, R)
     tail = evo.tail_mass(t, outside)
 
-    branches = [log_tail_bound_short_time(R, t)]
-    if t == R:
-        branches.append(-R * math.log(1.01) + 120.0)
-    log_tail = min(branches)
+    log_tail = log_tail_bound_short_time(R, t)
     tail_pass = _log_le(tail, log_tail)
 
-    alpha = min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
+    alpha = alpha_constant(gamma, delta)
     beta = beta_constant(gamma, beta_convention)
     log_f = profile.log_value(2.0 * alpha * t)
     u_vals = evo.u(t)
@@ -355,26 +285,35 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
 
     delta defaults to max(1, holding rates of the paired vertices), which
     makes the exponential envelope hold with A = 1; A is the largest minimal
-    regularity constant among the fitted profiles.
+    regularity constant among the fitted profiles.  Parameters outside the
+    theorems' ranges raise ValueError.
     """
+    if not (math.isfinite(gamma) and gamma > 1):
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    if delta is not None and not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+    if not (math.isfinite(T1) and T1 >= 0):
+        raise ValueError(f"T1 must be finite and nonnegative, got {T1!r}")
+    if not T2 > T1:
+        raise ValueError(f"T2 must exceed T1 = {T1!r}, got {T2!r}")
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("sweep times must be positive")
     verts = sorted({v for pair in pairs for v in pair})
     if delta is None:
         delta = max(1.0, max(g.rates[g.index(v)] for v in verts))
-    alpha = min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
-    lo = min(alpha, 1.0 / (2.0 * gamma)) * times.min() * 0.5
+    alpha = alpha_constant(gamma, delta)
+    lo = alpha * times.min() * 0.5
     hi = times.max() * 1.05
     grid = np.geomspace(lo, hi, profile_points)
     profiles = {}
     for v in verts:
         curve = on_diagonal_curve(g, v, grid, tol=tol)
         profiles[v] = DecayProfile.from_on_diagonal(curve)
-    A = 1.0
-    for prof in profiles.values():
-        dom = prof.domain
-        A = max(A, minimal_regularity_constant(prof, gamma, dom))
+    A = max([1.0] + [minimal_regularity_constant(prof, gamma, prof.domain)
+                     for prof in profiles.values()])
     beta = beta_constant(gamma, beta_convention)
     return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
                       beta=beta, alpha=alpha, T1=T1, T2=T2, profiles=profiles)
@@ -388,6 +327,92 @@ def all_pairs(g, pairs=None):
     return [(str(a), str(b)) for a, b in pairs]
 
 
+# ---------------------------------------------------------------------------
+# the formula table
+
+# One bound formula of bound_sweep.  cells(sweep, name, pair) does the
+# formula's work for one pair, once, and returns cell(t): the rows of the
+# (pair, t) cell, each a tuple (label, left side, log bound, in domain).
+# theorem marks the displays that carry C1 and need a SweepSetup.
+Formula = namedtuple("Formula", "theorem cells")
+
+# one pair of a sweep, and the sweep around it: kernels maps each grid time
+# to its kernel matrix; values caches profile values per vertex and time
+_Pair = namedtuple("_Pair", "x1 x2 i1 i2 d nu1 nu2")
+_Sweep = namedtuple("_Sweep", "g metric ledger setup kernels values")
+
+
+def _theorem(window, growth=False):
+    """A theorem display, p against
+
+        C1 P (nu2/nu1)^{1/2} / sqrt(f1(s) f2(s)) * exp(-theta d^2 / t),
+
+    in domain for t in [start, end) = window(setup, d).  Theorems 1.1 and 1.3
+    read the profiles at s = alpha t with P = A^beta; the ``growth`` variants,
+    Theorems 5.1 and 5.2, at s = t / (2 gamma) with P = 1.
+    """
+    def profile(sw, x):
+        if x not in sw.values:
+            su, prof = sw.setup, sw.setup.profiles[x]
+            sw.values[x] = {t: prof.value(t / (2.0 * su.gamma) if growth
+                                          else su.alpha * t)
+                            for t in sw.kernels}
+        return sw.values[x]
+
+    def cells(sw, name, pr):
+        su, led = sw.setup, sw.ledger
+        start, end = window(su, pr.d)
+        log_prefactor = 0.0 if growth else su.beta * math.log(su.A)
+        f1, f2 = profile(sw, pr.x1), profile(sw, pr.x2)
+
+        def cell(t):
+            log_b = _log_gaussian_bound(f1[t], f2[t], pr.nu1, pr.nu2, pr.d, t,
+                                        led.log_C1, log_prefactor, led.theta)
+            return ((name, float(sw.kernels[t][pr.i1, pr.i2]), log_b,
+                     bool(start <= t < end)),)
+        return cell
+    return Formula(theorem=True, cells=cells)
+
+
+def _short_long_cells(sw, name, pr):
+    """Corollary 2.7: p against the long-time branch (t >= d) and the
+    short-time branch (d >= t) of bound_short_long, a row for each."""
+    def cell(t):
+        p = float(sw.kernels[t][pr.i1, pr.i2])
+        sl = bound_short_long(pr.nu1, pr.nu2, pr.d, t)
+        return [(f"{name}-{branch}", p, log_b, True) for branch, log_b
+                in (("long", sl.log_long), ("short", sl.log_short))
+                if log_b is not None]
+    return cell
+
+
+def _tail_cells(sw, name, pr):
+    """Proposition 2.6: the mass of P_{x1}(X_t = .) outside B(x1, d) against
+    log_tail_bound_short_time(d, t)."""
+    outside = ~sw.metric.ball(pr.x1, pr.d)
+
+    def cell(t):
+        # row i1 of the kernel matrix is P_{x1}(X_t = .)
+        u = point_mass_values(sw.g, pr.i1, sw.kernels[t][pr.i1])
+        return ((name, weighted_tail_mass(sw.g, u, outside),
+                 log_tail_bound_short_time(pr.d, t), True),)
+    return cell
+
+
+# every formula bound_sweep evaluates, by name
+FORMULAS = {
+    "thm1.1": _theorem(lambda su, d: (d, math.inf)),
+    "thm1.3": _theorem(lambda su, d: (interval_window_start(su.T1, su.alpha, d),
+                                      su.T2)),
+    "thm5.1": _theorem(lambda su, d: (subexp_window_start(
+        su.delta, su.epsilon or 0.0, su.T1, d), su.T2), growth=True),
+    "thm5.2": _theorem(lambda su, d: (poly_window_start(
+        su.epsilon or 0.0, su.T1, d), su.T2), growth=True),
+    "cor2.7": Formula(theorem=False, cells=_short_long_cells),
+    "prop2.6": Formula(theorem=False, cells=_tail_cells),
+}
+
+
 def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 setup=None, tol=DEFAULT_TOL, **setup_kwargs):
     """Evaluate one bound formula over (pair, t) cells against exact kernels.
@@ -397,56 +422,27 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     by "cor2.7" / "prop2.6"; when omitted it is fitted via fit_sweep_setup.
     """
     if formula not in FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}; expected one of {FORMULAS}")
+        raise ValueError(f"unknown formula {formula!r}; "
+                         f"expected one of {tuple(FORMULAS)}")
+    spec = FORMULAS[formula]
     if ledger is None:
         ledger = paper_constants()
     pair_list = all_pairs(g, pairs)
     times = [float(t) for t in times]
-    theorem = THEOREMS.get(formula)
-    if theorem is not None:
-        if setup is None:
-            setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
-        profile_arg, prefactor, window = theorem
-        log_prefactor = setup.beta * math.log(setup.A) if prefactor else 0.0
-        # each profile value once per paired vertex and time, not per row
-        args = {t: profile_arg(setup, t) for t in set(times)}
-        values = {x: {t: setup.profiles[x].value(s) for t, s in args.items()}
-                  for x in {x for pair in pair_list for x in pair}}
-
+    if spec.theorem and setup is None:
+        setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
     kernels = {t: kernel_matrix(g, t, tol=tol) for t in sorted(set(times))}
+    sweep = _Sweep(g, metric, ledger, setup, kernels, {})
     rows = []
     for x1, x2 in pair_list:
         i1, i2 = g.index(x1), g.index(x2)
-        d = float(metric.dist[i1, i2])
-        nu1, nu2 = float(g.nu[i1]), float(g.nu[i2])
-        if theorem is not None:
-            start, end = window(setup, d)
-            values1, values2 = values[x1], values[x2]
-        elif formula == "prop2.6":
-            outside = ~metric.ball(x1, d)
+        pair = _Pair(x1, x2, i1, i2, float(metric.dist[i1, i2]),
+                     float(g.nu[i1]), float(g.nu[i2]))
+        cell = spec.cells(sweep, formula, pair)
         for t in times:
-            p = float(kernels[t][i1, i2])
-            if theorem is not None:
-                log_b = _log_gaussian_bound(values1[t], values2[t],
-                                            nu1, nu2, d, t, ledger.log_C1,
-                                            log_prefactor, ledger.theta)
-                rows.append(_mk_row(formula, x1, x2, t, d, p, log_b,
-                                    ledger.provenance, bool(start <= t < end)))
-            elif formula == "prop2.6":
-                # row i1 of the kernel matrix is P_{x1}(X_t = .)
-                u = point_mass_values(g, i1, kernels[t][i1])
-                tail = weighted_tail_mass(g, u, outside)
-                log_b = log_tail_bound_short_time(d, t)
-                rows.append(_mk_row("prop2.6", x1, x2, t, d, tail, log_b,
-                                    ledger.provenance, True))
-            else:
-                sl = bound_short_long(nu1, nu2, d, t)
-                if sl.log_long is not None:
-                    rows.append(_mk_row("cor2.7-long", x1, x2, t, d, p,
-                                        sl.log_long, ledger.provenance, True))
-                if sl.log_short is not None:
-                    rows.append(_mk_row("cor2.7-short", x1, x2, t, d, p,
-                                        sl.log_short, ledger.provenance, True))
+            for label, lhs, log_b, in_domain in cell(t):
+                rows.append(_mk_row(label, x1, x2, t, pair.d, lhs, log_b,
+                                    ledger.provenance, in_domain))
     return rows
 
 
@@ -486,7 +482,7 @@ def least_constant(rows):
 def _unit_sweep(g, metric, formula, times, pairs, setup, tol, **setup_kwargs):
     """(ledger, rows) of a theorem sweep at C1 = 1, the rows the least C1 is
     read off; only the theorem displays carry a C1 to fit."""
-    if formula not in THEOREMS:
+    if formula not in FORMULAS or not FORMULAS[formula].theorem:
         raise ValueError(
             "empirical constants only apply to the theorem formulas; "
             f"{formula} carries fully explicit constants")

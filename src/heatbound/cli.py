@@ -208,7 +208,7 @@ def _cmd_bounds(args):
     pairs = _parse_pairs(args.pairs)
     setup = None
     formula = args.formula
-    if formula in bounds_mod.THEOREMS:
+    if bounds_mod.FORMULAS[formula].theorem:
         setup = bounds_mod.fit_sweep_setup(
             g, bounds_mod.all_pairs(g, pairs), times, gamma=args.gamma,
             delta=args.delta, epsilon=args.eps, T1=args.T1,

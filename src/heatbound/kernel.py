@@ -149,7 +149,9 @@ def _jump_anchor(n, nnz, first):
     a dense jump when the cost model says that is cheaper than the steps.
 
     It depends on n, nnz(Pi) and first alone, so a time is computed the same
-    way whatever else is in the call and whichever entry point asks.
+    way whatever else is in the call and whichever entry point asks.  The
+    costs assume single-threaded BLAS (OPENBLAS_NUM_THREADS=1); with threaded
+    BLAS a dense product can be slower, which changes speed, never values.
     """
     dense, step = n ** 3 + _CALL_COST, nnz + _CALL_COST
     # the least power of two >= dense / step: the steps from the anchor up to

@@ -299,14 +299,18 @@ def beta_constant(gamma, convention="section3"):
     return max(1, math.ceil(ratio - 1e-12))
 
 
+def alpha_constant(gamma, delta):
+    """min{1/(2 gamma), 1/(64 delta)}; Theorem 1.1 reads profiles at alpha t."""
+    return min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
+
+
 def derived_constants(gamma, delta, beta_convention="section3"):
-    """(alpha, beta) with alpha = min{1/(2 gamma), 1/(64 delta)}."""
+    """(alpha_constant, beta_constant) for gamma > 1 and delta >= 1."""
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    alpha = min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
-    return alpha, beta_constant(gamma, beta_convention)
+    return alpha_constant(gamma, delta), beta_constant(gamma, beta_convention)
 
 
 def check_halving_lemma(profile, A, gamma, t, k_max, rel_tol=1e-9,
@@ -363,7 +367,7 @@ def fit_regularity_profile(profile, gamma, interval, envelope_kind="none",
         env_ok, _ = check_envelope(profile, "exp", A, interval, delta=delta,
                                    points_per_decade=points_per_decade)
         envelope["delta"] = delta
-        alpha = min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
+        alpha = alpha_constant(gamma, delta)
     elif envelope_kind == "stretched":
         env_ok, _ = check_envelope(profile, "stretched", A, interval,
                                    delta=delta, eps=eps,

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import heatbound as hb
 from heatbound.bounds import (
+    FORMULAS,
     LOG_TOL,
+    _log_gaussian_bound,
     all_pairs,
     bound_sweep,
     empirical_sweep,
@@ -63,27 +65,43 @@ class TestConstantLedger:
 
 
 class TestBoundFormulas:
-    def test_zero_distance_drops_gaussian_factor(self, ledger):
-        lb, ok = hb.bound_main(2.0, 8.0, 1.0, 4.0, d=0.0, t=1.0, A=1.5,
-                               beta=2, log_C1=ledger.log_C1,
-                               theta=ledger.theta)
+    def test_zero_distance_drops_gaussian_factor(self, p3_csrw, ledger):
+        lb = _log_gaussian_bound(2.0, 8.0, 1.0, 4.0, d=0.0, t=1.0,
+                                 log_C1=ledger.log_C1,
+                                 log_prefactor=2 * math.log(1.5),
+                                 theta=ledger.theta)
         expected = (ledger.log_C1 + 2 * math.log(1.5)
                     + 0.5 * math.log(4.0)
                     - 0.5 * (math.log(2.0) + math.log(8.0)))
-        assert ok and lb == pytest.approx(expected, rel=1e-14)
+        assert lb == pytest.approx(expected, rel=1e-14)
+        # a sweep row of a vertex with itself has d = 0 and is in domain
+        g = p3_csrw
+        m = hb.shortest_path_metric(g)
+        setup = fit_sweep_setup(g, [("0", "0")], [1.0], gamma=2.0, delta=1.0)
+        (row,) = bound_sweep(g, m, "thm1.1", [1.0], pairs=[("0", "0")],
+                             ledger=ledger, setup=setup)
+        f = setup.profiles["0"].value(setup.alpha * 1.0)
+        assert row.d_nu == 0.0 and row.in_domain
+        assert row.log_bound == pytest.approx(
+            ledger.log_C1 + setup.beta * math.log(setup.A) - math.log(f),
+            rel=1e-14)
 
     def test_doubling_distance_adds_three_theta(self, ledger):
-        args = dict(f1_at_alpha_t=1.0, f2_at_alpha_t=1.0, nu1=1.0, nu2=1.0,
-                    A=1.0, beta=1, log_C1=ledger.log_C1, theta=ledger.theta)
+        args = dict(f1=1.0, f2=1.0, nu1=1.0, nu2=1.0, log_C1=ledger.log_C1,
+                    log_prefactor=0.0, theta=ledger.theta)
         t = 5.0
-        lb1, _ = hb.bound_main(d=1.0, t=t, **args)
-        lb2, _ = hb.bound_main(d=2.0, t=t, **args)
+        lb1 = _log_gaussian_bound(d=1.0, t=t, **args)
+        lb2 = _log_gaussian_bound(d=2.0, t=t, **args)
         assert lb2 - lb1 == pytest.approx(-3.0 * ledger.theta / t, rel=1e-9)
 
-    def test_domain_flag(self, ledger):
-        _, ok = hb.bound_main(1.0, 1.0, 1.0, 1.0, d=4.0, t=1.0, A=1.0, beta=1,
-                              log_C1=ledger.log_C1, theta=ledger.theta)
-        assert not ok
+    def test_domain_flag(self, p5_csrw, ledger):
+        g = p5_csrw
+        m = hb.shortest_path_metric(g)
+        rows = bound_sweep(g, m, "thm1.1", [1.0, 2.5, 4.0], ledger=ledger,
+                           gamma=2.0, delta=1.0)
+        assert all(r.in_domain == (r.t >= r.d_nu) for r in rows)
+        (far,) = [r for r in rows if (r.x1, r.x2, r.t) == ("0", "4", 1.0)]
+        assert far.d_nu == 4.0 and not far.in_domain
 
     def test_p3_csrw_holds_at_small_multiples(self, p3_csrw, ledger):
         g = p3_csrw
@@ -108,16 +126,18 @@ class TestBoundFormulas:
         assert poly_window_start(3.0, math.e, 1.0) == pytest.approx(
             2 ** 10 * 3 * math.e, rel=1e-12)
 
-    def test_parameter_validation(self, ledger):
-        with pytest.raises(ValueError):
-            hb.bound_subexp(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, ledger.log_C1,
-                            ledger.theta, delta=1.0, epsilon=1.0, T1=0.0)
-        with pytest.raises(ValueError):
-            hb.bound_poly(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, ledger.log_C1,
-                          ledger.theta, epsilon=-0.5, T1=0.0)
-        with pytest.raises(ValueError):
-            hb.bound_main(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1,
-                          ledger.log_C1, ledger.theta)
+    def test_parameter_validation(self, k4_csrw, ledger):
+        with pytest.raises(ValueError, match="profile values must be positive"):
+            _log_gaussian_bound(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, ledger.log_C1,
+                                0.0, ledger.theta)
+        g = k4_csrw
+        m = hb.shortest_path_metric(g)
+        for formula, epsilon in (("thm5.1", 1.0), ("thm5.2", -0.5)):
+            setup = fit_sweep_setup(g, [("0", "1")], [2.0], gamma=2.0,
+                                    delta=1.0, epsilon=epsilon)
+            with pytest.raises(ValueError, match="need eps"):
+                bound_sweep(g, m, formula, [2.0], pairs=[("0", "1")],
+                            ledger=ledger, setup=setup)
 
 
 class TestShortLong:
@@ -361,6 +381,20 @@ class TestEmpiricalFit:
         tiny = hb.fit_empirical_constant(g, m, "a", "b", [1e-4], setup=setup)
         ref = hb.fit_empirical_constant(g, m, "a", "b", [1.0], setup=setup)
         assert tiny < ref
+
+    def test_theorem_flag_is_what_empirical_sweep_accepts(self, two_state):
+        g = two_state
+        m = hb.shortest_path_metric(g)
+        accepted = set()
+        for formula in FORMULAS:
+            try:
+                empirical_sweep(g, m, formula, [1.0, 2.0])
+            except ValueError as exc:
+                assert "only apply to the theorem formulas" in str(exc)
+            else:
+                accepted.add(formula)
+        assert accepted == {f for f, spec in FORMULAS.items() if spec.theorem}
+        assert accepted == {"thm1.1", "thm1.3", "thm5.1", "thm5.2"}
 
     @pytest.mark.parametrize("formula", ["cor2.7", "prop2.6"])
     def test_explicit_formulas_rejected(self, formula):

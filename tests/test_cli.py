@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import heatbound as hb
 from heatbound import bounds as bounds_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
-from heatbound.cli import main
+from heatbound.cli import build_parser, main
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
 
@@ -160,6 +162,14 @@ class TestBoundsCommand:
                              "--out", str(tmp_path / "emp.csv"))
         assert code == 0
         assert len(calls) == 4  # one per grid time, none per pair
+
+
+    def test_formula_choices_are_the_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        [formula] = [a for a in sub.choices["bounds"]._actions
+                     if a.dest == "formula"]
+        assert tuple(formula.choices) == tuple(bounds_mod.FORMULAS)
 
 
 class TestRegularityCommand:
@@ -341,6 +351,42 @@ class TestErrors:
         assert proc.returncode == 2 and proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert "must be finite" in json.loads(line)["message"]
+
+    @pytest.mark.parametrize("extra", [
+        ("--delta", "0"), ("--delta", "nan"), ("--delta", "-1"),
+        ("--delta", "inf"),
+        ("--formula", "thm1.3", "--T1", "nan"),
+        ("--formula", "thm1.3", "--T1", "-1"),
+        ("--formula", "thm1.3", "--T2", "-1"),
+        ("--formula", "thm1.3", "--T2", "nan"),
+        ("--formula", "thm5.2", "--eps", "nan"),
+        ("--formula", "thm5.2", "--eps", "inf"),
+        ("--gamma", "inf"), ("--gamma", "nan"), ("--gamma", "1"),
+    ])
+    def test_bad_theorem_parameters(self, two_state_file, extra, tmp_path,
+                                    capsys):
+        # a warning would print ahead of the JSON error; make it an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bounds", "--graph",
+                                     two_state_file, "--tmin", "1", "--tmax",
+                                     "4", "--tcount", "3", *extra,
+                                     "--out", str(tmp_path / "rows.csv"))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line, parse_constant=pytest.fail)
+        assert payload["error"] == "ValueError"
+        name = {"--eps": "epsilon"}.get(extra[-2], extra[-2].lstrip("-"))
+        assert payload["message"].startswith(f"{name} must ")
+
+    def test_delta_below_one_accepted(self, two_state_file, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", two_state_file,
+                               "--delta", "0.5", "--tmin", "1", "--tmax", "4",
+                               "--tcount", "3",
+                               "--out", str(tmp_path / "rows.csv"))
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["delta"] == 0.5 and summary["alpha"] == 1.0 / 32.0
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")
