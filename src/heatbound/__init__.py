@@ -50,6 +50,7 @@ from .kernel import (
     kernel_matrix,
     killed_kernel,
     on_diagonal_curve,
+    on_diagonal_curves,
     simulate,
 )
 from .metric import (

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_matrix,
-                     on_diagonal_curve, point_mass_values, weighted_tail_mass)
+                     on_diagonal_curves, point_mass_values, weighted_tail_mass)
 from .regularity import (DecayProfile, alpha_constant, beta_constant,
                          minimal_regularity_constant)
 
@@ -308,10 +308,8 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
     lo = alpha * times.min() * 0.5
     hi = times.max() * 1.05
     grid = np.geomspace(lo, hi, profile_points)
-    profiles = {}
-    for v in verts:
-        curve = on_diagonal_curve(g, v, grid, tol=tol)
-        profiles[v] = DecayProfile.from_on_diagonal(curve)
+    curves = on_diagonal_curves(g, verts, grid, tol=tol)
+    profiles = {v: DecayProfile.from_on_diagonal(curves[v]) for v in verts}
     A = max([1.0] + [minimal_regularity_constant(prof, gamma, prof.domain)
                      for prof in profiles.values()])
     beta = beta_constant(gamma, beta_convention)
@@ -333,8 +331,9 @@ def all_pairs(g, pairs=None):
 # One bound formula of bound_sweep.  cells(sweep, name, pair) does the
 # formula's work for one pair, once, and returns cell(t): the rows of the
 # (pair, t) cell, each a tuple (label, left side, log bound, in domain).
-# theorem marks the displays that carry C1 and need a SweepSetup.
-Formula = namedtuple("Formula", "theorem cells")
+# theorem marks the displays that carry C1 and need a SweepSetup; options
+# names the fit_sweep_setup parameters the formula reads.
+Formula = namedtuple("Formula", "theorem options cells")
 
 # one pair of a sweep, and the sweep around it: kernels maps each grid time
 # to its kernel matrix; values caches profile values per vertex and time
@@ -342,14 +341,16 @@ _Pair = namedtuple("_Pair", "x1 x2 i1 i2 d nu1 nu2")
 _Sweep = namedtuple("_Sweep", "g metric ledger setup kernels values")
 
 
-def _theorem(window, growth=False):
+def _theorem(window, window_options=(), growth=False):
     """A theorem display, p against
 
         C1 P (nu2/nu1)^{1/2} / sqrt(f1(s) f2(s)) * exp(-theta d^2 / t),
 
-    in domain for t in [start, end) = window(setup, d).  Theorems 1.1 and 1.3
-    read the profiles at s = alpha t with P = A^beta; the ``growth`` variants,
-    Theorems 5.1 and 5.2, at s = t / (2 gamma) with P = 1.
+    in domain for t in [start, end) = window(setup, d), which reads the
+    setup parameters ``window_options``.  Theorems 1.1 and 1.3 read the
+    profiles at s = alpha t with P = A^beta; the ``growth`` variants,
+    Theorems 5.1 and 5.2, at s = t / (2 gamma) with P = 1.  Every theorem
+    reads gamma and delta, which fix alpha and so the profile fit.
     """
     def profile(sw, x):
         if x not in sw.values:
@@ -371,14 +372,20 @@ def _theorem(window, growth=False):
             return ((name, float(sw.kernels[t][pr.i1, pr.i2]), log_b,
                      bool(start <= t < end)),)
         return cell
-    return Formula(theorem=True, cells=cells)
+    return Formula(theorem=True, options=("gamma", "delta") + window_options,
+                   cells=cells)
 
 
 def _short_long_cells(sw, name, pr):
     """Corollary 2.7: p against the long-time branch (t >= d) and the
-    short-time branch (d >= t) of bound_short_long, a row for each."""
+    short-time branch (d >= t) of bound_short_long, a row for each.  The
+    corollary needs d > 0: a pair at distance 0 gets one long-time row, out
+    of domain, against the display's limit (nu2/nu1)^{1/2} as d -> 0."""
     def cell(t):
         p = float(sw.kernels[t][pr.i1, pr.i2])
+        if pr.d == 0.0:
+            return ((f"{name}-long", p,
+                     0.5 * (math.log(pr.nu2) - math.log(pr.nu1)), False),)
         sl = bound_short_long(pr.nu1, pr.nu2, pr.d, t)
         return [(f"{name}-{branch}", p, log_b, True) for branch, log_b
                 in (("long", sl.log_long), ("short", sl.log_short))
@@ -403,13 +410,15 @@ def _tail_cells(sw, name, pr):
 FORMULAS = {
     "thm1.1": _theorem(lambda su, d: (d, math.inf)),
     "thm1.3": _theorem(lambda su, d: (interval_window_start(su.T1, su.alpha, d),
-                                      su.T2)),
+                                      su.T2), ("T1", "T2")),
     "thm5.1": _theorem(lambda su, d: (subexp_window_start(
-        su.delta, su.epsilon or 0.0, su.T1, d), su.T2), growth=True),
+        su.delta, su.epsilon or 0.0, su.T1, d), su.T2),
+        ("epsilon", "T1", "T2"), growth=True),
     "thm5.2": _theorem(lambda su, d: (poly_window_start(
-        su.epsilon or 0.0, su.T1, d), su.T2), growth=True),
-    "cor2.7": Formula(theorem=False, cells=_short_long_cells),
-    "prop2.6": Formula(theorem=False, cells=_tail_cells),
+        su.epsilon or 0.0, su.T1, d), su.T2),
+        ("epsilon", "T1", "T2"), growth=True),
+    "cor2.7": Formula(theorem=False, options=(), cells=_short_long_cells),
+    "prop2.6": Formula(theorem=False, options=(), cells=_tail_cells),
 }
 
 

@@ -201,6 +201,11 @@ def _parse_pairs(spec):
     return out
 
 
+# bounds flag -> the fit_sweep_setup parameter it sets
+_SETUP_FLAGS = {"gamma": "gamma", "delta": "delta", "eps": "epsilon",
+                "T1": "T1", "T2": "T2"}
+
+
 def _cmd_bounds(args):
     g = _load_graph(args)
     metric = _load_metric(g, args)
@@ -208,11 +213,19 @@ def _cmd_bounds(args):
     pairs = _parse_pairs(args.pairs)
     setup = None
     formula = args.formula
-    if bounds_mod.FORMULAS[formula].theorem:
+    spec = bounds_mod.FORMULAS[formula]
+    given = {param: getattr(args, flag) for flag, param in _SETUP_FLAGS.items()
+             if getattr(args, flag) is not None}
+    unread = [f"--{flag}" for flag, param in _SETUP_FLAGS.items()
+              if param in given and param not in spec.options]
+    if unread:
+        reads = [f"--{flag}" for flag, param in _SETUP_FLAGS.items()
+                 if param in spec.options]
+        raise ValueError(f"{formula} does not read {', '.join(unread)}; it "
+                         f"reads {', '.join(reads) or 'none of these options'}")
+    if spec.theorem:
         setup = bounds_mod.fit_sweep_setup(
-            g, bounds_mod.all_pairs(g, pairs), times, gamma=args.gamma,
-            delta=args.delta, epsilon=args.eps, T1=args.T1,
-            T2=args.T2 if args.T2 is not None else math.inf, tol=args.tol)
+            g, bounds_mod.all_pairs(g, pairs), times, tol=args.tol, **given)
     if args.constants == "empirical":
         ledger, rows = bounds_mod.empirical_sweep(
             g, metric, formula, times, pairs=pairs, setup=setup, tol=args.tol)
@@ -332,11 +345,9 @@ def build_parser():
     p.add_argument("--constants", choices=("paper", "empirical"),
                    default="paper")
     p.add_argument("--pairs", help="comma-separated id1:id2 pairs (default all)")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--T1", type=float, default=0.0)
-    p.add_argument("--T2", type=float, default=None)
+    # theorem parameters; unset, fit_sweep_setup's defaults apply
+    for flag in _SETUP_FLAGS:
+        p.add_argument(f"--{flag}", type=float)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("imp", help="membership and J-monotonicity checks")

@@ -267,6 +267,7 @@ def check_J_monotone(u, h, time_grid, base_tol=1e-8):
     if len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     g = u.graph
+    u.fill(times)
     J = np.empty(len(times))
     max_err = 0.0
     for k, t in enumerate(times):

@@ -17,9 +17,12 @@ engine jumps when a cost model of n, nnz(Pi) and L says this is cheaper than
 A sparse steps; for Lam*t below about 60 (at tol = 1e-10) L is 0 and it
 never does.  Times that share an anchor share its power sequence, so a
 time's value does not depend on the other times of a call or on the entry
-point.
+point.  A call may read out only some entries v[rows, cols] of each time's
+block (entries=(rows, cols)), so a batch of on-diagonal curves keeps one
+number per source and time, not a whole distribution.
 
-An adaptive ODE integration of d/dt p = p Q is kept as a cross-check.
+An adaptive ODE integration of d/dt p = p Q is kept as a cross-check; it
+imports scipy.integrate only when it runs.
 Killed kernels solve the Dirichlet problem on a vertex subset (generator
 restricted to the subset, absorption outside).
 """
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.special import gammaln
 
 from .graph import WeightedGraph
@@ -195,9 +197,11 @@ def _checked_times(times, tol):
     return times
 
 
-def _uniformized(q_mat, lam, p0, times, tol):
+def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     """[(p_t, err)] for each time: the Poisson(Lam t) mixture of the powers
     of Pi = I + Q/Lam applied to p0, one start distribution per column.
+    With entries=(rows, cols) each p_t is only p_t[rows, cols] of the n x
+    columns block p0 starts from.
 
     Each time sums the powers k in its Poisson window [first, K].  They come
     from one power sequence v <- Pi^T v per anchor (see _jump_anchor), shared
@@ -209,10 +213,11 @@ def _uniformized(q_mat, lam, p0, times, tol):
     times = _checked_times(times, tol)
     lam = float(lam)
     n = q_mat.shape[0]
+    readout = (lambda v: v) if entries is None else (lambda v: v[entries])
     out, windows = [], []
     for t in times:
         if t == 0.0 or lam == 0.0:
-            out.append((p0.copy(), 0.0))
+            out.append((readout(p0).copy(), 0.0))
             continue
         w, first, err = _poisson_window(lam * t, tol)
         windows.append((len(out), w, first))
@@ -237,19 +242,23 @@ def _uniformized(q_mat, lam, p0, times, tol):
     else:
         v = np.stack([starts[a] for a in order], axis=-1)
         seq = [order.index(a) for a in anchors]
-    acc = np.zeros(p0.shape + (len(windows),))
+    acc = np.zeros(readout(p0).shape + (len(windows),))
     for j in range(len(weights)):
         if j:
             v = (pi_t @ v if seq is None
                  else (pi_t @ v.reshape(n, -1)).reshape(v.shape))
         if j >= first_open:
-            acc += v[..., seq] * weights[j]
+            acc += readout(v)[..., seq] * weights[j]
     for r, (slot, _, _) in enumerate(windows):
         out[slot] = (np.ascontiguousarray(acc[..., r]), out[slot][1])
     return out
 
 
 def _ode_kernel(p0, q_mat, t, tol):
+    # imported here: it is the slowest scipy import, and only --method ode
+    # needs it
+    from scipy.integrate import solve_ivp
+
     qt = q_mat.T.tocsr()
     sol = solve_ivp(lambda _t, y: qt @ y, (0.0, t), p0, method="LSODA",
                     rtol=min(tol, 1e-8), atol=tol * 1e-2)
@@ -302,6 +311,29 @@ def kernel_matrix(g, t, tol=DEFAULT_TOL):
     return np.ascontiguousarray(block.T)
 
 
+def _dirichlet(g, domain, o, times, tol):
+    """[(probs, err)] for each time: P_o(X_t = ., exit time > t) over the
+    whole graph for the walk killed on first exit from ``domain`` (None:
+    never killed), from the generator restricted to the domain."""
+    o_idx = g.index(o)
+    if domain is None:
+        q_sub, lam, sub = rate_matrix(g), g.rates.max(), np.arange(g.n)
+    else:
+        sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
+        if o_idx not in sub:
+            raise ValueError(f"origin {o!r} not in the killed domain")
+        q_sub = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
+        lam = g.rates[sub].max()
+    p0 = np.zeros(len(sub))
+    p0[int(np.searchsorted(sub, o_idx))] = 1.0
+    out = []
+    for inner, err in _uniformized(q_sub, lam, p0, times, tol):
+        probs = np.zeros(g.n)
+        probs[sub] = inner
+        out.append((probs, float(err)))
+    return out
+
+
 def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL):
     """Kernel of the walk killed on first exit from ``domain``.
 
@@ -309,32 +341,34 @@ def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL):
     absorption outside.  The result vanishes off the domain and is dominated
     by the full kernel pointwise.
     """
-    idx = sorted({g.index(v) for v in domain})
-    o_idx = g.index(o)
-    if o_idx not in idx:
-        raise ValueError(f"origin {o!r} not in the killed domain")
-    sub = np.array(idx, dtype=np.intp)
-    p0 = np.zeros(len(sub))
-    p0[int(np.searchsorted(sub, o_idx))] = 1.0
-    [(inner, err)] = _uniformized(rate_matrix(g)[np.ix_(sub, sub)].tocsr(),
-                                  g.rates[sub].max(), p0, [t], tol)
-    probs = np.zeros(g.n)
-    probs[sub] = inner
+    [(probs, err)] = _dirichlet(g, domain, o, [t], tol)
     probs.flags.writeable = False
-    return HeatKernelResult(graph=g, source=g.vertex_ids[o_idx], time=float(t),
-                            probs=probs, method="series-uniformization",
-                            err_bound=float(err),
-                            domain=frozenset(g.vertex_ids[i] for i in idx))
+    return HeatKernelResult(graph=g, source=g.vertex_ids[g.index(o)],
+                            time=float(t), probs=probs,
+                            method="series-uniformization", err_bound=err,
+                            domain=frozenset(g.vertex_ids[g.index(v)]
+                                             for v in domain))
+
+
+def on_diagonal_curves(g, xs, times, tol=DEFAULT_TOL):
+    """{x: [(t, P_x(X_t = x))]} for each vertex x of xs over the given times,
+    from one engine call with a unit start column per vertex that reads out
+    only the diagonal."""
+    xs = list(xs)
+    idx = np.array([g.index(x) for x in xs], dtype=np.intp)
+    times = [float(t) for t in times]
+    p0 = np.zeros((g.n, len(xs)))
+    cols = np.arange(len(xs))
+    p0[idx, cols] = 1.0
+    diags = _uniformized(rate_matrix(g), g.rates.max(), p0, times, tol,
+                         entries=(idx, cols))
+    return {x: [(t, float(d[k])) for t, (d, _) in zip(times, diags)]
+            for k, x in enumerate(xs)}
 
 
 def on_diagonal_curve(g, x, times, tol=DEFAULT_TOL):
     """[(t, P_x(X_t = x))] over the given times; input to regularity fitting."""
-    xi = g.index(x)
-    times = [float(t) for t in times]
-    p0 = np.zeros(g.n)
-    p0[xi] = 1.0
-    dists = _uniformized(rate_matrix(g), g.rates.max(), p0, times, tol)
-    return [(t, float(p[xi])) for t, (p, _) in zip(times, dists)]
+    return on_diagonal_curves(g, [x], times, tol)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +469,7 @@ class KernelEvolution:
     This is the point-mass-normalized (sub)solution: u(0, z) =
     nu_o^{-1/2} 1_{o}(z), a genuine solution of the heat equation when
     ``domain`` is None and the killed solution otherwise.  Values are cached
-    per time.
+    per time; fill() computes a list of times in one engine call.
     """
 
     def __init__(self, g, origin, domain=None, tol=DEFAULT_TOL):
@@ -445,18 +479,22 @@ class KernelEvolution:
         self.tol = float(tol)
         self._cache = {}
 
+    def fill(self, times):
+        """Cache u(t) and its err_bound for every time not cached yet."""
+        times = [float(t) for t in times if float(t) not in self._cache]
+        if not times:
+            return
+        g = self.graph
+        runs = _dirichlet(g, self.domain, self.origin, times, self.tol)
+        for t, (probs, err) in zip(times, runs):
+            vals = point_mass_values(g, g.index(self.origin), probs)
+            vals.flags.writeable = False
+            self._cache[t] = (vals, err)
+
     def u(self, t):
         t = float(t)
         if t not in self._cache:
-            g = self.graph
-            if self.domain is None:
-                res = heat_kernel(g, self.origin, t, tol=self.tol)
-            else:
-                res = killed_kernel(g, self.domain, self.origin, t,
-                                    tol=self.tol)
-            vals = point_mass_values(g, g.index(self.origin), res.probs)
-            vals.flags.writeable = False
-            self._cache[t] = (vals, res.err_bound)
+            self.fill([t])
         return self._cache[t][0]
 
     def err_bound(self, t):

@@ -164,6 +164,28 @@ class TestBoundsCommand:
         assert len(calls) == 4  # one per grid time, none per pair
 
 
+    def test_cor27_pair_at_distance_zero(self, random_file, tmp_path, capsys):
+        grid = ("--tmin", "0.5", "--tmax", "4", "--tcount", "4")
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        code, _, _ = run_cli(capsys, "bounds", "--graph", random_file,
+                             "--formula", "cor2.7", "--pairs", "0:3,2:2", *grid,
+                             "--out", str(both))
+        assert code == 0
+        run_cli(capsys, "bounds", "--graph", random_file, "--formula",
+                "cor2.7", "--pairs", "0:3", *grid, "--out", str(alone))
+        lines = both.read_text().splitlines()
+        head = alone.read_text().splitlines()
+        assert lines[:len(head)] == head
+        g = hb.load_graph_file(random_file)
+        # the long-time display at r -> 0: (nu2/nu1)^{1/2} with nu1 = nu2
+        zero = [line.split(",") for line in lines[len(head):]]
+        assert len(zero) == 4
+        for cols in zero:
+            assert cols[:3] == ["cor2.7-long", "2", "2"]
+            assert (cols[4], cols[6], cols[10]) == ("0", "0", "out")
+            assert float(cols[5]) == pytest.approx(
+                hb.heat_kernel(g, "2", float(cols[3])).prob("2"), rel=1e-11)
+
     def test_formula_choices_are_the_table(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -379,6 +401,24 @@ class TestErrors:
         name = {"--eps": "epsilon"}.get(extra[-2], extra[-2].lstrip("-"))
         assert payload["message"].startswith(f"{name} must ")
 
+    @pytest.mark.parametrize("extra, unread", [
+        (("--formula", "prop2.6", "--delta", "nan"), "--delta"),
+        (("--formula", "cor2.7", "--gamma", "nan", "--T1", "inf"),
+         "--gamma, --T1"),
+        (("--formula", "thm1.1", "--T2", "1.5"), "--T2"),
+        (("--formula", "thm1.3", "--eps", "0.5"), "--eps"),
+    ], ids=["prop2.6-delta", "cor2.7-gamma-T1", "thm1.1-T2", "thm1.3-eps"])
+    def test_option_the_formula_does_not_read(self, two_state_file, extra,
+                                              unread, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--graph", two_state_file,
+                                 "--tmin", "1", "--tmax", "4", "--tcount", "3",
+                                 *extra, "--out", str(tmp_path / "rows.csv"))
+        assert code == 2 and out == ""
+        assert not (tmp_path / "rows.csv").exists()
+        [line] = err.splitlines()
+        assert json.loads(line)["message"].startswith(
+            f"{extra[1]} does not read {unread};")
+
     def test_delta_below_one_accepted(self, two_state_file, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", two_state_file,
                                "--delta", "0.5", "--tmin", "1", "--tmax", "4",
@@ -387,6 +427,17 @@ class TestErrors:
         assert code == 0
         summary = json.loads(out)
         assert summary["delta"] == 0.5 and summary["alpha"] == 1.0 / 32.0
+
+    def test_cli_import_skips_scipy_integrate(self):
+        # only --method ode needs it, and it is the slowest scipy import
+        src = str(Path(hb.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, heatbound.cli; "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")

@@ -7,8 +7,11 @@ from scipy.linalg import expm
 from scipy.special import pdtr
 
 import heatbound as hb
+from heatbound import kernel as kernel_mod
+from heatbound.bounds import all_pairs, fit_sweep_setup
 from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _jump_anchor,
-                              _poisson_window, _uniformized, rate_matrix)
+                              _poisson_window, _uniformized, point_mass_values,
+                              rate_matrix)
 
 from conftest import random_suite
 
@@ -248,6 +251,34 @@ class TestEngine:
             (0.0, 1.0), (1.0, 1.0), (9.0, 1.0)]
         assert hb.killed_kernel(g, ["a"], "a", 2.0).total_mass() == 1.0
 
+    # unsorted, with a repeat and t = 0; on STIFF the later times jump
+    BATCH_GRID = [3.0, 0.0, 0.7, 11.0, 0.05, 0.7]
+
+    def test_batched_curves_equal_single_curves(self):
+        for g in self.SUITE:
+            xs = g.vertex_ids[::-1]
+            curves = hb.on_diagonal_curves(g, xs, self.BATCH_GRID)
+            assert list(curves) == list(xs)
+            for x in xs:
+                assert curves[x] == hb.on_diagonal_curve(g, x, self.BATCH_GRID)
+
+    @pytest.mark.parametrize("killed", [False, True])
+    def test_evolution_grid_equals_single_times(self, killed):
+        for g in self.SUITE:
+            o = g.vertex_ids[0]
+            domain = g.vertex_ids[:max(2, g.n // 2)] if killed else None
+            grid_evo = KernelEvolution(g, o, domain=domain)
+            grid_evo.fill(self.BATCH_GRID)
+            single = KernelEvolution(g, o, domain=domain)
+            for t in self.BATCH_GRID:
+                assert np.array_equal(grid_evo.u(t), single.u(t))
+                assert grid_evo.err_bound(t) == single.err_bound(t)
+                ref = (hb.killed_kernel(g, domain, o, t) if killed
+                       else hb.heat_kernel(g, o, t))
+                assert np.array_equal(single.u(t), point_mass_values(
+                    g, g.index(o), ref.probs))
+                assert single.err_bound(t) == ref.err_bound
+
     def test_prop26_tails_equal_evolution_tails(self):
         for g in self.SUITE:
             m = hb.shortest_path_metric(g)
@@ -258,6 +289,36 @@ class TestEngine:
                 outside = ~m.ball(r.x1, r.d_nu)
                 assert r.p_computed == evolutions[r.x1].tail_mass(r.t,
                                                                   outside)
+
+
+class TestOneEngineCall:
+    """A profile fit and a J grid are one engine call each, however many
+    vertices or times they need."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        real = kernel_mod._uniformized
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "_uniformized", counting)
+        return calls
+
+    def test_profile_fit(self, engine_calls):
+        g = hb.random_connected_graph(9, seed=5, csrw=True)
+        setup = fit_sweep_setup(g, all_pairs(g), [1.0, 4.0])
+        assert len(setup.profiles) == 9 and len(engine_calls) == 1
+
+    @pytest.mark.parametrize("domain", [None, ["1", "2", "3"]])
+    def test_j_grid(self, p5_csrw, engine_calls, domain):
+        m = hb.shortest_path_metric(p5_csrw)
+        h = hb.make_drift(0.25, hb.make_rho(m, "2", 1.0))
+        evo = KernelEvolution(p5_csrw, "2", domain=domain)
+        assert hb.check_J_monotone(evo, h, np.linspace(0.0, 4.0, 41)).passed
+        assert len(engine_calls) == 1
 
 
 class TestJump:
