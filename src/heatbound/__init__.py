@@ -62,13 +62,11 @@ from .metric import (
 )
 from .regularity import (
     DecayProfile,
-    RegularityProfile,
     beta_constant,
     check_envelope,
     check_halving_lemma,
     check_regular,
     derived_constants,
-    fit_regularity_profile,
     minimal_regularity_constant,
     regularity_report,
 )

@@ -36,6 +36,7 @@ from .regularity import (DecayProfile, alpha_constant, beta_constant,
                          minimal_regularity_constant)
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
+PROFILE_POINTS = 200  # times of each fitted on-diagonal profile
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,7 @@ class NormTailReport:
 
 
 def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
-                          gamma=2.0, delta=1.0, domain=None, tol=DEFAULT_TOL,
-                          beta_convention="section3"):
+                          gamma=2.0, delta=1.0, domain=None, tol=DEFAULT_TOL):
     """Exact tail mass and weighted norm of the point-mass evolution vs bounds.
 
     The evolution u starts from the normalized point mass at o (killed on
@@ -211,7 +211,7 @@ def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
     tail_pass = _log_le(tail, log_tail)
 
     alpha = alpha_constant(gamma, delta)
-    beta = beta_constant(gamma, beta_convention)
+    beta = beta_constant(gamma)
     log_f = profile.log_value(2.0 * alpha * t)
     u_vals = evo.u(t)
     d_o = metric.dist[g.index(o)]
@@ -279,9 +279,9 @@ class SweepSetup:
 
 
 def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
-                    T1=0.0, T2=math.inf, tol=DEFAULT_TOL, profile_points=200,
-                    beta_convention="section3"):
-    """Fit on-diagonal decay profiles for every vertex appearing in pairs.
+                    T1=0.0, T2=math.inf, tol=DEFAULT_TOL):
+    """Fit on-diagonal decay profiles, on PROFILE_POINTS log-spaced times, for
+    every vertex appearing in pairs.
 
     delta defaults to max(1, holding rates of the paired vertices), which
     makes the exponential envelope hold with A = 1; A is the largest minimal
@@ -307,12 +307,12 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
     alpha = alpha_constant(gamma, delta)
     lo = alpha * times.min() * 0.5
     hi = times.max() * 1.05
-    grid = np.geomspace(lo, hi, profile_points)
+    grid = np.geomspace(lo, hi, PROFILE_POINTS)
     curves = on_diagonal_curves(g, verts, grid, tol=tol)
     profiles = {v: DecayProfile.from_on_diagonal(curves[v]) for v in verts}
     A = max([1.0] + [minimal_regularity_constant(prof, gamma, prof.domain)
                      for prof in profiles.values()])
-    beta = beta_constant(gamma, beta_convention)
+    beta = beta_constant(gamma)
     return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
                       beta=beta, alpha=alpha, T1=T1, T2=T2, profiles=profiles)
 

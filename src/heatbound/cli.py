@@ -78,25 +78,21 @@ def _time_grid(args):
     return np.linspace(args.tmin, args.tmax, args.tcount)
 
 
-def _load_graph(args):
-    g = graph_mod.load_graph_file(args.graph)
-    return g
-
-
 def _load_metric(g, args):
     lengths = None
-    if getattr(args, "metric", None):
+    if args.metric:
         with open(args.metric, "r", encoding="utf-8") as fh:
             lengths = metric_mod.load_edge_lengths(g, fh.read())
     return metric_mod.shortest_path_metric(g, lengths)
 
 
 def _add_common(p, times=True):
+    """--graph and --out; with ``times`` the time grid and --tol, the
+    tolerance of its kernels."""
     p.add_argument("--graph", required=True, help="graph file (line format or JSON)")
-    p.add_argument("--metric", help="optional metric override file")
-    p.add_argument("--tol", type=float, default=kernel_mod.DEFAULT_TOL)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     if times:
+        p.add_argument("--tol", type=float, default=kernel_mod.DEFAULT_TOL)
         p.add_argument("--tmin", type=float, default=0.01)
         p.add_argument("--tmax", type=float, default=10.0)
         p.add_argument("--tcount", type=int, default=25)
@@ -107,12 +103,11 @@ def _add_common(p, times=True):
 # subcommands
 
 def _cmd_kernel(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     source = args.source or g.vertex_ids[0]
     rows = []
     for t in _time_grid(args):
-        res = kernel_mod.heat_kernel(g, source, float(t), tol=args.tol,
-                                     method=args.method)
+        res = kernel_mod.heat_kernel(g, source, float(t), tol=args.tol)
         rows.extend(res.rows())
     _write_csv(args.out, ("source", "target", "t", "prob", "method",
                           "err_bound"), rows)
@@ -124,7 +119,7 @@ def _cmd_kernel(args):
 
 
 def _cmd_metric(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     metric = _load_metric(g, args)
     report = metric_mod.verify_adapted(g, metric)
     summary = {"command": "metric", "graph": args.graph, **report,
@@ -166,11 +161,13 @@ def _build_profile(g, args):
 
 
 def _cmd_regularity(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     profile = _build_profile(g, args)
     interval = tuple(args.interval) if args.interval else profile.domain
-    if not math.isfinite(interval[1]) and profile.kind != "table":
-        interval = (max(interval[0], args.tmin), args.tmax)
+    if interval[1] == math.inf:
+        # report a finite window: the table's end or the CLI time grid's
+        interval = ((interval[0], profile.domain[1]) if profile.kind == "table"
+                    else (max(interval[0], args.tmin), args.tmax))
     report = reg_mod.regularity_report(
         profile, args.gamma, interval, envelope_kind=args.envelope,
         delta=args.delta, eps=args.eps, beta_convention=args.beta_convention)
@@ -207,7 +204,7 @@ _SETUP_FLAGS = {"gamma": "gamma", "delta": "delta", "eps": "epsilon",
 
 
 def _cmd_bounds(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     metric = _load_metric(g, args)
     times = _time_grid(args)
     pairs = _parse_pairs(args.pairs)
@@ -250,7 +247,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_imp(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     metric = _load_metric(g, args)
     origin = args.source or g.vertex_ids[0]
     times = _time_grid(args)
@@ -286,7 +283,7 @@ def _cmd_imp(args):
 
 
 def _cmd_simulate(args):
-    g = _load_graph(args)
+    g = graph_mod.load_graph_file(args.graph)
     source = args.source or g.vertex_ids[0]
     res = kernel_mod.simulate(g, source, args.tmax, args.paths, args.seed,
                               jump_cap=args.jump_cap)
@@ -314,12 +311,11 @@ def build_parser():
     p = sub.add_parser("kernel", help="exact kernels over a time grid")
     _add_common(p)
     p.add_argument("--source", help="source vertex id (default: first)")
-    p.add_argument("--method", choices=("uniformization", "ode"),
-                   default="uniformization")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("metric", help="build and verify the adapted metric")
     _add_common(p, times=False)
+    p.add_argument("--metric", help="optional metric override file")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("regularity", help="fit A, check envelopes, constants")
@@ -341,6 +337,7 @@ def build_parser():
 
     p = sub.add_parser("bounds", help="bound-report sweep across theorems")
     _add_common(p)
+    p.add_argument("--metric", help="optional metric override file")
     p.add_argument("--formula", choices=bounds_mod.FORMULAS, default="thm1.1")
     p.add_argument("--constants", choices=("paper", "empirical"),
                    default="paper")
@@ -352,6 +349,7 @@ def build_parser():
 
     p = sub.add_parser("imp", help="membership and J-monotonicity checks")
     _add_common(p)
+    p.add_argument("--metric", help="optional metric override file")
     p.add_argument("--source", help="origin vertex id (default: first)")
     p.add_argument("--family", choices=("lemma23", "drift", "gaussian"),
                    required=True)

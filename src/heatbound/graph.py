@@ -199,11 +199,6 @@ def inner_product(g, f1, f2):
     return float(np.dot(v1 * v2, g.nu))
 
 
-def norm(g, f):
-    """Norm induced by the nu-weighted inner product."""
-    return inner_product(g, f, f) ** 0.5
-
-
 def vertex_rates(g):
     """Per-vertex (mu_x, rate) with mu_x = sum_y mu_xy and rate = mu_x / nu_x.
 

@@ -28,6 +28,13 @@ from .kernel import KernelEvolution
 
 E4 = math.e / 4.0
 
+#: relative slack of the membership, condition (2.2) and key-lemma checks
+REL_TOL = 1e-9
+#: floor of the J-monotonicity tolerance, before the kernel error couples in
+J_TOL = 1e-8
+#: step of the centered differences in gradient_check
+FD_STEP = 1e-5
+
 
 # ---------------------------------------------------------------------------
 # weight functions rho
@@ -35,17 +42,20 @@ E4 = math.e / 4.0
 def make_rho(metric, o, R, variant="capped-dist"):
     """Weight function with |rho(x) - rho(y)| <= d(x, y) on every edge.
 
-    "capped-dist": rho = d(o, .) ^ R (the usual choice); "reflected":
-    rho = (R - d(o, .)) v 1, which keeps rho in [1, R] as the Gaussian family
-    requires.  The Lipschitz constraint is verified on all edges.
+    "capped-dist": rho = d(o, .) ^ R (the usual choice; R = inf leaves it
+    uncapped); "reflected": rho = (R - d(o, .)) v 1 for finite R, which keeps
+    rho in [1, R] as the Gaussian family requires.  The Lipschitz constraint
+    is verified on all edges.
     """
     g = metric.graph
     d_o = metric.dist[g.index(o)]
-    if R < 0:
-        raise ValueError("R must be nonnegative")
+    if not R >= 0:  # also rejects nan
+        raise ValueError(f"R must be nonnegative, got {R!r}")
     if variant == "capped-dist":
         vals = np.minimum(d_o, R)
     elif variant == "reflected":
+        if R == math.inf:
+            raise ValueError("the reflected rho needs a finite R")
         vals = np.maximum(R - d_o, 1.0)
     else:
         raise ValueError(f"unknown rho variant {variant!r}")
@@ -133,9 +143,12 @@ def make_drift(a, rho):
 def make_gaussian(D, R, Delta, s, rho):
     """Backward Gaussian h(t,x) = exp(-rho(x)^2 / (D (s - t + Delta))) on [0, s].
 
-    Requires D >= 5, R >= 1, Delta >= 24 R / D, s > 0 and rho in [1, R]
-    everywhere.
+    Requires finite D >= 5, R >= 1, Delta >= 24 R / D and s > 0, and rho in
+    [1, R] everywhere.
     """
+    if not all(map(math.isfinite, (D, R, Delta, s))):
+        raise ValueError(f"D, R, Delta and s must be finite, got "
+                         f"{(D, R, Delta, s)!r}")
     if D < 5:
         raise ValueError("need D >= 5")
     if R < 1:
@@ -175,7 +188,7 @@ class MembershipReport:
         return self.passed
 
 
-def is_in_F(h, g, metric, time_grid, rel_tol=1e-9):
+def is_in_F(h, g, metric, time_grid):
     """Edge-wise admissibility check of h against the metric, on the grid.
 
     Both orientations of every edge are checked (the derivative is taken at
@@ -201,12 +214,12 @@ def is_in_F(h, g, metric, time_grid, rel_tol=1e-9):
             if slack[k] < worst[0]:
                 worst = (float(slack[k]), float(t),
                          (g.vertex_ids[x_idx[k]], g.vertex_ids[y_idx[k]]))
-    return MembershipReport(passed=worst[0] >= -rel_tol, worst_slack=worst[0],
+    return MembershipReport(passed=worst[0] >= -REL_TOL, worst_slack=worst[0],
                             worst_time=worst[1], worst_edge=worst[2],
                             n_checks=n_checks)
 
 
-def check_condition_2_2(h, g, time_grid, rel_tol=1e-9):
+def check_condition_2_2(h, g, time_grid):
     """Aggregated per-vertex admissibility:
     (1/nu_y) sum_x |h(x)-h(y)|^2/(4 h(x) h(y)) mu_xy <= -d/dt log h(t,y).
 
@@ -229,7 +242,7 @@ def check_condition_2_2(h, g, time_grid, rel_tol=1e-9):
         k = int(np.argmin(slack))
         if slack[k] < worst[0]:
             worst = (float(slack[k]), float(t), g.vertex_ids[k])
-    return MembershipReport(passed=worst[0] >= -rel_tol, worst_slack=worst[0],
+    return MembershipReport(passed=worst[0] >= -REL_TOL, worst_slack=worst[0],
                             worst_time=worst[1], worst_edge=(worst[2],),
                             n_checks=len(time_grid) * g.n)
 
@@ -256,11 +269,11 @@ class JReport:
                 for t, jv in zip(self.times, self.J)]
 
 
-def check_J_monotone(u, h, time_grid, base_tol=1e-8):
+def check_J_monotone(u, h, time_grid):
     """Check that J(t) = <u(t,.)^2, h(t,.)> is non-increasing on the grid.
 
     The tolerance couples to the kernel truncation error:
-    tol = max(base_tol, 10 * err_bound / min J).  Raises when the kernel
+    tol = max(J_TOL, 10 * err_bound / min J).  Raises when the kernel
     tolerance is too large for the J scale to make the check meaningful.
     """
     times = np.asarray(list(time_grid), dtype=float)
@@ -277,14 +290,14 @@ def check_J_monotone(u, h, time_grid, base_tol=1e-8):
     min_J = J.min()
     if min_J <= 0:
         raise ValueError("J vanished on the grid; refine the grid or the domain")
-    tol = max(base_tol, 10.0 * max_err / min_J)
+    tol = float(max(J_TOL, 10.0 * max_err / min_J))
     if tol > 0.1:
         raise ValueError(
             f"kernel tolerance too coarse for this grid: coupled J tolerance "
             f"{tol:.2e} exceeds 0.1; tighten the kernel tol")
     ratios = J[1:] / J[:-1] - 1.0
     worst = float(ratios.max())
-    return JReport(passed=worst <= tol, times=times, J=J, tol_used=tol,
+    return JReport(passed=bool(worst <= tol), times=times, J=J, tol_used=tol,
                    worst_ratio=worst)
 
 
@@ -325,8 +338,8 @@ class GClassFunction:
 
     @classmethod
     def from_lemma23(cls, tau):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau!r}")
 
         def log_g(t, r):
             m = E4 * (t + tau)
@@ -351,17 +364,17 @@ class GClassFunction:
                    params={"a": a})
 
 
-def check_g_class(gfun, metric, o, R, time_grid, r_grid=None, rel_tol=1e-9):
-    """Membership gate for the radial class: monotone in r + composed membership."""
-    if r_grid is None:
-        r_grid = np.linspace(0.0, max(R, 1.0), 33)
+def check_g_class(gfun, metric, o, R, time_grid):
+    """Membership gate for the radial class: monotone in r on 33 radii of
+    [0, R v 1], and the composed function in F."""
+    r_grid = np.linspace(0.0, max(R, 1.0), 33)
     for t in time_grid:
         vals = gfun.log_g(t, r_grid)
-        if np.any(np.diff(vals) < -rel_tol):
+        if np.any(np.diff(vals) < -REL_TOL):
             return MembershipReport(False, float(np.diff(vals).min()), float(t),
                                     ("r-monotonicity",), len(r_grid))
     composed = gfun.compose(metric, o, R)
-    return is_in_F(composed, metric.graph, metric, time_grid, rel_tol=rel_tol)
+    return is_in_F(composed, metric.graph, metric, time_grid)
 
 
 @dataclass(frozen=True)
@@ -376,24 +389,21 @@ class KeyLemmaReport:
         return self.passed
 
 
-def check_key_lemma(u, gfun, tau, T, r, R, metric, rel_tol=1e-9,
-                    membership_grid=None):
+def check_key_lemma(u, gfun, tau, T, r, R, metric):
     """Two-radius tail comparison for a kernel evolution u and radial g:
 
     <u(T,.)^2, 1-1_{B_R}>  <=  (g(tau,r)/g(T,R)) ||u(tau,.)||^2
                               + (g(tau,R)/g(T,R)) <u(tau,.)^2, 1-1_{B_r}>.
 
-    g must pass the radial-class gate on [tau, T]; that failing is an error,
-    not a report outcome.
+    g must pass the radial-class gate on 21 times of [tau, T]; that failing
+    is an error, not a report outcome.
     """
     if not (T >= tau >= 0):
         raise ValueError("need T >= tau >= 0")
     if not (R >= r >= 0):
         raise ValueError("need R >= r >= 0")
-    if membership_grid is None:
-        membership_grid = np.linspace(tau, T, 21) if T > tau else [tau]
-    gate = check_g_class(gfun, metric, u.origin, R, membership_grid,
-                         rel_tol=rel_tol)
+    membership_grid = np.linspace(tau, T, 21) if T > tau else [tau]
+    gate = check_g_class(gfun, metric, u.origin, R, membership_grid)
     if not gate.passed:
         raise ValueError(f"radial profile failed the class gate "
                          f"(worst slack {gate.worst_slack:.3e} at "
@@ -407,7 +417,7 @@ def check_key_lemma(u, gfun, tau, T, r, R, metric, rel_tol=1e-9,
     norm_term = c_norm * u.norm_sq(tau)
     tail_term = c_tail * u.tail_mass(tau, outside_r)
     rhs = norm_term + tail_term
-    passed = lhs <= rhs * (1.0 + rel_tol) + 1e-300
+    passed = lhs <= rhs * (1.0 + REL_TOL) + 1e-300
     return KeyLemmaReport(passed=passed, lhs=lhs, rhs=rhs,
                           norm_term=norm_term, tail_term=tail_term)
 
@@ -415,8 +425,9 @@ def check_key_lemma(u, gfun, tau, T, r, R, metric, rel_tol=1e-9,
 # ---------------------------------------------------------------------------
 # derivative cross-check
 
-def gradient_check(h, times, vertex_indices, step=1e-5):
-    """Max relative error of analytic d/dt log h against centered differences.
+def gradient_check(h, times, vertex_indices):
+    """Max relative error of analytic d/dt log h against centered differences
+    of step FD_STEP.
 
     Samples are (t, vertex) pairs; times too close to the interval ends are
     shifted inward by one step.
@@ -424,27 +435,20 @@ def gradient_check(h, times, vertex_indices, step=1e-5):
     lo, hi = h.interval
     worst = 0.0
     for t, v in zip(times, vertex_indices):
-        t = max(float(t), lo + step)
+        t = max(float(t), lo + FD_STEP)
         if math.isfinite(hi):
-            t = min(t, hi - step)
-        fd = (h.log_h(t + step)[v] - h.log_h(t - step)[v]) / (2.0 * step)
+            t = min(t, hi - FD_STEP)
+        fd = ((h.log_h(t + FD_STEP)[v] - h.log_h(t - FD_STEP)[v])
+              / (2.0 * FD_STEP))
         an = h.dlog_dt(t)[v]
         err = abs(fd - an) / max(1e-12, abs(an))
         worst = max(worst, err)
     return worst
 
 
-def membership_suite(g, metric, families, time_grid, rel_tol=1e-9):
-    """Run is_in_F for a list of built test functions; returns {label: report}."""
-    out = {}
-    for label, h in families:
-        out[label] = is_in_F(h, g, metric, time_grid, rel_tol=rel_tol)
-    return out
-
-
 __all__ = [
     "make_rho", "TestFunction", "make_lemma23", "make_drift", "make_gaussian",
     "MembershipReport", "is_in_F", "check_condition_2_2", "JReport",
     "check_J_monotone", "GClassFunction", "check_g_class", "KeyLemmaReport",
-    "check_key_lemma", "gradient_check", "membership_suite", "KernelEvolution",
+    "check_key_lemma", "gradient_check", "KernelEvolution",
 ]

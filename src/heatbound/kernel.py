@@ -1,6 +1,6 @@
 """Transition probabilities of the walk: exact kernels, killed kernels, Monte Carlo.
 
-The default method is series uniformization: with Lam = max_x mu_x/nu_x and
+Every kernel comes from series uniformization: with Lam = max_x mu_x/nu_x and
 Pi = I + Q/Lam, the distribution at time t is the Poisson(Lam*t) mixture of
 powers of Pi.  Each time sums only the powers k in its Poisson window
 [L, K].  Below the Fox-Glynn left point L the weights hold at most
@@ -21,8 +21,8 @@ point.  A call may read out only some entries v[rows, cols] of each time's
 block (entries=(rows, cols)), so a batch of on-diagonal curves keeps one
 number per source and time, not a whole distribution.
 
-An adaptive ODE integration of d/dt p = p Q is kept as a cross-check; it
-imports scipy.integrate only when it runs.
+There is no second backend: the tests check this one against scipy's expm
+and closed forms, the benchmark against a 40-digit spectral oracle.
 Killed kernels solve the Dirichlet problem on a vertex subset (generator
 restricted to the subset, absorption outside).
 """
@@ -254,24 +254,7 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     return out
 
 
-def _ode_kernel(p0, q_mat, t, tol):
-    # imported here: it is the slowest scipy import, and only --method ode
-    # needs it
-    from scipy.integrate import solve_ivp
-
-    qt = q_mat.T.tocsr()
-    sol = solve_ivp(lambda _t, y: qt @ y, (0.0, t), p0, method="LSODA",
-                    rtol=min(tol, 1e-8), atol=tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    # local error control only; clip solver noise, never real mass
-    if y.min() < -100.0 * tol or y.max() > 1.0 + 100.0 * tol:
-        raise RuntimeError("ODE solution left the probability simplex")
-    return np.clip(y, 0.0, 1.0), tol
-
-
-def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
+def heat_kernel(g, source, t, tol=DEFAULT_TOL):
     """P_source(X_t = .) on the whole graph; err_bound covers truncation only.
 
     Parameters
@@ -280,28 +263,19 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL, method="uniformization"):
     source : vertex id
     t : float, finite and >= 0
     tol : float, finite with 0 < tol < 1
-        Bound on the truncation error (uniformization: the Poisson mass
-        outside the window [L, K]).  Rounding over the K sparse matvecs, of
-        order K times the unit roundoff u, is not included in err_bound;
-        nor is that of a dense jump, of order log2(L) n u, which is smaller.
-    method : {"uniformization", "ode"}
+        Bound on the truncation error, the Poisson mass outside the window
+        [L, K].  Rounding over the K sparse matvecs, of order K times the
+        unit roundoff u, is not included in err_bound; nor is that of a
+        dense jump, of order log2(L) n u, which is smaller.
     """
     src = g.index(source)
     p0 = np.zeros(g.n)
     p0[src] = 1.0
-    if method == "uniformization":
-        [(probs, err)] = _uniformized(rate_matrix(g), g.rates.max(), p0, [t],
-                                      tol)
-        tag = "series-uniformization"
-    elif method == "ode":
-        [t] = _checked_times([t], tol)
-        probs, err = _ode_kernel(p0, rate_matrix(g), t, tol)
-        tag = "ode"
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    [(probs, err)] = _uniformized(rate_matrix(g), g.rates.max(), p0, [t], tol)
     probs.flags.writeable = False
     return HeatKernelResult(graph=g, source=g.vertex_ids[src], time=float(t),
-                            probs=probs, method=tag, err_bound=float(err))
+                            probs=probs, method="series-uniformization",
+                            err_bound=float(err))
 
 
 def kernel_matrix(g, t, tol=DEFAULT_TOL):
@@ -392,6 +366,9 @@ def simulate(g, source, t_max, n_paths, seed, jump_cap=10_000,
     Deterministic given ``seed``: path i uses the RNG stream
     ``SeedSequence((seed, i))``, so results do not depend on scheduling.
     """
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and nonnegative, "
+                         f"got {t_max!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if jump_cap < 1:

@@ -10,7 +10,7 @@ which case :func:`verify_adapted` is the gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +29,6 @@ class MetricCertificate:
 
     vertex_constraint: np.ndarray  # (1/nu_x) sum_y dist(x,y)^2 mu_xy
     max_edge_dist: float
-    tol: float
 
     @property
     def vertex_slacks(self):
@@ -37,8 +36,8 @@ class MetricCertificate:
 
     @property
     def passed(self):
-        return bool(np.all(self.vertex_constraint <= 1.0 + self.tol)
-                    and self.max_edge_dist <= 1.0 + self.tol)
+        return bool(np.all(self.vertex_constraint <= 1.0 + CHECK_TOL)
+                    and self.max_edge_dist <= 1.0 + CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,10 @@ def _certificate(g, dist):
     quad /= g.nu
     quad.flags.writeable = False
     max_edge = float(edge_dist.max()) if g.n_edges else 0.0
-    return MetricCertificate(vertex_constraint=quad, max_edge_dist=max_edge,
-                             tol=CHECK_TOL)
+    return MetricCertificate(vertex_constraint=quad, max_edge_dist=max_edge)
 
 
-def verify_adapted(g, metric, tol=CHECK_TOL):
+def verify_adapted(g, metric):
     """Re-check the adapted-metric condition against the actual distances.
 
     Returns a structured report {vertex_slacks, max_edge_dist, pass}; failure
@@ -131,7 +129,7 @@ def verify_adapted(g, metric, tol=CHECK_TOL):
         "vertex_slacks": {v: float(s) for v, s in zip(g.vertex_ids,
                                                       cert.vertex_slacks)},
         "max_edge_dist": cert.max_edge_dist,
-        "pass": replace(cert, tol=tol).passed,
+        "pass": cert.passed,
     }
 
 

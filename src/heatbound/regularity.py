@@ -15,12 +15,14 @@ reports surface the discrepancy rather than hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 #: grid density for closed-form sweeps (points per decade of t)
-DEFAULT_POINTS_PER_DECADE = 512
+POINTS_PER_DECADE = 512
+
+#: relative slack of the regularity, envelope and halving checks
+REL_TOL = 1e-9
 
 #: sweep window substituted for unbounded closed-form intervals
 CLOSED_FORM_FLOOR = 1e-6
@@ -56,12 +58,14 @@ class DecayProfile:
             f = np.asarray(values, dtype=float)
             if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
                 raise ValueError("table profile needs matching 1-d arrays, >= 2 points")
-            if not np.all(t > 0):
-                raise ValueError("table times must be strictly positive")
+            if not np.all((t > 0) & np.isfinite(t)):
+                raise ValueError("table times must be finite and strictly "
+                                 "positive")
             if not np.all(np.diff(t) > 0):
                 raise ValueError("table times must be strictly increasing")
-            if not np.all(f > 0):
-                raise ValueError("profile values must be strictly positive")
+            if not np.all((f > 0) & np.isfinite(f)):
+                raise ValueError("profile values must be finite and strictly "
+                                 "positive")
             if np.any(np.diff(f) < -1e-12 * np.abs(f[:-1])):
                 raise ValueError("profile is non-monotone; a decay profile must be "
                                  "non-decreasing")
@@ -77,20 +81,22 @@ class DecayProfile:
 
     @classmethod
     def power(cls, p):
-        if p < 0:
-            raise ValueError("power exponent must be nonnegative")
+        if not (math.isfinite(p) and p >= 0):
+            raise ValueError(f"power exponent must be finite and "
+                             f"nonnegative, got {p!r}")
         return cls("power", {"p": float(p)})
 
     @classmethod
     def exponential(cls, delta):
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, "
+                             f"got {delta!r}")
         return cls("exp", {"delta": float(delta)})
 
     @classmethod
     def stretched_exp(cls, delta, eps):
-        if delta < 0 or not (0.0 <= eps < 1.0):
-            raise ValueError("need delta >= 0 and eps in [0, 1)")
+        if not (math.isfinite(delta) and delta >= 0 and 0.0 <= eps < 1.0):
+            raise ValueError("need finite delta >= 0 and eps in [0, 1)")
         return cls("stretched-exp", {"delta": float(delta), "eps": float(eps)})
 
     @classmethod
@@ -156,11 +162,12 @@ class DecayProfile:
 # ---------------------------------------------------------------------------
 # regularity fitting
 
-def _sweep_grid(profile, gamma, interval, points_per_decade):
+def _sweep_grid(profile, gamma, interval):
     """Grid of admissible s values in [a, b/gamma) with gamma*s evaluable."""
     a, b = interval
-    if b <= a:
-        raise ValueError("empty interval")
+    if not (math.isfinite(a) and a < b):  # b may be inf, not nan
+        raise ValueError(f"need a finite start a < b, "
+                         f"got interval {interval!r}")
     if profile.kind == "table":
         lo, hi = profile.domain
         a_eff = max(a, lo)
@@ -176,7 +183,7 @@ def _sweep_grid(profile, gamma, interval, points_per_decade):
             grid = np.zeros(0)
         else:
             decades = math.log10(upper / a_eff)
-            count = max(int(decades * points_per_decade) + 1, 2)
+            count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
             grid = np.geomspace(a_eff, upper, count)
             grid = grid[grid < upper * (1 - 1e-15) + 1e-300]
     if len(grid) < 2:
@@ -186,17 +193,16 @@ def _sweep_grid(profile, gamma, interval, points_per_decade):
 
 
 def minimal_regularity_constant(profile, gamma, interval,
-                                points_per_decade=DEFAULT_POINTS_PER_DECADE,
                                 return_witness=False):
     """Least A making the profile (A, gamma)-regular on the sweep grid.
 
     Returns sup over grid pairs s < t of [f(gamma s)/f(s)] / [f(gamma t)/f(t)],
     clamped below at 1.  Tables are swept at their own grid points; closed
-    forms on a log-spaced grid (``points_per_decade`` controls density).
+    forms on a log-spaced grid of POINTS_PER_DECADE points per decade.
     """
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
-    grid = _sweep_grid(profile, gamma, interval, points_per_decade)
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    grid = _sweep_grid(profile, gamma, interval)
     log_r = profile.log_value(gamma * grid) - profile.log_value(grid)
     # sup_{i<j} r_i / r_j via suffix minima of log r
     suffix_min = np.minimum.accumulate(log_r[::-1])[::-1]
@@ -210,22 +216,20 @@ def minimal_regularity_constant(profile, gamma, interval,
     return a_min, (float(grid[i]), float(grid[j]))
 
 
-def check_regular(profile, A, gamma, interval, rel_tol=1e-9,
-                  points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """True iff the minimal grid constant is at most A (within rel_tol).
+def check_regular(profile, A, gamma, interval):
+    """True iff the minimal grid constant is at most A (within REL_TOL).
 
     On failure the witness is the violating (s, t) pair.
     """
     if A <= 0:
         raise ValueError("A must be positive")
-    a_min, witness = minimal_regularity_constant(
-        profile, gamma, interval, points_per_decade, return_witness=True)
-    ok = a_min <= A * (1.0 + rel_tol)
+    a_min, witness = minimal_regularity_constant(profile, gamma, interval,
+                                                 return_witness=True)
+    ok = a_min <= A * (1.0 + REL_TOL)
     return ok, (None if ok else witness)
 
 
-def check_envelope(profile, kind, A, interval, delta=None, eps=None,
-                   rel_tol=1e-9, points_per_decade=DEFAULT_POINTS_PER_DECADE):
+def check_envelope(profile, kind, A, interval, delta=None, eps=None):
     """Check f(t) <= A * envelope(t) at all grid points of the interval.
 
     kind: "exp" (A e^{delta t}, delta >= 1), "stretched"
@@ -235,31 +239,33 @@ def check_envelope(profile, kind, A, interval, delta=None, eps=None,
     if A < 1:
         raise ValueError("A must be at least 1")
     if kind == "exp":
-        if delta is None or delta < 1:
-            raise ValueError("exp envelope needs delta >= 1")
+        if delta is None or not 1 <= delta < math.inf:
+            raise ValueError("exp envelope needs finite delta >= 1")
         log_env = lambda t: math.log(A) + delta * t
     elif kind == "stretched":
-        if delta is None or eps is None or delta < 0 or not 0 <= eps < 1:
-            raise ValueError("stretched envelope needs delta >= 0, eps in [0,1)")
+        if (delta is None or eps is None or not 0 <= delta < math.inf
+                or not 0 <= eps < 1):
+            raise ValueError("stretched envelope needs finite delta >= 0, "
+                             "eps in [0,1)")
         log_env = lambda t: math.log(A) + delta * t ** eps
     elif kind == "poly":
-        if eps is None or eps < 0:
-            raise ValueError("poly envelope needs eps >= 0")
+        if eps is None or not 0 <= eps < math.inf:
+            raise ValueError("poly envelope needs finite eps >= 0")
         log_env = lambda t: math.log(A) + eps * math.log(t)
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
 
-    grid = _envelope_grid(profile, interval, points_per_decade)
+    grid = _envelope_grid(profile, interval)
     log_f = np.atleast_1d(profile.log_value(grid))
     log_bound = np.array([log_env(float(t)) for t in grid])
     slack = log_bound - log_f
     worst = int(np.argmin(slack))
-    ok = bool(slack[worst] >= -rel_tol)
+    ok = bool(slack[worst] >= -REL_TOL)
     return ok, (None if ok else (float(grid[worst]), float(np.exp(log_f[worst])),
                                  float(np.exp(log_bound[worst]))))
 
 
-def _envelope_grid(profile, interval, points_per_decade):
+def _envelope_grid(profile, interval):
     a, b = interval
     if profile.kind == "table":
         lo, hi = profile.domain
@@ -269,7 +275,7 @@ def _envelope_grid(profile, interval, points_per_decade):
         a_eff = a if a > 0 else CLOSED_FORM_FLOOR
         b_eff = b if math.isfinite(b) else CLOSED_FORM_CAP
         decades = math.log10(max(b_eff / a_eff, 10.0))
-        count = max(int(decades * points_per_decade) + 1, 2)
+        count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
         grid = np.geomspace(a_eff, b_eff, count)
     if len(grid) == 0:
         raise ValueError("interval contains no evaluable grid points")
@@ -287,8 +293,8 @@ def beta_constant(gamma, convention="section3"):
     printed in the headline bound.  A 1e-12 ulp guard keeps exact integer
     ratios from rounding up.
     """
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
     if convention == "section3":
         ratio = math.log(2.0) / math.log(gamma)
     elif convention == "theorem-statement":
@@ -304,24 +310,23 @@ def alpha_constant(gamma, delta):
     return min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
 
 
-def derived_constants(gamma, delta, beta_convention="section3"):
+def derived_constants(gamma, delta):
     """(alpha_constant, beta_constant) for gamma > 1 and delta >= 1."""
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
-    return alpha_constant(gamma, delta), beta_constant(gamma, beta_convention)
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    if not 1 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and at least 1, got {delta!r}")
+    return alpha_constant(gamma, delta), beta_constant(gamma)
 
 
-def check_halving_lemma(profile, A, gamma, t, k_max, rel_tol=1e-9,
-                        beta_convention="section3"):
+def check_halving_lemma(profile, A, gamma, t, k_max):
     """Verify f(t / 2^k) >= (A^beta f(t)/f(gamma^-beta t))^{-k} f(t), k=1..k_max.
 
     Numerical confirmation of the halving consequence of (A, gamma)-regularity.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    beta = beta_constant(gamma, beta_convention)
+    beta = beta_constant(gamma)
     lo, _ = profile.domain
     needed = min(t / 2.0 ** k_max, t * gamma ** (-beta)) if k_max else t
     if needed < lo * (1 - 1e-12):
@@ -333,7 +338,7 @@ def check_halving_lemma(profile, A, gamma, t, k_max, rel_tol=1e-9,
     for k in range(1, k_max + 1):
         lhs = profile.log_value(t / 2.0 ** k)
         rhs = -k * log_base + log_ft
-        if lhs < rhs - rel_tol:
+        if lhs < rhs - REL_TOL:
             return False
     return True
 
@@ -341,75 +346,36 @@ def check_halving_lemma(profile, A, gamma, t, k_max, rel_tol=1e-9,
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass(frozen=True)
-class RegularityProfile:
-    """Fitted regularity data plus the derived bound constants."""
-
-    A: float
-    gamma: float
-    interval: tuple
-    envelope: dict  # {"kind": ..., params...} or {"kind": "none"}
-    alpha: float
-    beta: int
-
-
-def fit_regularity_profile(profile, gamma, interval, envelope_kind="none",
-                           delta=None, eps=None,
-                           beta_convention="section3",
-                           points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """Fit A on the interval, check the requested envelope, derive (alpha, beta)."""
-    a_min = minimal_regularity_constant(profile, gamma, interval,
-                                        points_per_decade)
-    A = max(1.0, a_min)
-    envelope = {"kind": envelope_kind}
-    env_ok = None
-    if envelope_kind == "exp":
-        env_ok, _ = check_envelope(profile, "exp", A, interval, delta=delta,
-                                   points_per_decade=points_per_decade)
-        envelope["delta"] = delta
-        alpha = alpha_constant(gamma, delta)
-    elif envelope_kind == "stretched":
-        env_ok, _ = check_envelope(profile, "stretched", A, interval,
-                                   delta=delta, eps=eps,
-                                   points_per_decade=points_per_decade)
-        envelope.update(delta=delta, eps=eps)
-        alpha = 1.0 / (2.0 * gamma)
-    elif envelope_kind == "poly":
-        env_ok, _ = check_envelope(profile, "poly", A, interval, eps=eps,
-                                   points_per_decade=points_per_decade)
-        envelope["eps"] = eps
-        alpha = 1.0 / (2.0 * gamma)
-    elif envelope_kind == "none":
-        alpha = 1.0 / (2.0 * gamma)
-    else:
-        raise ValueError(f"unknown envelope kind {envelope_kind!r}")
-    if env_ok is not None:
-        envelope["holds"] = env_ok
-    beta = beta_constant(gamma, beta_convention)
-    return RegularityProfile(A=A, gamma=gamma, interval=tuple(interval),
-                             envelope=envelope, alpha=alpha, beta=beta)
-
-
 def regularity_report(profile, gamma, interval, envelope_kind="none",
-                      delta=None, eps=None, beta_convention="section3",
-                      points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """JSON-ready report; surfaces the beta-convention discrepancy exactly once."""
-    fitted = fit_regularity_profile(profile, gamma, interval, envelope_kind,
-                                    delta=delta, eps=eps,
-                                    beta_convention=beta_convention,
-                                    points_per_decade=points_per_decade)
+                      delta=None, eps=None, beta_convention="section3"):
+    """Fit A on the interval, check the requested envelope and derive
+    (alpha, beta); a JSON-ready report that surfaces the beta-convention
+    discrepancy exactly once."""
+    A = max(1.0, minimal_regularity_constant(profile, gamma, interval))
+    envelope = {"kind": envelope_kind}
+    if envelope_kind != "none":
+        # check_envelope rejects an unknown kind and the parameters it needs
+        # out of range
+        envelope["holds"], _ = check_envelope(profile, envelope_kind, A,
+                                              interval, delta=delta, eps=eps)
+    if envelope_kind in ("exp", "stretched"):
+        envelope["delta"] = delta
+    if envelope_kind in ("stretched", "poly"):
+        envelope["eps"] = eps
+    alpha = (alpha_constant(gamma, delta) if envelope_kind == "exp"
+             else 1.0 / (2.0 * gamma))
     b3 = beta_constant(gamma, "section3")
     bt = beta_constant(gamma, "theorem-statement")
     return {
-        "A": fitted.A,
+        "A": A,
         "gamma": gamma,
         "interval": [float(interval[0]), float(interval[1])],
-        "envelope": fitted.envelope,
-        "alpha": fitted.alpha,
-        "beta": fitted.beta,
+        "envelope": envelope,
+        "alpha": alpha,
+        "beta": beta_constant(gamma, beta_convention),
         "beta_convention": beta_convention,
         "beta_section3": b3,
         "beta_theorem_statement": bt,
         "beta_note": BETA_NOTE.format(used=beta_convention, b3=b3, bt=bt),
-        "grid_points_per_decade": points_per_decade,
+        "grid_points_per_decade": POINTS_PER_DECADE,
     }

@@ -270,7 +270,7 @@ def test_11_gradient_check():
                 continue
             ts.append(t)
             vs.append(int(rng.integers(0, g.n)))
-        err = hb.gradient_check(h, ts, vs, step=step)
+        err = hb.gradient_check(h, ts, vs)
         assert err < 1e-6, (h.kind, err)
         worst = max(worst, err)
     report(11, f"analytic d/dt log h matched centered differences at 3000 "

@@ -237,6 +237,20 @@ class TestRegularityCommand:
         assert code == 0
         assert json.loads(out)["A"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("form", ["table", "power"])
+    def test_unbounded_interval_reported_finite(self, two_state_file, form,
+                                                tmp_path, capsys):
+        # it ends at 10, the table's last time or the default --tmax
+        prof = tmp_path / "prof.csv"
+        prof.write_text("0.1,0.01\n1.0,1.0\n10.0,100.0\n")
+        source = (("--profile", str(prof)) if form == "table"
+                  else ("--form", form))
+        code, out, _ = run_cli(capsys, "regularity", "--graph", two_state_file,
+                               *source, "--interval", "0.1", "inf")
+        assert code == 0
+        assert json.loads(out, parse_constant=pytest.fail)["interval"] == \
+            [0.1, 10.0]
+
 
 class TestImpCommand:
     @pytest.mark.parametrize("family,extra", [
@@ -253,7 +267,8 @@ class TestImpCommand:
                                "--out", str(out_csv), *extra)
         assert code == 0
         summary = json.loads(out)
-        assert summary["membership_pass"] and summary["J_monotone"]
+        assert summary["membership_pass"] is True
+        assert summary["J_monotone"] is True
         header = out_csv.read_text().splitlines()[0]
         assert header == "t,J,worst_edge,slack"
 
@@ -429,7 +444,7 @@ class TestErrors:
         assert summary["delta"] == 0.5 and summary["alpha"] == 1.0 / 32.0
 
     def test_cli_import_skips_scipy_integrate(self):
-        # only --method ode needs it, and it is the slowest scipy import
+        # nothing in heatbound uses it, and it is the slowest scipy import
         src = str(Path(hb.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
@@ -438,6 +453,56 @@ class TestErrors:
              "print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--method", "ode"), ("kernel", "--metric", "f"),
+        ("regularity", "--metric", "f"), ("simulate", "--metric", "f"),
+        ("simulate", "--tol", "1e-3"), ("metric", "--tol", "1e-3"),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    def test_flag_the_command_does_not_take(self, two_state_file, argv,
+                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--graph", two_state_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv[1:])}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--tmax", "inf"),
+        ("simulate", "--tmax", "nan"),
+        ("regularity", "--form", "exp", "--delta", "nan", "--envelope", "exp"),
+        ("regularity", "--form", "power", "--p", "inf"),
+        ("regularity", "--profile", "PROFILE"),
+        ("regularity", "--form", "power", "--interval", "0.1", "nan"),
+        ("imp", "--family", "gaussian", "--R", "inf"),
+        ("imp", "--family", "lemma23", "--tau", "inf"),
+    ], ids=["simulate-tmax-inf", "simulate-tmax-nan", "regularity-delta-nan",
+            "regularity-p-inf", "regularity-profile-inf",
+            "regularity-interval-nan", "imp-gaussian-R-inf",
+            "imp-lemma23-tau-inf"])
+    def test_non_finite_input(self, two_state_file, argv, tmp_path, capsys):
+        profile = tmp_path / "prof.csv"
+        profile.write_text("t,f\n0.1,1\n1,2\n10,3\ninf,4\n")
+        argv = [str(profile) if a == "PROFILE" else a for a in argv]
+        # a warning would print ahead of the JSON error; make it an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv[0], "--graph",
+                                     two_state_file, *argv[1:],
+                                     "--out", str(tmp_path / "out.csv"))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line, parse_constant=pytest.fail)["error"] == \
+            "ValueError"
+
+    def test_uncapped_drift_rho(self, two_state_file, tmp_path, capsys):
+        # R = inf leaves rho = d(o, .) uncapped, a valid drift input
+        code, out, _ = run_cli(capsys, "imp", "--graph", two_state_file,
+                               "--family", "drift", "--R", "inf",
+                               "--out", str(tmp_path / "j.csv"))
+        assert code == 0
+        summary = json.loads(out, parse_constant=pytest.fail)
+        assert summary["J_monotone"] is True
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")

@@ -9,7 +9,7 @@ from heatbound.imp import (
     TestFunction,
     check_g_class,
     check_condition_2_2,
-    membership_suite,
+    J_TOL,
 )
 from heatbound.kernel import KernelEvolution
 
@@ -154,15 +154,6 @@ class TestMembership:
                 assert hb.is_in_F(h, g, m, grid).passed
                 assert check_condition_2_2(h, g, grid).passed
 
-    def test_membership_suite_helper(self, p3_csrw):
-        m = metric_of(p3_csrw)
-        rho = hb.make_rho(m, "0", 2.0)
-        fams = [("drift", hb.make_drift(0.1, rho)),
-                ("lemma23", hb.make_lemma23(1.0, rho))]
-        out = membership_suite(p3_csrw, m, fams, np.linspace(0, 2, 5))
-        assert set(out) == {"drift", "lemma23"} and all(
-            r.passed for r in out.values())
-
 
 class TestJMonotone:
     def test_h_one_gives_norm_decay(self, p5_csrw):
@@ -188,6 +179,16 @@ class TestJMonotone:
         u = KernelEvolution(g, "2", domain=["1", "2", "3"], tol=1e-12)
         rep = hb.check_J_monotone(u, h, np.linspace(0.0, 4.0, 101))
         assert rep.passed
+
+    def test_passed_is_a_bool(self, p5_csrw):
+        # here the coupled tolerance 10 err_bound / min J, a numpy float,
+        # exceeds J_TOL
+        m = metric_of(p5_csrw)
+        h = hb.make_drift(0.25, hb.make_rho(m, "2", 1.0))
+        u = KernelEvolution(p5_csrw, "2", domain=["1", "2", "3"])
+        rep = hb.check_J_monotone(u, h, np.linspace(0.0, 4.0, 41))
+        assert rep.tol_used > J_TOL
+        assert rep.passed is True and bool(rep) is True
 
     def test_grid_validation(self, two_state):
         m = metric_of(two_state)

@@ -58,32 +58,22 @@ class TestHeatKernel:
             assert np.allclose(r.probs, expm_oracle(g, g.vertex_ids[1], t),
                                atol=1e-10)
 
-    def test_ode_cross_check(self, two_state):
-        r_uni = hb.heat_kernel(two_state, "a", 1.0, tol=1e-10)
-        r_ode = hb.heat_kernel(two_state, "a", 1.0, tol=1e-10, method="ode")
-        assert r_ode.method == "ode"
-        assert r_ode.prob("a") == pytest.approx(r_uni.prob("a"), abs=1e-7)
-
     def test_input_validation(self, two_state):
         with pytest.raises(ValueError):
             hb.heat_kernel(two_state, "a", -1.0)
         with pytest.raises(ValueError):
             hb.heat_kernel(two_state, "a", 1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            hb.heat_kernel(two_state, "a", 1.0, method="magic")
 
-    @pytest.mark.parametrize("method", ["uniformization", "ode"])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_time_rejected(self, two_state, method, t):
+    def test_non_finite_time_rejected(self, two_state, t):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            hb.heat_kernel(two_state, "a", t, method=method)
+            hb.heat_kernel(two_state, "a", t)
 
-    @pytest.mark.parametrize("method", ["uniformization", "ode"])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 2.0, 1.0, -1e-3])
-    def test_tol_outside_unit_interval_rejected(self, two_state, method, tol):
+    def test_tol_outside_unit_interval_rejected(self, two_state, tol):
         # tol = nan used to double the Poisson weight array forever
         with pytest.raises(ValueError, match="0 < tol < 1"):
-            hb.heat_kernel(two_state, "a", 1.0, tol=tol, method=method)
+            hb.heat_kernel(two_state, "a", 1.0, tol=tol)
 
     def test_tol_below_weight_rounding_rejected(self, p5_csrw):
         # the Poisson(1000) weights never sum to 1 - 1e-13 in double
