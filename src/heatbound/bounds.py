@@ -257,11 +257,6 @@ class BoundRow:
     passed: bool
     in_domain: bool
 
-    def as_csv(self):
-        return (self.formula, self.x1, self.x2, self.t, self.d_nu,
-                self.p_computed, self.log_bound, self.log_ratio,
-                self.provenance, self.passed, "in" if self.in_domain else "out")
-
 
 @dataclass(frozen=True)
 class SweepSetup:

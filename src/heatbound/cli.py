@@ -1,13 +1,17 @@
 """Batch driver: every subsystem exposed as a subcommand over graph files.
 
 Subcommands are thin compositions of library calls -- no numeric logic lives
-here.  Reports are CSV (plot-ready, diff-able) plus a JSON summary on stdout.
-Exit codes: 0 all checks passed, 1 verification failures present, 2 input
-error (machine-readable JSON on stderr).
+here.  Each takes the loaded graph and the parsed arguments and returns a
+CSV header, its rows (plot-ready, diff-able), a JSON summary and an exit
+status; ``main`` writes them under one rule.  With --out the CSV goes to the
+file and the summary to stdout; without it stdout gets the summary for
+``metric`` and ``regularity`` and the CSV for the other subcommands.  Exit
+codes: 0 all checks passed, 1 verification failures present, 2 input error
+(machine-readable JSON on stderr, nothing on stdout).
 
 The environment variable HEATBOUND_THREADS changes nothing today: every
-report is computed serially, and the value is only validated and echoed in
-summaries.
+report is computed serially, and the value is validated before any work and
+echoed in summaries.
 """
 
 from __future__ import annotations
@@ -35,20 +39,11 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path:
-            out.close()
-
-
-def _emit_summary(summary):
-    print(json.dumps(summary, sort_keys=True, default=str))
+def _write_csv(out, header, rows):
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
 
 
 def _threads():
@@ -100,68 +95,71 @@ def _add_common(p, times=True):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (g, args) and returns (header, rows, summary,
+# status); main writes them
 
-def _cmd_kernel(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _cmd_kernel(g, args):
     source = args.source or g.vertex_ids[0]
     rows = []
     for t in _time_grid(args):
         res = kernel_mod.heat_kernel(g, source, float(t), tol=args.tol)
-        rows.extend(res.rows())
-    _write_csv(args.out, ("source", "target", "t", "prob", "method",
-                          "err_bound"), rows)
-    if args.out:
-        _emit_summary({"command": "kernel", "graph": args.graph,
-                       "source": source, "rows": len(rows),
-                       "threads": _threads(), "out": args.out})
-    return 0
+        rows.extend((res.source, v, res.time, float(p), res.method,
+                     res.err_bound)
+                    for v, p in zip(g.vertex_ids, res.probs))
+    return (("source", "target", "t", "prob", "method", "err_bound"), rows,
+            {"source": source, "rows": len(rows), "out": args.out}, 0)
 
 
-def _cmd_metric(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _cmd_metric(g, args):
     metric = _load_metric(g, args)
     report = metric_mod.verify_adapted(g, metric)
-    summary = {"command": "metric", "graph": args.graph, **report,
-               "threads": _threads()}
     if g.n <= 16:
-        summary["d_nu"] = {f"{a}|{b}": float(metric.dist[g.index(a), g.index(b)])
+        report["d_nu"] = {f"{a}|{b}": float(metric.dist[g.index(a), g.index(b)])
                            for k, a in enumerate(g.vertex_ids)
                            for b in g.vertex_ids[k + 1:]}
-    if args.out:
-        _write_csv(args.out, ("vertex", "constraint_slack"),
-                   sorted(report["vertex_slacks"].items()))
-    _emit_summary(summary)
-    return 0 if report["pass"] else 1
+    return (("vertex", "constraint_slack"),
+            sorted(report["vertex_slacks"].items()), report,
+            0 if report["pass"] else 1)
 
 
 def _build_profile(g, args):
     if args.profile:
         ts, fs = [], []
         with open(args.profile, "r", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].startswith("#") or row[0] == "t":
                     continue
+                if len(row) != 2:
+                    raise ValueError(
+                        f"{args.profile} line {reader.line_num}: expected two "
+                        f"columns t,f, got {len(row)}")
                 ts.append(float(row[0]))
                 fs.append(float(row[1]))
         return reg_mod.DecayProfile.from_table(ts, fs)
-    if args.form:
-        kind = args.form
-        if kind == "power":
-            return reg_mod.DecayProfile.power(args.p)
-        if kind == "exp":
-            return reg_mod.DecayProfile.exponential(args.delta)
-        if kind == "stretched":
-            return reg_mod.DecayProfile.stretched_exp(args.delta, args.eps)
-        raise ValueError(f"unknown closed form {kind!r}")
+    if args.form == "power":
+        return reg_mod.DecayProfile.power(args.p)
+    if args.form == "exp":
+        return reg_mod.DecayProfile.exponential(args.delta)
+    if args.form == "stretched":
+        return reg_mod.DecayProfile.stretched_exp(args.delta, args.eps)
     source = args.source or g.vertex_ids[0]
     grid = _time_grid(args)
     curve = kernel_mod.on_diagonal_curve(g, source, grid, tol=args.tol)
     return reg_mod.DecayProfile.from_on_diagonal(curve)
 
 
-def _cmd_regularity(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _profile_rows(profile, args):
+    """(t, f) rows: the table itself, or the profile on the CLI time grid;
+    lazy, since only --out reads them."""
+    if profile.kind == "table":
+        yield from zip(profile.times, profile.values)
+    else:
+        for t in _time_grid(args):
+            yield t, profile.value(t)
+
+
+def _cmd_regularity(g, args):
     profile = _build_profile(g, args)
     interval = tuple(args.interval) if args.interval else profile.domain
     if interval[1] == math.inf:
@@ -171,19 +169,8 @@ def _cmd_regularity(args):
     report = reg_mod.regularity_report(
         profile, args.gamma, interval, envelope_kind=args.envelope,
         delta=args.delta, eps=args.eps, beta_convention=args.beta_convention)
-    report["command"] = "regularity"
-    report["graph"] = args.graph
-    report["threads"] = _threads()
-    if args.out:
-        if profile.kind == "table":
-            rows = list(zip(profile.times, profile.values))
-        else:
-            grid = _time_grid(args)
-            rows = [(t, profile.value(t)) for t in grid]
-        _write_csv(args.out, ("t", "f"), rows)
-    _emit_summary(report)
-    env = report["envelope"]
-    return 0 if env.get("holds", True) else 1
+    return (("t", "f"), _profile_rows(profile, args), report,
+            0 if report["envelope"].get("holds", True) else 1)
 
 
 def _parse_pairs(spec):
@@ -203,8 +190,7 @@ _SETUP_FLAGS = {"gamma": "gamma", "delta": "delta", "eps": "epsilon",
                 "T1": "T1", "T2": "T2"}
 
 
-def _cmd_bounds(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _cmd_bounds(g, args):
     metric = _load_metric(g, args)
     times = _time_grid(args)
     pairs = _parse_pairs(args.pairs)
@@ -230,24 +216,21 @@ def _cmd_bounds(args):
         ledger = bounds_mod.paper_constants()
         rows = bounds_mod.bound_sweep(g, metric, formula, times, pairs=pairs,
                                       ledger=ledger, setup=setup, tol=args.tol)
-    _write_csv(args.out, ("formula", "x1", "x2", "t", "d_nu", "p_computed",
-                          "log_bound", "log_ratio", "constants_provenance",
-                          "pass", "domain_flag"),
-               [r.as_csv() for r in rows])
     summary = bounds_mod.summarize_rows(rows)
-    summary.update(command="bounds", graph=args.graph, formula=formula,
-                   log_C1=ledger.log_C1, provenance=ledger.provenance,
-                   threads=_threads())
+    summary.update(formula=formula, log_C1=ledger.log_C1,
+                   provenance=ledger.provenance)
     if setup is not None:
         summary.update(A=setup.A, beta=setup.beta, alpha=setup.alpha,
                        gamma=setup.gamma, delta=setup.delta)
-    if args.out:
-        _emit_summary(summary)
-    return 1 if summary["failures_in_domain"] else 0
+    return (("formula", "x1", "x2", "t", "d_nu", "p_computed", "log_bound",
+             "log_ratio", "constants_provenance", "pass", "domain_flag"),
+            ((r.formula, r.x1, r.x2, r.t, r.d_nu, r.p_computed, r.log_bound,
+              r.log_ratio, r.provenance, r.passed,
+              "in" if r.in_domain else "out") for r in rows),
+            summary, 1 if summary["failures_in_domain"] else 0)
 
 
-def _cmd_imp(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _cmd_imp(g, args):
     metric = _load_metric(g, args)
     origin = args.source or g.vertex_ids[0]
     times = _time_grid(args)
@@ -257,48 +240,40 @@ def _cmd_imp(args):
     elif args.family == "drift":
         rho = imp_mod.make_rho(metric, origin, args.R, variant="capped-dist")
         h = imp_mod.make_drift(args.a, rho)
-    elif args.family == "gaussian":
+    else:  # gaussian
         R = max(args.R, 1.0)
         rho = imp_mod.make_rho(metric, origin, R, variant="reflected")
         s = float(times[-1])
-        h = imp_mod.make_gaussian(args.bigd, R, 24.0 * R / args.bigd, s, rho)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+        # Delta = 24 R / D, the least make_gaussian allows; a D below 5 is
+        # make_gaussian's error to report, not a division by zero here
+        h = imp_mod.make_gaussian(args.bigd, R, 24.0 * R / max(args.bigd, 5.0),
+                                  s, rho)
     membership = imp_mod.is_in_F(h, g, metric, times)
     evo = kernel_mod.KernelEvolution(g, origin, tol=args.tol)
     jrep = imp_mod.check_J_monotone(evo, h, times)
-    _write_csv(args.out, ("t", "J", "worst_edge", "slack"),
-               jrep.rows(membership))
-    if not args.out:
-        return 0 if (membership.passed and jrep.passed) else 1
-    _emit_summary({
-        "command": "imp", "graph": args.graph, "family": args.family,
-        "origin": origin, "membership_pass": membership.passed,
-        "worst_slack": membership.worst_slack,
-        "worst_time": membership.worst_time,
-        "J_monotone": jrep.passed, "J_tol": jrep.tol_used,
-        "worst_J_ratio": jrep.worst_ratio, "threads": _threads(),
-    })
-    return 0 if (membership.passed and jrep.passed) else 1
+    edge = "|".join(membership.worst_edge)
+    rows = [(float(t), float(jv), edge, membership.worst_slack)
+            for t, jv in zip(jrep.times, jrep.J)]
+    summary = {"family": args.family, "origin": origin,
+               "membership_pass": membership.passed,
+               "worst_slack": membership.worst_slack,
+               "worst_time": membership.worst_time,
+               "J_monotone": jrep.passed, "J_tol": jrep.tol_used,
+               "worst_J_ratio": jrep.worst_ratio}
+    return (("t", "J", "worst_edge", "slack"), rows, summary,
+            0 if (membership.passed and jrep.passed) else 1)
 
 
-def _cmd_simulate(args):
-    g = graph_mod.load_graph_file(args.graph)
+def _cmd_simulate(g, args):
     source = args.source or g.vertex_ids[0]
     res = kernel_mod.simulate(g, source, args.tmax, args.paths, args.seed,
                               jump_cap=args.jump_cap)
     rows = [(v, int(c), c / res.n_paths)
             for v, c in zip(g.vertex_ids, res.counts)]
-    _write_csv(args.out, ("vertex", "count", "prob"), rows)
-    if not args.out:
-        return 0
-    _emit_summary({
-        "command": "simulate", "graph": args.graph, "source": source,
-        "t_max": res.t_max, "n_paths": res.n_paths, "seed": res.seed,
-        "jump_cap": res.jump_cap, "exploded_fraction": res.exploded_fraction,
-        "threads": _threads(),
-    })
-    return 0
+    summary = {"source": source, "t_max": res.t_max, "n_paths": res.n_paths,
+               "seed": res.seed, "jump_cap": res.jump_cap,
+               "exploded_fraction": res.exploded_fraction}
+    return ("vertex", "count", "prob"), rows, summary, 0
 
 
 def build_parser():
@@ -370,11 +345,27 @@ def build_parser():
     return parser
 
 
+# without --out, these print their JSON summary and the others their CSV
+_SUMMARY_ON_STDOUT = ("metric", "regularity")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        threads = _threads()
+        g = graph_mod.load_graph_file(args.graph)
+        header, rows, summary, status = args.func(g, args)
+        if args.out:
+            rows = list(rows)  # before the file opens: a failed row leaves none
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                _write_csv(fh, header, rows)
+        elif args.command not in _SUMMARY_ON_STDOUT:
+            _write_csv(sys.stdout, header, list(rows))
+            return status
+        summary.update(command=args.command, graph=args.graph, threads=threads)
+        print(json.dumps(summary, sort_keys=True))
+        return status
     except (graph_mod.GraphFormatError, reg_mod.ProfileDomainError, ValueError,
             OSError) as exc:
         sys.stderr.write(json.dumps(

@@ -261,13 +261,6 @@ class JReport:
     def __bool__(self):
         return self.passed
 
-    def rows(self, membership=None):
-        """CSV-ready rows (t, J, worst_edge, slack) using a membership report."""
-        edge = "|".join(membership.worst_edge) if membership else ""
-        slack = membership.worst_slack if membership else float("nan")
-        return [(float(t), float(jv), edge, slack)
-                for t, jv in zip(self.times, self.J)]
-
 
 def check_J_monotone(u, h, time_grid):
     """Check that J(t) = <u(t,.)^2, h(t,.)> is non-increasing on the grid.

@@ -62,11 +62,6 @@ class HeatKernelResult:
     def total_mass(self):
         return float(self.probs.sum())
 
-    def rows(self):
-        """CSV-ready rows (source, target, t, prob, method, err_bound)."""
-        return [(self.source, v, self.time, float(p), self.method, self.err_bound)
-                for v, p in zip(self.graph.vertex_ids, self.probs)]
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -237,7 +232,9 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     first_open = min(opens)
     starts = _jump_starts(pi_t, p0, order)
     if len(order) == 1:
-        # v[..., None] spreads the one sequence over every window
+        # one anchor needs no stacking, so a single source stays a 1-D
+        # matvec, which keeps single-source calls fast; v[..., None] spreads
+        # the one sequence over every window
         v, seq = starts[order[0]], None
     else:
         v = np.stack([starts[a] for a in order], axis=-1)
@@ -268,14 +265,11 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL):
         unit roundoff u, is not included in err_bound; nor is that of a
         dense jump, of order log2(L) n u, which is smaller.
     """
-    src = g.index(source)
-    p0 = np.zeros(g.n)
-    p0[src] = 1.0
-    [(probs, err)] = _uniformized(rate_matrix(g), g.rates.max(), p0, [t], tol)
+    [(probs, err)] = _dirichlet(g, None, source, [t], tol)
     probs.flags.writeable = False
-    return HeatKernelResult(graph=g, source=g.vertex_ids[src], time=float(t),
-                            probs=probs, method="series-uniformization",
-                            err_bound=float(err))
+    return HeatKernelResult(graph=g, source=g.vertex_ids[g.index(source)],
+                            time=float(t), probs=probs,
+                            method="series-uniformization", err_bound=err)
 
 
 def kernel_matrix(g, t, tol=DEFAULT_TOL):

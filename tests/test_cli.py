@@ -310,6 +310,34 @@ class TestSimulateCommand:
         assert 0.0 <= summary["exploded_fraction"] <= 1.0
 
 
+# one run of each subcommand on the two-state graph
+COMMANDS = [("kernel", "--tcount", "3"), ("metric",),
+            ("regularity", "--tcount", "5"),
+            ("bounds", "--tmin", "1", "--tmax", "4", "--tcount", "3"),
+            ("imp", "--family", "drift", "--tcount", "5"),
+            ("simulate", "--paths", "100")]
+
+
+class TestStdout:
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_one_kind_of_output(self, two_state_file, argv, tmp_path, capsys):
+        # with --out: the CSV in the file and one JSON object on stdout;
+        # without: the summary for metric and regularity, the CSV otherwise
+        out_file = tmp_path / "out.csv"
+        code, with_out, _ = run_cli(capsys, argv[0], "--graph", two_state_file,
+                                    *argv[1:], "--out", str(out_file))
+        [line] = with_out.splitlines()
+        assert isinstance(json.loads(line), dict)
+        csv_text = out_file.read_text(encoding="utf-8")
+        code_without, without, _ = run_cli(capsys, argv[0], "--graph",
+                                           two_state_file, *argv[1:])
+        assert code_without == code
+        if argv[0] in ("metric", "regularity"):
+            assert without == with_out
+        else:
+            assert without == csv_text
+
+
 class TestErrors:
     def test_bad_graph_json_error_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -476,10 +504,11 @@ class TestErrors:
         ("regularity", "--form", "power", "--interval", "0.1", "nan"),
         ("imp", "--family", "gaussian", "--R", "inf"),
         ("imp", "--family", "lemma23", "--tau", "inf"),
+        ("imp", "--family", "gaussian", "--bigd", "0"),
     ], ids=["simulate-tmax-inf", "simulate-tmax-nan", "regularity-delta-nan",
             "regularity-p-inf", "regularity-profile-inf",
             "regularity-interval-nan", "imp-gaussian-R-inf",
-            "imp-lemma23-tau-inf"])
+            "imp-lemma23-tau-inf", "imp-gaussian-bigd-0"])
     def test_non_finite_input(self, two_state_file, argv, tmp_path, capsys):
         profile = tmp_path / "prof.csv"
         profile.write_text("t,f\n0.1,1\n1,2\n10,3\ninf,4\n")
@@ -509,11 +538,42 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFoundError"
 
-    def test_threads_env_validated(self, two_state_file, capsys, monkeypatch):
+    @pytest.mark.parametrize("with_out", [False, True],
+                             ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_threads_env_validated(self, two_state_file, argv, with_out,
+                                   tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HEATBOUND_THREADS", "zero")
-        code, _, err = run_cli(capsys, "metric", "--graph", two_state_file)
-        assert code == 2
+        out_file = tmp_path / "out.csv"
+        extra = ["--out", str(out_file)] if with_out else []
+        code, out, err = run_cli(capsys, argv[0], "--graph", two_state_file,
+                                 *argv[1:], *extra)
+        assert code == 2 and out == ""
+        assert not out_file.exists()
         assert "HEATBOUND_THREADS" in json.loads(err)["message"]
+
+    def test_failed_row_leaves_no_file(self, two_state_file, tmp_path, capsys):
+        # the rows of a closed-form profile are built on the time grid, which
+        # rejects tmin = 0 on a log scale only once --out asks for them
+        out_file = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "regularity", "--graph",
+                                 two_state_file, "--form", "power", "--tmin",
+                                 "0", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert "tmin" in json.loads(err)["message"]
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("row", ["3", "1,2,7"], ids=["one", "three"])
+    def test_profile_row_needs_two_columns(self, two_state_file, row,
+                                           tmp_path, capsys):
+        profile = tmp_path / "prof.csv"
+        profile.write_text(f"t,f\n0.1,1\n{row}\n10,3\n")
+        code, out, err = run_cli(capsys, "regularity", "--graph",
+                                 two_state_file, "--profile", str(profile))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "line 3: expected two columns" in payload["message"]
 
     def test_threads_env_echoed(self, two_state_file, capsys, monkeypatch):
         monkeypatch.setenv("HEATBOUND_THREADS", "4")
