@@ -3,6 +3,7 @@ random walks on weighted graphs."""
 
 from .bounds import (
     BoundRow,
+    BoundTable,
     ConstantLedger,
     ShortLongBound,
     bound_short_long,
@@ -48,6 +49,7 @@ from .kernel import (
     Trajectory,
     heat_kernel,
     kernel_matrix,
+    kernel_rows,
     killed_kernel,
     on_diagonal_curve,
     on_diagonal_curves,

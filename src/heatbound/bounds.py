@@ -18,19 +18,22 @@ silently substituted.
 Every formula a sweep checks is one entry of the table ``FORMULAS``: the
 displays of Theorems 1.1, 1.3, 5.1 and 5.2 (the ones carrying C1), the two
 branches of Corollary 2.7 and the tail mass of Proposition 2.6.  An entry
-gives the rows of one (pair, t) cell; bound_sweep is one loop over the cells.
+gives a pair's rows at every grid time at once, as arrays.  bound_sweep
+takes the kernels of every pair and time from one engine call, walks the
+pairs once, and returns the rows as columns (a BoundTable).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_matrix,
+from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_rows,
                      on_diagonal_curves, point_mass_values, weighted_tail_mass)
 from .regularity import (DecayProfile, alpha_constant, beta_constant,
                          minimal_regularity_constant)
@@ -147,6 +150,8 @@ def bound_short_long(nu_o, nu_z, r, t):
 
 def log_tail_bound_short_time(R, t):
     """Tail-mass bound exponents: -R^2/8t for t >= R, else -R log(1.01R/t)+120."""
+    if t <= 0:
+        raise ValueError("t must be positive")
     if t >= R:
         return -R * R / (8.0 * t)
     return -R * math.log(1.01 * R / t) + 120.0
@@ -258,6 +263,62 @@ class BoundRow:
     in_domain: bool
 
 
+def _logs(values):
+    """math.log of each value, as an array.  np.log differs from math.log in
+    the last bit on a few values, and the rows of a sweep must equal those
+    of the scalar formulas bit for bit."""
+    return np.array([math.log(v) for v in np.asarray(values).tolist()],
+                    dtype=float)
+
+
+def _log_ratio(p, log_bound):
+    """log p - log bound per row, and -inf where p <= 0: there is nothing to
+    bound, and it avoids -inf minus -inf."""
+    out = np.full(len(p), -math.inf)
+    some = ~(p <= 0.0)
+    out[some] = _logs(p[some]) - log_bound[some]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class BoundTable(Sequence):
+    """The rows of a sweep as columns, in grid order: pairs outer, times
+    inner, and a cell's labels innermost.  ``formula``, ``x1`` and ``x2``
+    are lists, the other columns numpy arrays; ``log_ratio`` and ``passed``
+    follow from the others.  Indexing and iteration give BoundRow.
+    """
+
+    formula: list
+    x1: list
+    x2: list
+    t: np.ndarray
+    d_nu: np.ndarray
+    p_computed: np.ndarray
+    log_bound: np.ndarray
+    in_domain: np.ndarray
+    provenance: str
+    log_ratio: np.ndarray = field(init=False)
+    passed: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        log_ratio = _log_ratio(self.p_computed, self.log_bound)
+        object.__setattr__(self, "log_ratio", log_ratio)
+        object.__setattr__(self, "passed", log_ratio <= LOG_TOL)
+
+    def __len__(self):
+        return len(self.formula)
+
+    def __getitem__(self, k):
+        return BoundRow(formula=self.formula[k], x1=self.x1[k], x2=self.x2[k],
+                        t=float(self.t[k]), d_nu=float(self.d_nu[k]),
+                        p_computed=float(self.p_computed[k]),
+                        log_bound=float(self.log_bound[k]),
+                        log_ratio=float(self.log_ratio[k]),
+                        provenance=self.provenance,
+                        passed=bool(self.passed[k]),
+                        in_domain=bool(self.in_domain[k]))
+
+
 @dataclass(frozen=True)
 class SweepSetup:
     """Everything a theorem sweep needs besides the time grid."""
@@ -323,17 +384,31 @@ def all_pairs(g, pairs=None):
 # ---------------------------------------------------------------------------
 # the formula table
 
-# One bound formula of bound_sweep.  cells(sweep, name, pair) does the
-# formula's work for one pair, once, and returns cell(t): the rows of the
-# (pair, t) cell, each a tuple (label, left side, log bound, in domain).
-# theorem marks the displays that carry C1 and need a SweepSetup; options
-# names the fit_sweep_setup parameters the formula reads.
-Formula = namedtuple("Formula", "theorem options cells")
+# One bound formula of bound_sweep.  cells(sweep, pair) returns the pair's
+# rows at every grid time at once: for each label, in the order of
+# ``labels`` (suffixes of the formula's name), a tuple (has, left side, log
+# bound, in domain) of arrays over the grid times, or scalars standing for
+# the same value at each; has marks the times at which that label has a row.
+# The arithmetic is that of the scalar formulas above, operation for
+# operation, so the rows agree with them bit for bit.  theorem marks the
+# displays that carry C1 and need a SweepSetup; options names the
+# fit_sweep_setup parameters the formula reads.
+Formula = namedtuple("Formula", "theorem options labels cells")
 
-# one pair of a sweep, and the sweep around it: kernels maps each grid time
-# to its kernel matrix; values caches profile values per vertex and time
-_Pair = namedtuple("_Pair", "x1 x2 i1 i2 d nu1 nu2")
-_Sweep = namedtuple("_Sweep", "g metric ledger setup kernels values")
+# one pair of a sweep, and the sweep around it: kernels[col, j] is
+# P_{x1}(X_t = .) at the j-th grid time t, col being x1's start column;
+# cache holds what pairs share: per-vertex profile logs, per-distance terms
+# and per-(x1, radius) tail masses
+_Pair = namedtuple("_Pair", "x1 x2 i1 i2 col d nu1 nu2")
+_Sweep = namedtuple("_Sweep", "g metric ledger setup times kernels cache")
+
+
+def _positive_times(sw):
+    """The grid times, checked positive: the short-time branches divide by
+    t."""
+    if np.any(sw.times <= 0.0):
+        raise ValueError("t must be positive")
+    return sw.times
 
 
 def _theorem(window, window_options=(), growth=False):
@@ -347,58 +422,76 @@ def _theorem(window, window_options=(), growth=False):
     Theorems 5.1 and 5.2, at s = t / (2 gamma) with P = 1.  Every theorem
     reads gamma and delta, which fix alpha and so the profile fit.
     """
-    def profile(sw, x):
-        if x not in sw.values:
-            su, prof = sw.setup, sw.setup.profiles[x]
-            sw.values[x] = {t: prof.value(t / (2.0 * su.gamma) if growth
-                                          else su.alpha * t)
-                            for t in sw.kernels}
-        return sw.values[x]
+    def log_profile(sw, x):
+        """log f(s) at every grid time, or None if some f(s) <= 0."""
+        if ("log f", x) not in sw.cache:
+            su = sw.setup
+            s = sw.times / (2.0 * su.gamma) if growth else su.alpha * sw.times
+            f = su.profiles[x].value(s)
+            sw.cache["log f", x] = None if np.any(f <= 0) else _logs(f)
+        return sw.cache["log f", x]
 
-    def cells(sw, name, pr):
+    def cells(sw, pr):
         su, led = sw.setup, sw.ledger
         start, end = window(su, pr.d)
+        log_f1, log_f2 = log_profile(sw, pr.x1), log_profile(sw, pr.x2)
+        if log_f1 is None or log_f2 is None:
+            raise ValueError("profile values must be positive")
         log_prefactor = 0.0 if growth else su.beta * math.log(su.A)
-        f1, f2 = profile(sw, pr.x1), profile(sw, pr.x2)
-
-        def cell(t):
-            log_b = _log_gaussian_bound(f1[t], f2[t], pr.nu1, pr.nu2, pr.d, t,
-                                        led.log_C1, log_prefactor, led.theta)
-            return ((name, float(sw.kernels[t][pr.i1, pr.i2]), log_b,
-                     bool(start <= t < end)),)
-        return cell
-    return Formula(theorem=True, options=("gamma", "delta") + window_options,
-                   cells=cells)
-
-
-def _short_long_cells(sw, name, pr):
-    """Corollary 2.7: p against the long-time branch (t >= d) and the
-    short-time branch (d >= t) of bound_short_long, a row for each.  The
-    corollary needs d > 0: a pair at distance 0 gets one long-time row, out
-    of domain, against the display's limit (nu2/nu1)^{1/2} as d -> 0."""
-    def cell(t):
-        p = float(sw.kernels[t][pr.i1, pr.i2])
+        t = sw.times
         if pr.d == 0.0:
-            return ((f"{name}-long", p,
-                     0.5 * (math.log(pr.nu2) - math.log(pr.nu1)), False),)
-        sl = bound_short_long(pr.nu1, pr.nu2, pr.d, t)
-        return [(f"{name}-{branch}", p, log_b, True) for branch, log_b
-                in (("long", sl.log_long), ("short", sl.log_short))
-                if log_b is not None]
-    return cell
+            gauss = 0.0
+        else:
+            with np.errstate(divide="ignore"):
+                gauss = np.where(t > 0.0, -led.theta * pr.d * pr.d / t,
+                                 -math.inf)
+        # _log_gaussian_bound, term for term
+        log_b = (led.log_C1 + log_prefactor
+                 + 0.5 * (math.log(pr.nu2) - math.log(pr.nu1))
+                 - 0.5 * (log_f1 + log_f2) + gauss)
+        return ((True, sw.kernels[pr.col, :, pr.i2], log_b,
+                 (start <= t) & (t < end)),)
+    return Formula(theorem=True, options=("gamma", "delta") + window_options,
+                   labels=("",), cells=cells)
 
 
-def _tail_cells(sw, name, pr):
+def _short_long_cells(sw, pr):
+    """Corollary 2.7: p against the long-time branch (t >= d) and the
+    short-time branch (d >= t) of bound_short_long, a row for each, the
+    long one first.  The corollary needs d > 0: a pair at distance 0 gets
+    one long-time row, out of domain, against the display's limit
+    (nu2/nu1)^{1/2} as d -> 0."""
+    p = sw.kernels[pr.col, :, pr.i2]
+    pref = 0.5 * (math.log(pr.nu2) - math.log(pr.nu1))
+    if pr.d == 0.0:
+        return (True, p, pref, False), (False, p, 0.0, False)
+    r = pr.d
+    if ("short-long", r) not in sw.cache:
+        t = _positive_times(sw)
+        sw.cache["short-long", r] = (r * r / (16.0 * t),
+                                     0.5 * r * _logs(1.01 * r / t))
+    long_term, short_term = sw.cache["short-long", r]
+    return ((sw.times >= r, p, pref - long_term, True),
+            (sw.times <= r, p, pref - short_term + 60.0, True))
+
+
+def _tail_cells(sw, pr):
     """Proposition 2.6: the mass of P_{x1}(X_t = .) outside B(x1, d) against
     log_tail_bound_short_time(d, t)."""
-    outside = ~sw.metric.ball(pr.x1, pr.d)
-
-    def cell(t):
-        # row i1 of the kernel matrix is P_{x1}(X_t = .)
-        u = point_mass_values(sw.g, pr.i1, sw.kernels[t][pr.i1])
-        return ((name, weighted_tail_mass(sw.g, u, outside),
-                 log_tail_bound_short_time(pr.d, t), True),)
-    return cell
+    R = pr.d
+    if ("bound", R) not in sw.cache:
+        t = _positive_times(sw)
+        long = t >= R
+        log_b = np.empty(len(t))
+        log_b[long] = -R * R / (8.0 * t[long])
+        log_b[~long] = -R * _logs(1.01 * R / t[~long]) + 120.0
+        sw.cache["bound", R] = log_b
+    if ("tail", pr.i1, R) not in sw.cache:
+        # the kernel rows of x1 are P_{x1}(X_t = .) at every grid time
+        u = point_mass_values(sw.g, pr.i1, sw.kernels[pr.col])
+        sw.cache["tail", pr.i1, R] = weighted_tail_mass(
+            sw.g, u, ~sw.metric.ball(pr.x1, R))
+    return ((True, sw.cache["tail", pr.i1, R], sw.cache["bound", R], True),)
 
 
 # every formula bound_sweep evaluates, by name
@@ -412,8 +505,10 @@ FORMULAS = {
     "thm5.2": _theorem(lambda su, d: (poly_window_start(
         su.epsilon or 0.0, su.T1, d), su.T2),
         ("epsilon", "T1", "T2"), growth=True),
-    "cor2.7": Formula(theorem=False, options=(), cells=_short_long_cells),
-    "prop2.6": Formula(theorem=False, options=(), cells=_tail_cells),
+    "cor2.7": Formula(theorem=False, options=(), labels=("-long", "-short"),
+                      cells=_short_long_cells),
+    "prop2.6": Formula(theorem=False, options=(), labels=("",),
+                       cells=_tail_cells),
 }
 
 
@@ -421,9 +516,11 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 setup=None, tol=DEFAULT_TOL, **setup_kwargs):
     """Evaluate one bound formula over (pair, t) cells against exact kernels.
 
-    Returns a list of BoundRow in grid order (pairs outer, times inner).
-    ``setup`` (a SweepSetup) is required for the theorem formulas and ignored
-    by "cor2.7" / "prop2.6"; when omitted it is fitted via fit_sweep_setup.
+    Returns a BoundTable in grid order (pairs outer, times inner).  The
+    kernels come from one engine call, with a start column for each
+    distinct x1 and every distinct grid time.  ``setup`` (a SweepSetup) is
+    required for the theorem formulas and ignored by "cor2.7" / "prop2.6";
+    when omitted it is fitted via fit_sweep_setup.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; "
@@ -435,51 +532,56 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     times = [float(t) for t in times]
     if spec.theorem and setup is None:
         setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
-    kernels = {t: kernel_matrix(g, t, tol=tol) for t in sorted(set(times))}
-    sweep = _Sweep(g, metric, ledger, setup, kernels, {})
-    rows = []
-    for x1, x2 in pair_list:
+    distinct = sorted(set(times))
+    sources = list(dict.fromkeys(x1 for x1, _ in pair_list))
+    kernels = kernel_rows(g, sources, distinct, tol=tol)
+    kernels = kernels[:, np.searchsorted(distinct, times)]
+    sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
+                   kernels, {})
+    col = {x: c for c, x in enumerate(sources)}
+    shape = (len(pair_list), len(spec.labels), len(times))
+    has, in_domain = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    lhs, log_b = np.empty(shape), np.empty(shape)
+    d_nu = np.empty(len(pair_list))
+    for k, (x1, x2) in enumerate(pair_list):
         i1, i2 = g.index(x1), g.index(x2)
-        pair = _Pair(x1, x2, i1, i2, float(metric.dist[i1, i2]),
+        d_nu[k] = metric.dist[i1, i2]
+        pair = _Pair(x1, x2, i1, i2, col[x1], float(d_nu[k]),
                      float(g.nu[i1]), float(g.nu[i2]))
-        cell = spec.cells(sweep, formula, pair)
-        for t in times:
-            for label, lhs, log_b, in_domain in cell(t):
-                rows.append(_mk_row(label, x1, x2, t, pair.d, lhs, log_b,
-                                    ledger.provenance, in_domain))
-    return rows
-
-
-def _mk_row(formula, x1, x2, t, d, p, log_bound, provenance, in_domain):
-    if p <= 0.0:
-        log_ratio = -math.inf  # nothing to bound; avoids -inf minus -inf
-    else:
-        log_ratio = math.log(p) - log_bound
-    return BoundRow(formula=formula, x1=x1, x2=x2, t=float(t), d_nu=float(d),
-                    p_computed=float(p), log_bound=float(log_bound),
-                    log_ratio=float(log_ratio), provenance=provenance,
-                    passed=bool(log_ratio <= LOG_TOL), in_domain=in_domain)
+        for j, cell in enumerate(spec.cells(sweep, pair)):
+            has[k, j], lhs[k, j], log_b[k, j], in_domain[k, j] = cell
+    # the rows, in C order of (pair, time, label)
+    at_pair, at_time, at_label = np.nonzero(has.transpose(0, 2, 1))
+    labels = np.array([formula + s for s in spec.labels], dtype=object)
+    x1s = np.array([x1 for x1, _ in pair_list], dtype=object)
+    x2s = np.array([x2 for _, x2 in pair_list], dtype=object)
+    return BoundTable(
+        formula=labels[at_label].tolist(), x1=x1s[at_pair].tolist(),
+        x2=x2s[at_pair].tolist(), t=sweep.times[at_time], d_nu=d_nu[at_pair],
+        p_computed=lhs[at_pair, at_label, at_time],
+        log_bound=log_b[at_pair, at_label, at_time],
+        in_domain=in_domain[at_pair, at_label, at_time],
+        provenance=ledger.provenance)
 
 
 def summarize_rows(rows):
-    """Aggregate counts for the JSON side of a bounds report."""
-    in_rows = [r for r in rows if r.in_domain]
-    failures = [r for r in in_rows if not r.passed]
-    worst = max((r.log_ratio for r in in_rows), default=-math.inf)
+    """Aggregate counts of a BoundTable for the JSON side of a bounds report."""
+    inside = rows.log_ratio[rows.in_domain]
     return {
         "rows": len(rows),
-        "in_domain": len(in_rows),
-        "out_of_domain": len(rows) - len(in_rows),
-        "failures_in_domain": len(failures),
-        "worst_log_ratio": worst,
-        "provenance": rows[0].provenance if rows else None,
+        "in_domain": len(inside),
+        "out_of_domain": len(rows) - len(inside),
+        "failures_in_domain": int(np.count_nonzero(
+            ~rows.passed[rows.in_domain])),
+        "worst_log_ratio": float(inside.max()) if len(inside) else -math.inf,
+        "provenance": rows.provenance if len(rows) else None,
     }
 
 
 def least_constant(rows):
     """Least C1 making every row hold, for rows computed at C1 = 1: the
     exponential of their largest log_ratio, or 0 when no row has p > 0."""
-    best = max((r.log_ratio for r in rows), default=-math.inf)
+    best = float(rows.log_ratio.max()) if len(rows) else -math.inf
     return math.exp(best) if math.isfinite(best) else 0.0
 
 
@@ -504,9 +606,8 @@ def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
     """
     unit, rows = _unit_sweep(g, metric, formula, times, pairs, setup, tol)
     ledger = unit.with_empirical_C1(max(least_constant(rows), 1e-300))
-    return ledger, [_mk_row(r.formula, r.x1, r.x2, r.t, r.d_nu, r.p_computed,
-                            r.log_bound + ledger.log_C1, ledger.provenance,
-                            r.in_domain) for r in rows]
+    return ledger, replace(rows, log_bound=rows.log_bound + ledger.log_C1,
+                           provenance=ledger.provenance)
 
 
 def fit_empirical_constant(g, metric, x1, x2, times, formula="thm1.1",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -39,11 +40,25 @@ def _fmt(x):
     return str(x)
 
 
+def _fmt_rows(rows):
+    """CSV fields of rows of values: floats to 12 significant digits."""
+    return ([_fmt(v) for v in row] for row in rows)
+
+
+def _fmt_floats(values):
+    """_fmt of each value of a float array, formatting each distinct value
+    (bit pattern) once."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    text = np.array([_fmt(v) for v in values[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_csv(out, header, rows):
+    """The header and rows of CSV fields (strings)."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
 
 
 def _threads():
@@ -106,7 +121,8 @@ def _cmd_kernel(g, args):
         rows.extend((res.source, v, res.time, float(p), res.method,
                      res.err_bound)
                     for v, p in zip(g.vertex_ids, res.probs))
-    return (("source", "target", "t", "prob", "method", "err_bound"), rows,
+    return (("source", "target", "t", "prob", "method", "err_bound"),
+            _fmt_rows(rows),
             {"source": source, "rows": len(rows), "out": args.out}, 0)
 
 
@@ -118,7 +134,7 @@ def _cmd_metric(g, args):
                            for k, a in enumerate(g.vertex_ids)
                            for b in g.vertex_ids[k + 1:]}
     return (("vertex", "constraint_slack"),
-            sorted(report["vertex_slacks"].items()), report,
+            _fmt_rows(sorted(report["vertex_slacks"].items())), report,
             0 if report["pass"] else 1)
 
 
@@ -149,18 +165,15 @@ def _build_profile(g, args):
     return reg_mod.DecayProfile.from_on_diagonal(curve)
 
 
-def _profile_rows(profile, args):
-    """(t, f) rows: the table itself, or the profile on the CLI time grid;
-    lazy, since only --out reads them."""
-    if profile.kind == "table":
-        yield from zip(profile.times, profile.values)
-    else:
-        for t in _time_grid(args):
-            yield t, profile.value(t)
-
-
 def _cmd_regularity(g, args):
     profile = _build_profile(g, args)
+    # (t, f) rows: the table itself, or a closed form on the CLI time grid,
+    # which is checked here whether or not --out asks for the rows
+    if profile.kind == "table":
+        rows = zip(profile.times, profile.values)
+    else:
+        grid = _time_grid(args)
+        rows = ((t, profile.value(t)) for t in grid)
     interval = tuple(args.interval) if args.interval else profile.domain
     if interval[1] == math.inf:
         # report a finite window: the table's end or the CLI time grid's
@@ -169,7 +182,7 @@ def _cmd_regularity(g, args):
     report = reg_mod.regularity_report(
         profile, args.gamma, interval, envelope_kind=args.envelope,
         delta=args.delta, eps=args.eps, beta_convention=args.beta_convention)
-    return (("t", "f"), _profile_rows(profile, args), report,
+    return (("t", "f"), _fmt_rows(rows), report,
             0 if report["envelope"].get("holds", True) else 1)
 
 
@@ -224,10 +237,19 @@ def _cmd_bounds(g, args):
                        gamma=setup.gamma, delta=setup.delta)
     return (("formula", "x1", "x2", "t", "d_nu", "p_computed", "log_bound",
              "log_ratio", "constants_provenance", "pass", "domain_flag"),
-            ((r.formula, r.x1, r.x2, r.t, r.d_nu, r.p_computed, r.log_bound,
-              r.log_ratio, r.provenance, r.passed,
-              "in" if r.in_domain else "out") for r in rows),
-            summary, 1 if summary["failures_in_domain"] else 0)
+            _bound_fields(rows), summary,
+            1 if summary["failures_in_domain"] else 0)
+
+
+def _bound_fields(rows):
+    """The CSV fields of a BoundTable, built by column."""
+    return zip(rows.formula, rows.x1, rows.x2, _fmt_floats(rows.t),
+               _fmt_floats(rows.d_nu),
+               *([f"{v:.12g}" for v in col.tolist()]  # _fmt, inlined
+                 for col in (rows.p_computed, rows.log_bound, rows.log_ratio)),
+               itertools.repeat(rows.provenance),
+               ["True" if v else "False" for v in rows.passed.tolist()],
+               ["in" if v else "out" for v in rows.in_domain.tolist()])
 
 
 def _cmd_imp(g, args):
@@ -260,7 +282,7 @@ def _cmd_imp(g, args):
                "worst_time": membership.worst_time,
                "J_monotone": jrep.passed, "J_tol": jrep.tol_used,
                "worst_J_ratio": jrep.worst_ratio}
-    return (("t", "J", "worst_edge", "slack"), rows, summary,
+    return (("t", "J", "worst_edge", "slack"), _fmt_rows(rows), summary,
             0 if (membership.passed and jrep.passed) else 1)
 
 
@@ -273,7 +295,7 @@ def _cmd_simulate(g, args):
     summary = {"source": source, "t_max": res.t_max, "n_paths": res.n_paths,
                "seed": res.seed, "jump_cap": res.jump_cap,
                "exploded_fraction": res.exploded_fraction}
-    return ("vertex", "count", "prob"), rows, summary, 0
+    return ("vertex", "count", "prob"), _fmt_rows(rows), summary, 0
 
 
 def build_parser():

@@ -272,11 +272,31 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL):
                             method="series-uniformization", err_bound=err)
 
 
+def _unit_columns(g, xs):
+    """(idx, p0): the dense indices of xs and an n x len(xs) start block
+    with a unit column at each."""
+    idx = np.array([g.index(x) for x in xs], dtype=np.intp)
+    p0 = np.zeros((g.n, len(idx)))
+    p0[idx, np.arange(len(idx))] = 1.0
+    return idx, p0
+
+
+def kernel_rows(g, sources, times, tol=DEFAULT_TOL):
+    """R[k, j, z] = P_{sources[k]}(X_{times[j]} = z): the kernel-matrix rows
+    of the sources at every time, from one engine call with a unit start
+    column per source.  Each row R[k, j] is contiguous."""
+    times = _checked_times(times, tol)
+    _, p0 = _unit_columns(g, sources)
+    if not times:
+        return np.zeros((len(sources), 0, g.n))
+    blocks = [b for b, _ in _uniformized(rate_matrix(g), g.rates.max(), p0,
+                                         times, tol)]
+    return np.ascontiguousarray(np.stack(blocks).transpose(2, 0, 1))
+
+
 def kernel_matrix(g, t, tol=DEFAULT_TOL):
     """All-sources kernel matrix M[i, j] = P_i(X_t = j), one identity block."""
-    [(block, _)] = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n),
-                                [t], tol)
-    return np.ascontiguousarray(block.T)
+    return kernel_rows(g, g.vertex_ids, [t], tol)[:, 0]
 
 
 def _dirichlet(g, domain, o, times, tol):
@@ -323,13 +343,10 @@ def on_diagonal_curves(g, xs, times, tol=DEFAULT_TOL):
     from one engine call with a unit start column per vertex that reads out
     only the diagonal."""
     xs = list(xs)
-    idx = np.array([g.index(x) for x in xs], dtype=np.intp)
+    idx, p0 = _unit_columns(g, xs)
     times = [float(t) for t in times]
-    p0 = np.zeros((g.n, len(xs)))
-    cols = np.arange(len(xs))
-    p0[idx, cols] = 1.0
     diags = _uniformized(rate_matrix(g), g.rates.max(), p0, times, tol,
-                         entries=(idx, cols))
+                         entries=(idx, np.arange(len(xs))))
     return {x: [(t, float(d[k])) for t, (d, _) in zip(times, diags)]
             for k, x in enumerate(xs)}
 
@@ -424,14 +441,20 @@ def simulate(g, source, t_max, n_paths, seed, jump_cap=10_000,
 # point-mass evolutions used by the integral-maximum-principle machinery
 
 def point_mass_values(g, origin_index, probs):
-    """u(z) = (nu_o^{1/2}/nu_z) probs[z] for a kernel row from o."""
+    """u(z) = (nu_o^{1/2}/nu_z) probs[z] for a kernel row from o, or for
+    each row of a block of such rows."""
     return probs * (math.sqrt(g.nu[origin_index]) / g.nu)
 
 
 def weighted_tail_mass(g, u, outside_mask):
-    """<u^2, 1 - 1_B> for B given by the complementary mask."""
+    """<u^2, 1 - 1_B> for B given by the complementary mask; for u with one
+    row per time, an array of one mass per row.  Each mass sums a
+    contiguous run of vertices (compress keeps the vertex axis contiguous,
+    where sq[..., mask] would not), so it is the same whatever the other
+    rows are."""
     sq = u * u * g.nu
-    return float(sq[outside_mask].sum())
+    mass = np.compress(outside_mask, sq, axis=-1).sum(axis=-1)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 class KernelEvolution:

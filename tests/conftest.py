@@ -38,3 +38,16 @@ def random_suite(count, n_max, seed0=1000, **kwargs):
         n = int(rng.integers(2, n_max + 1))
         graphs.append(hb.random_connected_graph(n, seed=seed0 + k, **kwargs))
     return graphs
+
+
+# holding rates over four decades and Lam = 1.2e3, so that Lam t reaches the
+# dense jump at the times of the engine tests
+STIFF = hb.random_connected_graph(8, seed=352, nu_range=(1e-4, 1),
+                                  mu_range=(1e-2, 1))
+
+# CSRW graphs, graphs with other holding rates, and STIFF: the graphs on
+# which every kernel entry point, and every sweep, must agree bit for bit
+ENGINE_SUITE = (random_suite(4, 10, seed0=300, csrw=True)
+                + random_suite(4, 10, seed0=320, nu_range=(0.2, 5),
+                               mu_range=(0.2, 5))
+                + [STIFF])

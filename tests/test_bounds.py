@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import heatbound as hb
 from heatbound.bounds import (
     FORMULAS,
     LOG_TOL,
+    BoundRow,
     _log_gaussian_bound,
     all_pairs,
     bound_sweep,
@@ -24,7 +26,7 @@ from heatbound.bounds import (
 from heatbound.kernel import KernelEvolution
 from heatbound.regularity import DecayProfile
 
-from conftest import random_suite
+from conftest import ENGINE_SUITE, random_suite
 
 
 @pytest.fixture(scope="module")
@@ -418,3 +420,103 @@ class TestEmpiricalFit:
                            ledger=emp, setup=setup)
         assert all(r.passed for r in rows)
         assert any(r.log_ratio > -1e-6 for r in rows)  # fit is tight somewhere
+
+
+# the in-domain window [start, end) of each theorem display
+WINDOWS = {
+    "thm1.1": lambda su, d: (d, math.inf),
+    "thm1.3": lambda su, d: (interval_window_start(su.T1, su.alpha, d),
+                             su.T2),
+    "thm5.1": lambda su, d: (subexp_window_start(su.delta, su.epsilon, su.T1,
+                                                 d), su.T2),
+    "thm5.2": lambda su, d: (poly_window_start(su.epsilon, su.T1, d), su.T2),
+}
+
+
+def reference_rows(g, m, formula, times, pairs, setup, ledger):
+    """The rows of bound_sweep rebuilt cell by cell, in grid order, from a
+    kernel matrix per time and the scalar bound formulas."""
+    matrices = {t: hb.kernel_matrix(g, t) for t in times}
+    rows = []
+    for x1, x2 in pairs:
+        i1, i2 = g.index(x1), g.index(x2)
+        d = float(m.dist[i1, i2])
+        nu1, nu2 = float(g.nu[i1]), float(g.nu[i2])
+        evo = KernelEvolution(g, x1)
+        for t in times:
+            p = float(matrices[t][i1, i2])
+            if formula == "prop2.6":
+                cells = [(formula, evo.tail_mass(t, ~m.ball(x1, d)),
+                          log_tail_bound_short_time(d, t), True)]
+            elif formula == "cor2.7" and d == 0.0:
+                cells = [("cor2.7-long", p,
+                          0.5 * (math.log(nu2) - math.log(nu1)), False)]
+            elif formula == "cor2.7":
+                sl = hb.bound_short_long(nu1, nu2, d, t)
+                cells = [(f"cor2.7-{branch}", p, log_b, True)
+                         for branch, log_b in (("long", sl.log_long),
+                                               ("short", sl.log_short))
+                         if log_b is not None]
+            else:
+                growth = formula in ("thm5.1", "thm5.2")
+                s = t / (2.0 * setup.gamma) if growth else setup.alpha * t
+                prefactor = 0.0 if growth else setup.beta * math.log(setup.A)
+                log_b = _log_gaussian_bound(
+                    setup.profiles[x1].value(s), setup.profiles[x2].value(s),
+                    nu1, nu2, d, t, ledger.log_C1, prefactor, ledger.theta)
+                start, end = WINDOWS[formula](setup, d)
+                cells = [(formula, p, log_b, start <= t < end)]
+            for label, lhs, log_b, in_domain in cells:
+                ratio = -math.inf if lhs <= 0.0 else math.log(lhs) - log_b
+                rows.append(BoundRow(
+                    formula=label, x1=x1, x2=x2, t=t, d_nu=d, p_computed=lhs,
+                    log_bound=log_b, log_ratio=ratio,
+                    provenance=ledger.provenance, passed=ratio <= LOG_TOL,
+                    in_domain=in_domain))
+    return rows
+
+
+class TestReference:
+    """bound_sweep computes each formula on whole columns; its rows must
+    equal, bit for bit, the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("formula", list(FORMULAS))
+    def test_rows_equal_cell_by_cell(self, formula, ledger):
+        for g in ENGINE_SUITE:
+            m = hb.shortest_path_metric(g)
+            ids = g.vertex_ids
+            # every pair, both orders of one, and a pair at distance 0
+            pairs = all_pairs(g) + [(ids[1], ids[0]), (ids[0], ids[0])]
+            d = m.d(ids[0], ids[1])
+            # unsorted, with repeats, and a time equal to a pair's distance,
+            # where cor2.7 has both branches
+            times = [2.0, d, 0.3, 2.0, 0.05, d]
+            setup = None
+            if FORMULAS[formula].theorem:
+                setup = fit_sweep_setup(g, pairs, times, epsilon=0.5,
+                                        T1=0.01, T2=1.5)
+            rows = bound_sweep(g, m, formula, times, pairs=pairs,
+                               ledger=ledger, setup=setup)
+            ref = reference_rows(g, m, formula, times, pairs, setup, ledger)
+            assert list(rows) == ref
+            if formula == "cor2.7":
+                both = [r.formula for r in rows
+                        if (r.x1, r.x2, r.t) == (ids[0], ids[1], d)]
+                assert both == ["cor2.7-long", "cor2.7-short"] * 2
+            if setup is not None:
+                # the rows at C1 = 1, moved by log C1 of the least constant
+                unit = reference_rows(g, m, formula, times, pairs, setup,
+                                      replace(ledger, log_C1=0.0))
+                fitted = max(math.exp(r.log_ratio) for r in unit)
+                emp_ledger, emp_rows = empirical_sweep(
+                    g, m, formula, times, pairs=pairs, setup=setup)
+                assert emp_ledger.log_C1 == math.log(fitted)
+                moved = []
+                for r in unit:
+                    log_b = r.log_bound + emp_ledger.log_C1
+                    ratio = (-math.inf if r.p_computed <= 0.0
+                             else math.log(r.p_computed) - log_b)
+                    moved.append(replace(
+                        r, log_bound=log_b, log_ratio=ratio,
+                        provenance="empirical-fit", passed=ratio <= LOG_TOL))
+                assert list(emp_rows) == moved

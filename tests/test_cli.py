@@ -12,6 +12,7 @@ import pytest
 
 import heatbound as hb
 from heatbound import bounds as bounds_mod
+from heatbound import kernel as kernel_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
 from heatbound.cli import build_parser, main
 
@@ -146,23 +147,28 @@ class TestBoundsCommand:
         assert len(lines) == len(all_pairs(g)) * len(times)
         assert abs(max(float(line.split(",")[7]) for line in lines)) <= LOG_TOL
 
-    def test_empirical_one_kernel_matrix_per_time(self, random_file, tmp_path,
-                                                  capsys, monkeypatch):
-        calls = []
-        real = bounds_mod.kernel_matrix
+    @pytest.mark.parametrize("formula,constants,calls", [
+        ("thm1.1", "paper", 2), ("thm1.1", "empirical", 2),
+        ("cor2.7", "paper", 1), ("prop2.6", "paper", 1)])
+    def test_one_engine_call_per_sweep(self, random_file, tmp_path, capsys,
+                                       monkeypatch, formula, constants,
+                                       calls):
+        # a theorem's profile fit is one call and every sweep one more,
+        # however many pairs and times
+        engine = []
+        real = kernel_mod._uniformized
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            engine.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bounds_mod, "kernel_matrix", counting)
+        monkeypatch.setattr(kernel_mod, "_uniformized", counting)
         code, _, _ = run_cli(capsys, "bounds", "--graph", random_file,
-                             "--formula", "thm1.1", "--constants",
-                             "empirical", *self.EMPIRICAL_GRID,
-                             "--out", str(tmp_path / "emp.csv"))
+                             "--formula", formula, "--constants", constants,
+                             *self.EMPIRICAL_GRID,
+                             "--out", str(tmp_path / "rows.csv"))
         assert code == 0
-        assert len(calls) == 4  # one per grid time, none per pair
-
+        assert len(engine) == calls
 
     def test_cor27_pair_at_distance_zero(self, random_file, tmp_path, capsys):
         grid = ("--tmin", "0.5", "--tmax", "4", "--tcount", "4")
@@ -236,6 +242,19 @@ class TestRegularityCommand:
                                "--profile", str(prof), "--gamma", "2")
         assert code == 0
         assert json.loads(out)["A"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_closed_form_grid_checked_without_out(self, two_state_file,
+                                                  tmp_path, capsys):
+        # the (t, f) rows of a closed form lie on the time grid, which is
+        # checked whether or not --out asks for them
+        argv = ("regularity", "--graph", two_state_file, "--form", "power",
+                "--tmin", "0")
+        results = [run_cli(capsys, *argv),
+                   run_cli(capsys, *argv, "--out", str(tmp_path / "f.csv"))]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 2 and out == ""
+        assert "log-scale grids need tmin > 0" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("form", ["table", "power"])
     def test_unbounded_interval_reported_finite(self, two_state_file, form,
@@ -533,6 +552,18 @@ class TestErrors:
         summary = json.loads(out, parse_constant=pytest.fail)
         assert summary["J_monotone"] is True
 
+    @pytest.mark.parametrize("formula", ["cor2.7", "prop2.6"])
+    def test_short_time_branch_needs_positive_t(self, two_state_file,
+                                                formula, capsys):
+        # the short-time branches divide by t: a grid time of 0 is an input
+        # error, not a ZeroDivisionError
+        code, out, err = run_cli(capsys, "bounds", "--graph", two_state_file,
+                                 "--formula", formula, "--tscale", "linear",
+                                 "--tmin", "0", "--tmax", "1", "--tcount", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "t must be positive"}
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")
         assert code == 2
@@ -553,8 +584,7 @@ class TestErrors:
         assert "HEATBOUND_THREADS" in json.loads(err)["message"]
 
     def test_failed_row_leaves_no_file(self, two_state_file, tmp_path, capsys):
-        # the rows of a closed-form profile are built on the time grid, which
-        # rejects tmin = 0 on a log scale only once --out asks for them
+        # a log-scale time grid rejects tmin = 0 before any row is written
         out_file = tmp_path / "f.csv"
         code, out, err = run_cli(capsys, "regularity", "--graph",
                                  two_state_file, "--form", "power", "--tmin",

@@ -13,12 +13,7 @@ from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _jump_anchor,
                               _poisson_window, _uniformized, point_mass_values,
                               rate_matrix)
 
-from conftest import random_suite
-
-# holding rates over four decades and Lam = 1.2e3, so that Lam t reaches the
-# dense jump at the times of the engine tests
-STIFF = hb.random_connected_graph(8, seed=352, nu_range=(1e-4, 1),
-                                  mu_range=(1e-2, 1))
+from conftest import ENGINE_SUITE, STIFF, random_suite
 
 
 def expm_oracle(g, source, t):
@@ -193,10 +188,7 @@ class TestEngine:
     """Every entry point is one call to the same power sequence, so their
     values agree bit for bit, not just within tol."""
 
-    SUITE = (random_suite(4, 10, seed0=300, csrw=True)
-             + random_suite(4, 10, seed0=320, nu_range=(0.2, 5),
-                            mu_range=(0.2, 5))
-             + [STIFF])
+    SUITE = ENGINE_SUITE
 
     def test_on_diagonal_equals_heat_kernel(self):
         grid = [0.0, 0.05, 0.7, 0.7, 3.0, 11.0]
