@@ -17,10 +17,12 @@ silently substituted.
 
 Every formula a sweep checks is one entry of the table ``FORMULAS``: the
 displays of Theorems 1.1, 1.3, 5.1 and 5.2 (the ones carrying C1), the two
-branches of Corollary 2.7 and the tail mass of Proposition 2.6.  An entry
-gives a pair's rows at every grid time at once, as arrays.  bound_sweep
-takes the kernels of every pair and time from one engine call, walks the
-pairs once, and returns the rows as columns (a BoundTable).
+branches of Corollary 2.7 and the tail mass of Proposition 2.6.  Each
+display is written once, as a function that takes numbers or arrays alike
+(_log_gaussian_bound, _short_long_logs, log_tail_bound_short_time), and an
+entry calls it once on the whole (pair x time) grid.  bound_sweep takes the
+kernels of every pair and time from one engine call and returns the rows
+as columns (a BoundTable).
 """
 
 from __future__ import annotations
@@ -78,29 +80,41 @@ def paper_constants():
 
 
 # ---------------------------------------------------------------------------
-# bound formulas (log-space)
+# bound formulas (log-space); numbers and arrays alike, broadcasting
+
+def _logs(values):
+    """math.log of each value, in the shape of values.  np.log differs from
+    math.log in the last bit on a few values, and the rows of a sweep must
+    equal the formulas at single cells bit for bit."""
+    values = np.asarray(values, dtype=float)
+    return np.reshape([math.log(v) for v in values.ravel().tolist()],
+                      values.shape)
+
+
+def _log_sqrt_ratio(nu1, nu2):
+    """log (nu2/nu1)^{1/2}, the factor every point display carries."""
+    return 0.5 * (_logs(nu2) - _logs(nu1))
+
 
 def _gauss_exponent(theta, d, t):
-    if d == 0.0:
-        return 0.0
-    if t <= 0.0:
-        return -math.inf
-    return -theta * d * d / t
+    """-theta d^2 / t: 0 at d = 0 whatever t, -inf at t <= 0 < d."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gauss = np.where(t > 0.0, -theta * d * d / t, -math.inf)
+    return np.where(d == 0.0, 0.0, gauss)
 
 
-def _log_gaussian_bound(f1, f2, nu1, nu2, d, t, log_C1, log_prefactor, theta):
+def _log_gaussian_bound(log_f1, log_f2, nu1, nu2, d, t, log_C1,
+                        log_prefactor, theta):
     """Log of C1 P (nu2/nu1)^{1/2} / sqrt(f1 f2) * exp(-theta d^2 / t), the
-    display of Theorems 1.1 and 1.3 (P = A^beta) and 5.1 and 5.2 (P = 1)."""
-    if f1 <= 0 or f2 <= 0:
-        raise ValueError("profile values must be positive")
-    return (log_C1 + log_prefactor + 0.5 * (math.log(nu2) - math.log(nu1))
-            - 0.5 * (math.log(f1) + math.log(f2))
-            + _gauss_exponent(theta, d, t))
+    display of Theorems 1.1 and 1.3 (P = A^beta) and 5.1 and 5.2 (P = 1),
+    from the logs of the profile values f1 and f2."""
+    return (log_C1 + log_prefactor + _log_sqrt_ratio(nu1, nu2)
+            - 0.5 * (log_f1 + log_f2) + _gauss_exponent(theta, d, t))
 
 
 def interval_window_start(T1, alpha, d):
     """Interval-regular window start: (8 alpha^-2 T1^2) v d."""
-    return max(8.0 * T1 * T1 / (alpha * alpha), d)
+    return np.maximum(8.0 * T1 * T1 / (alpha * alpha), d)
 
 
 def subexp_window_start(delta, epsilon, T1, d):
@@ -108,14 +122,14 @@ def subexp_window_start(delta, epsilon, T1, d):
     eps in [0, 1) and delta >= 0."""
     if not (0.0 <= epsilon < 1.0) or delta < 0:
         raise ValueError("need eps in [0,1) and delta >= 0")
-    return max(2.0 ** 9 * delta * T1 ** (1.0 + epsilon), d)
+    return np.maximum(2.0 ** 9 * delta * T1 ** (1.0 + epsilon), d)
 
 
 def poly_window_start(epsilon, T1, d):
     """Polynomial window start: (2^10 eps T1 log(T1 v 1)) v d, for eps >= 0."""
     if epsilon < 0:
         raise ValueError("need eps >= 0")
-    return max(2.0 ** 10 * epsilon * T1 * math.log(max(T1, 1.0)), d)
+    return np.maximum(2.0 ** 10 * epsilon * T1 * math.log(max(T1, 1.0)), d)
 
 
 @dataclass(frozen=True)
@@ -134,27 +148,38 @@ class ShortLongBound:
         return min(vals)
 
 
+def _short_long_logs(nu_o, nu_z, r, t):
+    """The logs of the two displays of Corollary 2.7 at r > 0, the long-time
+    one (valid for t >= r), then the short-time one (valid for r >= t)."""
+    r, t = np.broadcast_arrays(r, t)
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    pref = _log_sqrt_ratio(nu_o, nu_z)
+    return (pref - r * r / (16.0 * t),
+            pref - 0.5 * r * _logs(1.01 * r / t) + 60.0)
+
+
 def bound_short_long(nu_o, nu_z, r, t):
     """(nu_z/nu_o)^{1/2} exp(-r^2/16t) for t >= r > 0;
     (nu_z/nu_o)^{1/2} exp(-(r/2) log(1.01 r/t) + 60) for r >= t > 0."""
     if r <= 0:
         raise ValueError("r must be positive; use on-diagonal machinery at r = 0")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    pref = 0.5 * (math.log(nu_z) - math.log(nu_o))
-    log_long = pref - r * r / (16.0 * t) if t >= r else None
-    log_short = (pref - 0.5 * r * math.log(1.01 * r / t) + 60.0) if r >= t else None
+    log_long, log_short = _short_long_logs(nu_o, nu_z, r, t)
     branch = "both" if t == r else ("long" if t > r else "short")
-    return ShortLongBound(log_long=log_long, log_short=log_short, branch=branch)
+    return ShortLongBound(log_long=float(log_long) if t >= r else None,
+                          log_short=float(log_short) if r >= t else None,
+                          branch=branch)
 
 
 def log_tail_bound_short_time(R, t):
     """Tail-mass bound exponents: -R^2/8t for t >= R, else -R log(1.01R/t)+120."""
-    if t <= 0:
+    R, t = np.broadcast_arrays(R, t)
+    if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    if t >= R:
-        return -R * R / (8.0 * t)
-    return -R * math.log(1.01 * R / t) + 120.0
+    out = np.asarray(-R * R / (8.0 * t))  # an array, also when 0-d
+    short = t < R
+    out[short] = -R[short] * _logs(1.01 * R[short] / t[short]) + 120.0
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +238,6 @@ def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
     tail = evo.tail_mass(t, outside)
 
     log_tail = log_tail_bound_short_time(R, t)
-    tail_pass = _log_le(tail, log_tail)
 
     alpha = alpha_constant(gamma, delta)
     beta = beta_constant(gamma)
@@ -223,12 +247,13 @@ def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
     weight = np.exp(ledger.theta2 * np.minimum(d_o, 2.0 * t) ** 2 / t)
     weighted = float(np.dot(u_vals * u_vals * weight, g.nu))
     log_weighted_bound = ledger.log_C1 + beta * math.log(A) - log_f
-    weighted_pass = _log_le(weighted, log_weighted_bound)
 
     log_reg = (ledger.log_C0 + beta * math.log(A) - log_f
                - ledger.theta1 * R * R / t)
     reg_domain = bool(t >= R >= 1e3)
-    reg_pass = _log_le(tail, log_reg)
+    tail_pass, weighted_pass, reg_pass = (_log_ratio(
+        [tail, weighted, tail], [log_tail, log_weighted_bound, log_reg])
+        <= LOG_TOL).tolist()
     return NormTailReport(origin=evo.origin, R=float(R), t=float(t),
                           tail_mass=tail, log_tail_bound=log_tail,
                           tail_pass=tail_pass, weighted_norm=weighted,
@@ -236,13 +261,6 @@ def norm_tail_bound_check(g, metric, o, R, t, profile, ledger, A=1.0,
                           weighted_pass=weighted_pass,
                           log_tail_bound_regular=log_reg,
                           regular_domain=reg_domain, regular_pass=reg_pass)
-
-
-def _log_le(value, log_bound):
-    """value <= exp(log_bound), compared in log-space with LOG_TOL slack."""
-    if value <= 0.0:
-        return True
-    return math.log(value) <= log_bound + LOG_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +281,11 @@ class BoundRow:
     in_domain: bool
 
 
-def _logs(values):
-    """math.log of each value, as an array.  np.log differs from math.log in
-    the last bit on a few values, and the rows of a sweep must equal those
-    of the scalar formulas bit for bit."""
-    return np.array([math.log(v) for v in np.asarray(values).tolist()],
-                    dtype=float)
-
-
 def _log_ratio(p, log_bound):
-    """log p - log bound per row, and -inf where p <= 0: there is nothing to
-    bound, and it avoids -inf minus -inf."""
-    out = np.full(len(p), -math.inf)
+    """log p - log bound, and -inf where p <= 0: there is nothing to bound,
+    and it avoids -inf minus -inf."""
+    p, log_bound = np.broadcast_arrays(p, log_bound)
+    out = np.full(p.shape, -math.inf)
     some = ~(p <= 0.0)
     out[some] = _logs(p[some]) - log_bound[some]
     return out
@@ -359,7 +370,7 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
         raise ValueError("sweep times must be positive")
     verts = sorted({v for pair in pairs for v in pair})
     if delta is None:
-        delta = max(1.0, max(g.rates[g.index(v)] for v in verts))
+        delta = max([1.0] + [g.rates[g.index(v)] for v in verts])
     alpha = alpha_constant(gamma, delta)
     lo = alpha * times.min() * 0.5
     hi = times.max() * 1.05
@@ -384,31 +395,33 @@ def all_pairs(g, pairs=None):
 # ---------------------------------------------------------------------------
 # the formula table
 
-# One bound formula of bound_sweep.  cells(sweep, pair) returns the pair's
-# rows at every grid time at once: for each label, in the order of
+# One bound formula of bound_sweep.  cells(sweep) returns the rows of every
+# (pair, time) cell of the grid at once: for each label, in the order of
 # ``labels`` (suffixes of the formula's name), a tuple (has, left side, log
-# bound, in domain) of arrays over the grid times, or scalars standing for
-# the same value at each; has marks the times at which that label has a row.
-# The arithmetic is that of the scalar formulas above, operation for
-# operation, so the rows agree with them bit for bit.  theorem marks the
+# bound, in domain) of arrays that broadcast to (pairs, times); has marks
+# the cells at which that label has a row.  The bounds come from the
+# formulas above, each called once on the whole grid.  theorem marks the
 # displays that carry C1 and need a SweepSetup; options names the
 # fit_sweep_setup parameters the formula reads.
 Formula = namedtuple("Formula", "theorem options labels cells")
 
-# one pair of a sweep, and the sweep around it: kernels[col, j] is
-# P_{x1}(X_t = .) at the j-th grid time t, col being x1's start column;
-# cache holds what pairs share: per-vertex profile logs, per-distance terms
-# and per-(x1, radius) tail masses
-_Pair = namedtuple("_Pair", "x1 x2 i1 i2 col d nu1 nu2")
-_Sweep = namedtuple("_Sweep", "g metric ledger setup times kernels cache")
+# a sweep's grid, pairs by times.  For the k-th pair (x1, x2): i1[k] and
+# i2[k] index x1 and x2 in g, d[k, 0], nu1[k, 0] and nu2[k, 0] are its
+# distance and measures (columns of shape (pairs, 1)), kernels[col[k], j]
+# is P_{x1}(X_t = .) at the j-th grid time t and p[k, j] = P_{x1}(X_t = x2).
+_Sweep = namedtuple("_Sweep",
+                    "g metric ledger setup times i1 i2 d nu1 nu2 col kernels p")
 
 
-def _positive_times(sw):
-    """The grid times, checked positive: the short-time branches divide by
-    t."""
-    if np.any(sw.times <= 0.0):
-        raise ValueError("t must be positive")
-    return sw.times
+def _log_profiles(sw, s):
+    """log f1(s) and log f2(s) of each pair, (2, pairs, times), at the
+    profile times s of the grid times; one profile read per vertex."""
+    verts, at = np.unique(np.stack([sw.i1, sw.i2]), return_inverse=True)
+    f = np.reshape([sw.setup.profiles[sw.g.vertex_ids[v]].value(s)
+                    for v in verts.tolist()], (len(verts), len(s)))
+    if np.any(f <= 0):
+        raise ValueError("profile values must be positive")
+    return _logs(f)[at.reshape(2, -1)]
 
 
 def _theorem(window, window_options=(), growth=False):
@@ -422,76 +435,49 @@ def _theorem(window, window_options=(), growth=False):
     Theorems 5.1 and 5.2, at s = t / (2 gamma) with P = 1.  Every theorem
     reads gamma and delta, which fix alpha and so the profile fit.
     """
-    def log_profile(sw, x):
-        """log f(s) at every grid time, or None if some f(s) <= 0."""
-        if ("log f", x) not in sw.cache:
-            su = sw.setup
-            s = sw.times / (2.0 * su.gamma) if growth else su.alpha * sw.times
-            f = su.profiles[x].value(s)
-            sw.cache["log f", x] = None if np.any(f <= 0) else _logs(f)
-        return sw.cache["log f", x]
-
-    def cells(sw, pr):
-        su, led = sw.setup, sw.ledger
-        start, end = window(su, pr.d)
-        log_f1, log_f2 = log_profile(sw, pr.x1), log_profile(sw, pr.x2)
-        if log_f1 is None or log_f2 is None:
-            raise ValueError("profile values must be positive")
-        log_prefactor = 0.0 if growth else su.beta * math.log(su.A)
-        t = sw.times
-        if pr.d == 0.0:
-            gauss = 0.0
-        else:
-            with np.errstate(divide="ignore"):
-                gauss = np.where(t > 0.0, -led.theta * pr.d * pr.d / t,
-                                 -math.inf)
-        # _log_gaussian_bound, term for term
-        log_b = (led.log_C1 + log_prefactor
-                 + 0.5 * (math.log(pr.nu2) - math.log(pr.nu1))
-                 - 0.5 * (log_f1 + log_f2) + gauss)
-        return ((True, sw.kernels[pr.col, :, pr.i2], log_b,
-                 (start <= t) & (t < end)),)
+    def cells(sw):
+        su, led, t = sw.setup, sw.ledger, sw.times
+        start, end = window(su, sw.d)
+        log_f1, log_f2 = _log_profiles(
+            sw, t / (2.0 * su.gamma) if growth else su.alpha * t)
+        log_b = _log_gaussian_bound(
+            log_f1, log_f2, sw.nu1, sw.nu2, sw.d, t, led.log_C1,
+            0.0 if growth else su.beta * math.log(su.A), led.theta)
+        return ((True, sw.p, log_b, (start <= t) & (t < end)),)
     return Formula(theorem=True, options=("gamma", "delta") + window_options,
                    labels=("",), cells=cells)
 
 
-def _short_long_cells(sw, pr):
-    """Corollary 2.7: p against the long-time branch (t >= d) and the
-    short-time branch (d >= t) of bound_short_long, a row for each, the
-    long one first.  The corollary needs d > 0: a pair at distance 0 gets
-    one long-time row, out of domain, against the display's limit
-    (nu2/nu1)^{1/2} as d -> 0."""
-    p = sw.kernels[pr.col, :, pr.i2]
-    pref = 0.5 * (math.log(pr.nu2) - math.log(pr.nu1))
-    if pr.d == 0.0:
-        return (True, p, pref, False), (False, p, 0.0, False)
-    r = pr.d
-    if ("short-long", r) not in sw.cache:
-        t = _positive_times(sw)
-        sw.cache["short-long", r] = (r * r / (16.0 * t),
-                                     0.5 * r * _logs(1.01 * r / t))
-    long_term, short_term = sw.cache["short-long", r]
-    return ((sw.times >= r, p, pref - long_term, True),
-            (sw.times <= r, p, pref - short_term + 60.0, True))
+def _short_long_cells(sw):
+    """Corollary 2.7: p against the long-time display (t >= d) and the
+    short-time display (d >= t), a row for each, the long one first.  The
+    corollary needs d > 0: a pair at distance 0 gets one long-time row, out
+    of domain, against the displays' limit (nu2/nu1)^{1/2} as d -> 0."""
+    far = sw.d[:, 0] > 0.0
+    log_long = np.repeat(_log_sqrt_ratio(sw.nu1, sw.nu2), len(sw.times), 1)
+    log_short = np.zeros(log_long.shape)
+    log_long[far], log_short[far] = _short_long_logs(
+        sw.nu1[far], sw.nu2[far], sw.d[far], sw.times)
+    return ((sw.times >= sw.d, sw.p, log_long, far[:, None]),
+            (far[:, None] & (sw.times <= sw.d), sw.p, log_short, True))
 
 
-def _tail_cells(sw, pr):
+def _tail_cells(sw):
     """Proposition 2.6: the mass of P_{x1}(X_t = .) outside B(x1, d) against
-    log_tail_bound_short_time(d, t)."""
-    R = pr.d
-    if ("bound", R) not in sw.cache:
-        t = _positive_times(sw)
-        long = t >= R
-        log_b = np.empty(len(t))
-        log_b[long] = -R * R / (8.0 * t[long])
-        log_b[~long] = -R * _logs(1.01 * R / t[~long]) + 120.0
-        sw.cache["bound", R] = log_b
-    if ("tail", pr.i1, R) not in sw.cache:
-        # the kernel rows of x1 are P_{x1}(X_t = .) at every grid time
-        u = point_mass_values(sw.g, pr.i1, sw.kernels[pr.col])
-        sw.cache["tail", pr.i1, R] = weighted_tail_mass(
-            sw.g, u, ~sw.metric.ball(pr.x1, R))
-    return ((True, sw.cache["tail", pr.i1, R], sw.cache["bound", R], True),)
+    log_tail_bound_short_time(d, t), a tail per distinct (x1, d) and a bound
+    per distinct d."""
+    radii, at_radius = np.unique(sw.d[:, 0], return_inverse=True)
+    log_b = log_tail_bound_short_time(radii[:, None], sw.times)
+    # first: a pair of each distinct (x1, d); at_key: each pair's (x1, d)
+    _, first, at_key = np.unique(np.column_stack([sw.i1, sw.d[:, 0]]), axis=0,
+                                 return_index=True, return_inverse=True)
+    tails = np.reshape(
+        [weighted_tail_mass(sw.g, point_mass_values(sw.g, sw.i1[k],
+                                                    sw.kernels[sw.col[k]]),
+                            ~sw.metric.ball(sw.g.vertex_ids[sw.i1[k]],
+                                            sw.d[k, 0]))
+         for k in first.tolist()], (len(first), len(sw.times)))
+    return ((True, tails[at_key.ravel()], log_b[at_radius], True),)
 
 
 # every formula bound_sweep evaluates, by name
@@ -518,9 +504,10 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
 
     Returns a BoundTable in grid order (pairs outer, times inner).  The
     kernels come from one engine call, with a start column for each
-    distinct x1 and every distinct grid time.  ``setup`` (a SweepSetup) is
-    required for the theorem formulas and ignored by "cor2.7" / "prop2.6";
-    when omitted it is fitted via fit_sweep_setup.
+    distinct x1 and every distinct grid time, and each formula is evaluated
+    once on the whole grid.  ``setup`` (a SweepSetup) is required for the
+    theorem formulas and ignored by "cor2.7" / "prop2.6"; when omitted it
+    is fitted via fit_sweep_setup.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; "
@@ -532,33 +519,29 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     times = [float(t) for t in times]
     if spec.theorem and setup is None:
         setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
+    i1 = np.array([g.index(x1) for x1, _ in pair_list], dtype=np.intp)
+    i2 = np.array([g.index(x2) for _, x2 in pair_list], dtype=np.intp)
+    sources, col = np.unique(i1, return_inverse=True)
     distinct = sorted(set(times))
-    sources = list(dict.fromkeys(x1 for x1, _ in pair_list))
-    kernels = kernel_rows(g, sources, distinct, tol=tol)
+    kernels = kernel_rows(g, [g.vertex_ids[i] for i in sources.tolist()],
+                          distinct, tol=tol)
     kernels = kernels[:, np.searchsorted(distinct, times)]
     sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
-                   kernels, {})
-    col = {x: c for c, x in enumerate(sources)}
-    shape = (len(pair_list), len(spec.labels), len(times))
-    has, in_domain = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    lhs, log_b = np.empty(shape), np.empty(shape)
-    d_nu = np.empty(len(pair_list))
-    for k, (x1, x2) in enumerate(pair_list):
-        i1, i2 = g.index(x1), g.index(x2)
-        d_nu[k] = metric.dist[i1, i2]
-        pair = _Pair(x1, x2, i1, i2, col[x1], float(d_nu[k]),
-                     float(g.nu[i1]), float(g.nu[i2]))
-        for j, cell in enumerate(spec.cells(sweep, pair)):
-            has[k, j], lhs[k, j], log_b[k, j], in_domain[k, j] = cell
-    # the rows, in C order of (pair, time, label)
+                   i1, i2, metric.dist[i1, i2][:, None], g.nu[i1][:, None],
+                   g.nu[i2][:, None], col, kernels, kernels[col, :, i2])
+    grid = (len(pair_list), len(times))
+    has, lhs, log_b, in_domain = (
+        np.stack([np.broadcast_to(v, grid) for v in part], axis=1)
+        for part in zip(*spec.cells(sweep)))
+    # the rows, in C order of (pair, time, label); has and the others are
+    # indexed (pair, label, time)
     at_pair, at_time, at_label = np.nonzero(has.transpose(0, 2, 1))
     labels = np.array([formula + s for s in spec.labels], dtype=object)
-    x1s = np.array([x1 for x1, _ in pair_list], dtype=object)
-    x2s = np.array([x2 for _, x2 in pair_list], dtype=object)
+    ids = np.array(g.vertex_ids, dtype=object)
     return BoundTable(
-        formula=labels[at_label].tolist(), x1=x1s[at_pair].tolist(),
-        x2=x2s[at_pair].tolist(), t=sweep.times[at_time], d_nu=d_nu[at_pair],
-        p_computed=lhs[at_pair, at_label, at_time],
+        formula=labels[at_label].tolist(), x1=ids[i1[at_pair]].tolist(),
+        x2=ids[i2[at_pair]].tolist(), t=sweep.times[at_time],
+        d_nu=sweep.d[at_pair, 0], p_computed=lhs[at_pair, at_label, at_time],
         log_bound=log_b[at_pair, at_label, at_time],
         in_domain=in_domain[at_pair, at_label, at_time],
         provenance=ledger.provenance)

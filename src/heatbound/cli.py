@@ -96,6 +96,23 @@ def _load_metric(g, args):
     return metric_mod.shortest_path_metric(g, lengths)
 
 
+def _adapted_metric(g, args):
+    """_load_metric's metric, which the bounds and the maximum principle
+    need adapted: an override that fails verify_adapted is an input
+    error."""
+    metric = _load_metric(g, args)
+    cert = metric.certificate
+    if not cert.passed:
+        v = int(np.argmax(cert.vertex_constraint))
+        a, b = g.edge_ids()[int(np.argmax(metric.dist[tuple(g.edge_index.T)]))]
+        raise ValueError(
+            f"the metric is not adapted: vertex {g.vertex_ids[v]!r} has (1/nu) "
+            f"sum d^2 mu = {_fmt(float(cert.vertex_constraint[v]))} and edge "
+            f"{a!r}-{b!r} has d = {_fmt(cert.max_edge_dist)}; both must be at "
+            "most 1")
+    return metric
+
+
 def _add_common(p, times=True):
     """--graph and --out; with ``times`` the time grid and --tol, the
     tolerance of its kernels."""
@@ -204,7 +221,7 @@ _SETUP_FLAGS = {"gamma": "gamma", "delta": "delta", "eps": "epsilon",
 
 
 def _cmd_bounds(g, args):
-    metric = _load_metric(g, args)
+    metric = _adapted_metric(g, args)
     times = _time_grid(args)
     pairs = _parse_pairs(args.pairs)
     setup = None
@@ -253,7 +270,7 @@ def _bound_fields(rows):
 
 
 def _cmd_imp(g, args):
-    metric = _load_metric(g, args)
+    metric = _adapted_metric(g, args)
     origin = args.source or g.vertex_ids[0]
     times = _time_grid(args)
     if args.family == "lemma23":

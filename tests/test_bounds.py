@@ -68,7 +68,8 @@ class TestConstantLedger:
 
 class TestBoundFormulas:
     def test_zero_distance_drops_gaussian_factor(self, p3_csrw, ledger):
-        lb = _log_gaussian_bound(2.0, 8.0, 1.0, 4.0, d=0.0, t=1.0,
+        lb = _log_gaussian_bound(math.log(2.0), math.log(8.0), 1.0, 4.0,
+                                 d=0.0, t=1.0,
                                  log_C1=ledger.log_C1,
                                  log_prefactor=2 * math.log(1.5),
                                  theta=ledger.theta)
@@ -89,8 +90,9 @@ class TestBoundFormulas:
             rel=1e-14)
 
     def test_doubling_distance_adds_three_theta(self, ledger):
-        args = dict(f1=1.0, f2=1.0, nu1=1.0, nu2=1.0, log_C1=ledger.log_C1,
-                    log_prefactor=0.0, theta=ledger.theta)
+        args = dict(log_f1=0.0, log_f2=0.0, nu1=1.0, nu2=1.0,
+                    log_C1=ledger.log_C1, log_prefactor=0.0,
+                    theta=ledger.theta)
         t = 5.0
         lb1 = _log_gaussian_bound(d=1.0, t=t, **args)
         lb2 = _log_gaussian_bound(d=2.0, t=t, **args)
@@ -129,11 +131,15 @@ class TestBoundFormulas:
             2 ** 10 * 3 * math.e, rel=1e-12)
 
     def test_parameter_validation(self, k4_csrw, ledger):
-        with pytest.raises(ValueError, match="profile values must be positive"):
-            _log_gaussian_bound(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, ledger.log_C1,
-                                0.0, ledger.theta)
         g = k4_csrw
         m = hb.shortest_path_metric(g)
+        # power(400) read at s = alpha t = 1e-3 underflows to f = 0
+        setup = fit_sweep_setup(g, [("0", "1")], [1.0], gamma=2.0, delta=1.0)
+        setup = replace(setup, profiles={v: DecayProfile.power(400.0)
+                                         for v in setup.profiles})
+        with pytest.raises(ValueError, match="profile values must be positive"):
+            bound_sweep(g, m, "thm1.1", [1e-3 / setup.alpha],
+                        pairs=[("0", "1")], ledger=ledger, setup=setup)
         for formula, epsilon in (("thm5.1", 1.0), ("thm5.2", -0.5)):
             setup = fit_sweep_setup(g, [("0", "1")], [2.0], gamma=2.0,
                                     delta=1.0, epsilon=epsilon)
@@ -462,8 +468,9 @@ def reference_rows(g, m, formula, times, pairs, setup, ledger):
                 s = t / (2.0 * setup.gamma) if growth else setup.alpha * t
                 prefactor = 0.0 if growth else setup.beta * math.log(setup.A)
                 log_b = _log_gaussian_bound(
-                    setup.profiles[x1].value(s), setup.profiles[x2].value(s),
-                    nu1, nu2, d, t, ledger.log_C1, prefactor, ledger.theta)
+                    math.log(setup.profiles[x1].value(s)),
+                    math.log(setup.profiles[x2].value(s)), nu1, nu2, d, t,
+                    ledger.log_C1, prefactor, ledger.theta)
                 start, end = WINDOWS[formula](setup, d)
                 cells = [(formula, p, log_b, start <= t < end)]
             for label, lhs, log_b, in_domain in cells:
@@ -485,8 +492,11 @@ class TestReference:
         for g in ENGINE_SUITE:
             m = hb.shortest_path_metric(g)
             ids = g.vertex_ids
-            # every pair, both orders of one, and a pair at distance 0
-            pairs = all_pairs(g) + [(ids[1], ids[0]), (ids[0], ids[0])]
+            # every pair, after one whose x1 is out of index order; both
+            # orders of a pair, a pair at distance 0, and the first pair
+            # again
+            pairs = ([(ids[-1], ids[0])] + all_pairs(g)
+                     + [(ids[1], ids[0]), (ids[0], ids[0]), (ids[-1], ids[0])])
             d = m.d(ids[0], ids[1])
             # unsorted, with repeats, and a time equal to a pair's distance,
             # where cor2.7 has both branches

@@ -192,6 +192,21 @@ class TestBoundsCommand:
             assert float(cols[5]) == pytest.approx(
                 hb.heat_kernel(g, "2", float(cols[3])).prob("2"), rel=1e-11)
 
+    @pytest.mark.parametrize("formula,constants", [
+        *((f, "paper") for f in bounds_mod.FORMULAS),
+        *((f, "empirical") for f, spec in bounds_mod.FORMULAS.items()
+          if spec.theorem)])
+    def test_one_vertex_graph_has_no_rows(self, formula, constants, tmp_path,
+                                          capsys):
+        path = tmp_path / "one.graph"
+        path.write_text("v a 1\n")
+        code, out, err = run_cli(capsys, "bounds", "--graph", str(path),
+                                 "--formula", formula, "--constants",
+                                 constants)
+        assert (code, err) == (0, "")
+        assert out == ("formula,x1,x2,t,d_nu,p_computed,log_bound,log_ratio,"
+                       "constants_provenance,pass,domain_flag\n")
+
     def test_formula_choices_are_the_table(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -563,6 +578,25 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "ValueError",
                                    "message": "t must be positive"}
+
+    @pytest.mark.parametrize("argv", [("bounds",),
+                                      ("imp", "--family", "drift")],
+                             ids=lambda argv: argv[0])
+    def test_metric_override_must_be_adapted(self, argv, tmp_path, capsys):
+        # metric reports a failing override (exit 1); the theorems need an
+        # adapted metric, so bounds and imp refuse one
+        path = tmp_path / "p3.graph"
+        path.write_text("v a 1\nv b 1\nv c 1\ne a b 1\ne b c 1\n")
+        override = tmp_path / "lengths.txt"
+        override.write_text("l a b 5\n")
+        code, out, err = run_cli(capsys, argv[0], "--graph", str(path),
+                                 *argv[1:], "--metric", str(override))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == (
+            "the metric is not adapted: vertex 'b' has (1/nu) sum d^2 mu = "
+            "25.5 and edge 'a'-'b' has d = 5; both must be at most 1")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--graph", "/nope/missing")
