@@ -523,8 +523,8 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     i2 = np.array([g.index(x2) for _, x2 in pair_list], dtype=np.intp)
     sources, col = np.unique(i1, return_inverse=True)
     distinct = sorted(set(times))
-    kernels = kernel_rows(g, [g.vertex_ids[i] for i in sources.tolist()],
-                          distinct, tol=tol)
+    kernels, _ = kernel_rows(g, [g.vertex_ids[i] for i in sources.tolist()],
+                             distinct, tol=tol)
     kernels = kernels[:, np.searchsorted(distinct, times)]
     sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
                    i1, i2, metric.dist[i1, i2][:, None], g.nu[i1][:, None],
@@ -588,7 +588,10 @@ def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
     by adding log C1 to log_bound, with no further kernel work.
     """
     unit, rows = _unit_sweep(g, metric, formula, times, pairs, setup, tol)
-    ledger = unit.with_empirical_C1(max(least_constant(rows), 1e-300))
+    c1 = least_constant(rows)
+    if c1 == 0.0:
+        raise ValueError("no row has p > 0 to fit the empirical C1 from")
+    ledger = unit.with_empirical_C1(c1)
     return ledger, replace(rows, log_bound=rows.log_bound + ledger.log_C1,
                            provenance=ledger.provenance)
 

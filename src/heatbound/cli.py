@@ -54,6 +54,16 @@ def _fmt_floats(values):
     return text[inverse].tolist()
 
 
+def _strict_json(x):
+    """x with None for each non-finite float, which strict JSON has no
+    value for."""
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_csv(out, header, rows):
     """The header and rows of CSV fields (strings)."""
     writer = csv.writer(out, lineterminator="\n")
@@ -403,7 +413,7 @@ def main(argv=None):
             _write_csv(sys.stdout, header, list(rows))
             return status
         summary.update(command=args.command, graph=args.graph, threads=threads)
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(_strict_json(summary), sort_keys=True))
         return status
     except (graph_mod.GraphFormatError, reg_mod.ProfileDomainError, ValueError,
             OSError) as exc:

@@ -8,23 +8,26 @@ tol * 2^-53, under the rounding of err_bound itself; K is the first right
 point at which the window holds 1 - tol.  err_bound is the mass outside the
 window, left and right.
 
-Every kernel entry point calls one engine.  Sparse steps v <- Pi^T v on a
-block of start vectors (one column per source) make the powers.  When L is
-large they do not start from p0 but from an anchor A <= L, a multiple of a
-block length fixed by n and nnz(Pi): (Pi^T)^A p0 comes from about 2 log2(A)
-dense n x n products (binary powering of Pi^T) and one product with p0.  The
-engine jumps when a cost model of n, nnz(Pi) and L says this is cheaper than
-A sparse steps; for Lam*t below about 60 (at tol = 1e-10) L is 0 and it
-never does.  Times that share an anchor share its power sequence, so a
-time's value does not depend on the other times of a call or on the entry
-point.  A call may read out only some entries v[rows, cols] of each time's
-block (entries=(rows, cols)), so a batch of on-diagonal curves keeps one
-number per source and time, not a whole distribution.
+Every kernel entry point calls kernel_rows(g, sources, times, tol, domain),
+which makes one engine call and returns (rows, err): rows[k, j] is the
+distribution from sources[k] at times[j], killed on first exit from
+``domain`` when given (the generator restricted to the domain, absorption
+outside), and err[j] is the err_bound of times[j].  It may read out only
+the diagonal, one number per source and time for the on-diagonal curves.
+
+In the engine, sparse steps v <- Pi^T v on a block of start vectors (one
+unit column per source; a single source is a vector, stepped by matvecs)
+make the powers.  When L is large they do not start from p0 but from an
+anchor A <= L, a multiple of a block length fixed by n and nnz(Pi):
+(Pi^T)^A p0 comes from about 2 log2(A) dense n x n products (binary
+powering of Pi^T) and one product with p0.  The engine jumps when a cost
+model of n, nnz(Pi) and L says this is cheaper than A sparse steps; for
+Lam*t below about 60 (at tol = 1e-10) L is 0 and it never does.  Times that
+share an anchor share its power sequence, so a time's value does not depend
+on the other times or sources of a call or on the entry point.
 
 There is no second backend: the tests check this one against scipy's expm
 and closed forms, the benchmark against a 40-digit spectral oracle.
-Killed kernels solve the Dirichlet problem on a vertex subset (generator
-restricted to the subset, absorption outside).
 """
 
 from __future__ import annotations
@@ -168,35 +171,22 @@ def _jump_starts(pi_t, p0, anchors):
     its columns exactly."""
     squares, starts = [], {}
     for a in anchors:
-        if a == 0:
-            starts[a] = p0
-            continue
-        power = None
+        power = None  # stays None for a = 0
         for j in range(a.bit_length()):
             if j == len(squares):
                 squares.append(squares[-1] @ squares[-1] if squares
                                else pi_t.toarray())
             if a >> j & 1:
                 power = squares[j] if power is None else squares[j] @ power
-        starts[a] = power @ p0
+        starts[a] = p0 if power is None else power @ p0
     return starts
 
 
-def _checked_times(times, tol):
-    """The times as floats, once they and tol are checked."""
-    times = [float(t) for t in times]
-    if not all(math.isfinite(t) and t >= 0.0 for t in times):
-        raise ValueError("times must be finite and nonnegative")
-    if not 0.0 < tol < 1.0:  # also rejects nan
-        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
-    return times
-
-
 def _uniformized(q_mat, lam, p0, times, tol, entries=None):
-    """[(p_t, err)] for each time: the Poisson(Lam t) mixture of the powers
-    of Pi = I + Q/Lam applied to p0, one start distribution per column.
-    With entries=(rows, cols) each p_t is only p_t[rows, cols] of the n x
-    columns block p0 starts from.
+    """(values, err): values[j] is the Poisson(Lam t_j) mixture of the
+    powers of Pi = I + Q/Lam applied to p0, one start distribution per
+    column, and err[j] its truncation bound.  With entries, an index such
+    as (rows, cols), values[j] is only the mixture's [entries].
 
     Each time sums the powers k in its Poisson window [first, K].  They come
     from one power sequence v <- Pi^T v per anchor (see _jump_anchor), shared
@@ -205,20 +195,20 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     own accumulator at every step, with weight 0 outside its window, which
     adds exact zeros.
     """
-    times = _checked_times(times, tol)
     lam = float(lam)
     n = q_mat.shape[0]
     readout = (lambda v: v) if entries is None else (lambda v: v[entries])
-    out, windows = [], []
-    for t in times:
+    values = np.empty((len(times),) + readout(p0).shape)
+    err = np.zeros(len(times))
+    windows = []
+    for j, t in enumerate(times):
         if t == 0.0 or lam == 0.0:
-            out.append((readout(p0).copy(), 0.0))
-            continue
-        w, first, err = _poisson_window(lam * t, tol)
-        windows.append((len(out), w, first))
-        out.append((None, err))
+            values[j] = readout(p0)
+        else:
+            w, first, err[j] = _poisson_window(lam * t, tol)
+            windows.append((j, w, first))
     if not windows:
-        return out
+        return values, err
     pi_t = (sparse.eye(n, format="csr") + q_mat.T * (1.0 / lam)).tocsr()
     anchors = [_jump_anchor(n, pi_t.nnz, first) for _, _, first in windows]
     order = sorted(set(anchors))
@@ -246,9 +236,51 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
                  else (pi_t @ v.reshape(n, -1)).reshape(v.shape))
         if j >= first_open:
             acc += readout(v)[..., seq] * weights[j]
-    for r, (slot, _, _) in enumerate(windows):
-        out[slot] = (np.ascontiguousarray(acc[..., r]), out[slot][1])
-    return out
+    values[[j for j, _, _ in windows]] = np.moveaxis(acc, -1, 0)
+    return values, err
+
+
+def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
+                diagonal=False):
+    """(rows, err) from one engine call with a unit start column per source.
+
+    rows[k, j, z] = P_{sources[k]}(X_{times[j]} = z), over the whole graph;
+    each row rows[k, j] is contiguous.  With ``domain`` the walk is killed
+    on first exit from it: rows[k, j, z] = P(X_t = z, exit time > t), from
+    the generator restricted to the domain, and 0 off it.  With
+    ``diagonal`` the call reads out only rows[k, j] = P_{sources[k]}(X_t =
+    sources[k] [, exit > t]), shaped (sources, times), so a batch of
+    on-diagonal curves keeps one number per source and time.  err[j] bounds
+    the truncation error of time j (see heat_kernel).
+    """
+    times = [float(t) for t in times]
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError("times must be finite and nonnegative")
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
+    idx = np.array([g.index(x) for x in sources], dtype=np.intp)
+    if domain is None:
+        sub, q_sub = np.arange(g.n), rate_matrix(g)
+    else:
+        sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
+        outside = np.setdiff1d(idx, sub)
+        if len(outside):
+            raise ValueError(f"origin {g.vertex_ids[outside[0]]!r} not in "
+                             "the killed domain")
+        q_sub = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
+    at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
+    p0 = np.zeros((len(sub), len(idx)))
+    p0[at, cols] = 1.0
+    if len(idx) == 1:
+        p0 = p0[:, 0]  # one source steps by sparse matvecs
+    values, err = _uniformized(q_sub, g.rates[sub].max(), p0, times, tol,
+                               (at, cols)[:p0.ndim] if diagonal else None)
+    if diagonal:
+        return values.T, err
+    rows = np.zeros((len(idx), len(times), g.n))
+    rows[..., sub] = values.reshape(len(times), len(sub), len(idx)).transpose(
+        2, 0, 1)
+    return rows, err
 
 
 def heat_kernel(g, source, t, tol=DEFAULT_TOL):
@@ -265,90 +297,38 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL):
         unit roundoff u, is not included in err_bound; nor is that of a
         dense jump, of order log2(L) n u, which is smaller.
     """
-    [(probs, err)] = _dirichlet(g, None, source, [t], tol)
-    probs.flags.writeable = False
-    return HeatKernelResult(graph=g, source=g.vertex_ids[g.index(source)],
-                            time=float(t), probs=probs,
-                            method="series-uniformization", err_bound=err)
-
-
-def _unit_columns(g, xs):
-    """(idx, p0): the dense indices of xs and an n x len(xs) start block
-    with a unit column at each."""
-    idx = np.array([g.index(x) for x in xs], dtype=np.intp)
-    p0 = np.zeros((g.n, len(idx)))
-    p0[idx, np.arange(len(idx))] = 1.0
-    return idx, p0
-
-
-def kernel_rows(g, sources, times, tol=DEFAULT_TOL):
-    """R[k, j, z] = P_{sources[k]}(X_{times[j]} = z): the kernel-matrix rows
-    of the sources at every time, from one engine call with a unit start
-    column per source.  Each row R[k, j] is contiguous."""
-    times = _checked_times(times, tol)
-    _, p0 = _unit_columns(g, sources)
-    if not times:
-        return np.zeros((len(sources), 0, g.n))
-    blocks = [b for b, _ in _uniformized(rate_matrix(g), g.rates.max(), p0,
-                                         times, tol)]
-    return np.ascontiguousarray(np.stack(blocks).transpose(2, 0, 1))
-
-
-def kernel_matrix(g, t, tol=DEFAULT_TOL):
-    """All-sources kernel matrix M[i, j] = P_i(X_t = j), one identity block."""
-    return kernel_rows(g, g.vertex_ids, [t], tol)[:, 0]
-
-
-def _dirichlet(g, domain, o, times, tol):
-    """[(probs, err)] for each time: P_o(X_t = ., exit time > t) over the
-    whole graph for the walk killed on first exit from ``domain`` (None:
-    never killed), from the generator restricted to the domain."""
-    o_idx = g.index(o)
-    if domain is None:
-        q_sub, lam, sub = rate_matrix(g), g.rates.max(), np.arange(g.n)
-    else:
-        sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
-        if o_idx not in sub:
-            raise ValueError(f"origin {o!r} not in the killed domain")
-        q_sub = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
-        lam = g.rates[sub].max()
-    p0 = np.zeros(len(sub))
-    p0[int(np.searchsorted(sub, o_idx))] = 1.0
-    out = []
-    for inner, err in _uniformized(q_sub, lam, p0, times, tol):
-        probs = np.zeros(g.n)
-        probs[sub] = inner
-        out.append((probs, float(err)))
-    return out
+    return killed_kernel(g, None, source, t, tol)
 
 
 def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL):
-    """Kernel of the walk killed on first exit from ``domain``.
+    """Kernel of the walk killed on first exit from ``domain`` (None: the
+    full kernel, as heat_kernel).
 
     Solves the Dirichlet problem: the generator restricted to the domain with
     absorption outside.  The result vanishes off the domain and is dominated
     by the full kernel pointwise.
     """
-    [(probs, err)] = _dirichlet(g, domain, o, [t], tol)
+    rows, err = kernel_rows(g, [o], [t], tol, domain)
+    probs = rows[0, 0]
     probs.flags.writeable = False
-    return HeatKernelResult(graph=g, source=g.vertex_ids[g.index(o)],
-                            time=float(t), probs=probs,
-                            method="series-uniformization", err_bound=err,
-                            domain=frozenset(g.vertex_ids[g.index(v)]
-                                             for v in domain))
+    return HeatKernelResult(
+        graph=g, source=g.vertex_ids[g.index(o)], time=float(t), probs=probs,
+        method="series-uniformization", err_bound=float(err[0]),
+        domain=None if domain is None else frozenset(
+            g.vertex_ids[g.index(v)] for v in domain))
+
+
+def kernel_matrix(g, t, tol=DEFAULT_TOL):
+    """All-sources kernel matrix M[i, j] = P_i(X_t = j), one identity block."""
+    return kernel_rows(g, g.vertex_ids, [t], tol)[0][:, 0]
 
 
 def on_diagonal_curves(g, xs, times, tol=DEFAULT_TOL):
     """{x: [(t, P_x(X_t = x))]} for each vertex x of xs over the given times,
-    from one engine call with a unit start column per vertex that reads out
-    only the diagonal."""
-    xs = list(xs)
-    idx, p0 = _unit_columns(g, xs)
-    times = [float(t) for t in times]
-    diags = _uniformized(rate_matrix(g), g.rates.max(), p0, times, tol,
-                         entries=(idx, np.arange(len(xs))))
-    return {x: [(t, float(d[k])) for t, (d, _) in zip(times, diags)]
-            for k, x in enumerate(xs)}
+    from one engine call that reads out only the diagonal."""
+    xs, times = list(xs), [float(t) for t in times]
+    diags, _ = kernel_rows(g, xs, times, tol, diagonal=True)
+    return {x: list(zip(times, d)) for x, d in zip(xs, diags.tolist())}
 
 
 def on_diagonal_curve(g, x, times, tol=DEFAULT_TOL):
@@ -479,11 +459,10 @@ class KernelEvolution:
         if not times:
             return
         g = self.graph
-        runs = _dirichlet(g, self.domain, self.origin, times, self.tol)
-        for t, (probs, err) in zip(times, runs):
-            vals = point_mass_values(g, g.index(self.origin), probs)
-            vals.flags.writeable = False
-            self._cache[t] = (vals, err)
+        rows, err = kernel_rows(g, [self.origin], times, self.tol, self.domain)
+        vals = point_mass_values(g, g.index(self.origin), rows[0])
+        vals.flags.writeable = False
+        self._cache.update(zip(times, zip(vals, err.tolist())))
 
     def u(self, t):
         t = float(t)

@@ -203,6 +203,13 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, "bounds", "--graph", str(path),
                                  "--formula", formula, "--constants",
                                  constants)
+        if constants == "empirical":
+            # no row to fit C1 from: an input error, not log C1 = log 1e-300
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {
+                "error": "ValueError",
+                "message": "no row has p > 0 to fit the empirical C1 from"}
+            return
         assert (code, err) == (0, "")
         assert out == ("formula,x1,x2,t,d_nu,p_computed,log_bound,log_ratio,"
                        "constants_provenance,pass,domain_flag\n")
@@ -361,7 +368,7 @@ class TestStdout:
         code, with_out, _ = run_cli(capsys, argv[0], "--graph", two_state_file,
                                     *argv[1:], "--out", str(out_file))
         [line] = with_out.splitlines()
-        assert isinstance(json.loads(line), dict)
+        assert isinstance(json.loads(line, parse_constant=pytest.fail), dict)
         csv_text = out_file.read_text(encoding="utf-8")
         code_without, without, _ = run_cli(capsys, argv[0], "--graph",
                                            two_state_file, *argv[1:])
@@ -370,6 +377,24 @@ class TestStdout:
             assert without == with_out
         else:
             assert without == csv_text
+
+    @pytest.mark.parametrize("graph, argv, nulls", [
+        (TWO_STATE, ("bounds", "--tmin", "0.01", "--tmax", "0.5",
+                     "--tcount", "3"), ("worst_log_ratio",)),
+        ("v a 1\n", ("imp", "--family", "drift"),
+         ("worst_slack", "worst_time")),
+    ], ids=["bounds-none-in-domain", "imp-one-vertex"])
+    def test_summary_is_strict_json(self, graph, argv, nulls, tmp_path,
+                                    capsys):
+        # no row in domain has no worst ratio, a graph with no edge no worst
+        # slack or time: null, where Infinity and NaN are not JSON
+        path = tmp_path / "g.graph"
+        path.write_text(graph)
+        code, out, _ = run_cli(capsys, argv[0], "--graph", str(path),
+                               *argv[1:], "--out", str(tmp_path / "out.csv"))
+        assert code == 0
+        summary = json.loads(out, parse_constant=pytest.fail)
+        assert [summary[k] for k in nulls] == [None] * len(nulls)
 
 
 class TestErrors:

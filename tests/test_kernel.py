@@ -218,9 +218,11 @@ class TestEngine:
     def test_block_of_sources_over_a_grid(self, p5_csrw):
         g = p5_csrw
         times = [2.5, 0.0, 0.4, 2.5]
-        runs = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n), times,
-                            DEFAULT_TOL)
-        for t, (block, tail) in zip(times, runs):
+        values, err = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n),
+                                   times, DEFAULT_TOL)
+        assert values.shape == (len(times), g.n, g.n)
+        assert err.shape == (len(times),)
+        for t, block, tail in zip(times, values, err):
             assert np.array_equal(block.T, hb.kernel_matrix(g, t))
             assert tail == hb.heat_kernel(g, "0", t).err_bound <= DEFAULT_TOL
 
@@ -261,6 +263,22 @@ class TestEngine:
                     g, g.index(o), ref.probs))
                 assert single.err_bound(t) == ref.err_bound
 
+    def test_killed_rows_equal_killed_kernels(self):
+        for g in (g for g in self.SUITE if g.n > 2):
+            domain = g.vertex_ids[g.n // 2:]
+            sources = domain[::-1]
+            # some source has a neighbour the walk is killed on
+            assert any(g.vertex_ids[z] not in domain for x in sources
+                       for z in g.neighbors(g.index(x)))
+            rows, err = hb.kernel_rows(g, sources, self.BATCH_GRID,
+                                       domain=domain)
+            assert rows.shape == (len(sources), len(self.BATCH_GRID), g.n)
+            for k, x in enumerate(sources):
+                for j, t in enumerate(self.BATCH_GRID):
+                    ref = hb.killed_kernel(g, domain, x, t)
+                    assert np.array_equal(rows[k, j], ref.probs)
+                    assert err[j] == ref.err_bound
+
     def test_prop26_tails_equal_evolution_tails(self):
         for g in self.SUITE:
             m = hb.shortest_path_metric(g)
@@ -293,6 +311,22 @@ class TestOneEngineCall:
         g = hb.random_connected_graph(9, seed=5, csrw=True)
         setup = fit_sweep_setup(g, all_pairs(g), [1.0, 4.0])
         assert len(setup.profiles) == 9 and len(engine_calls) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda g: hb.heat_kernel(g, "2", 1.5),
+        lambda g: hb.killed_kernel(g, ["1", "2", "3"], "2", 1.5),
+        lambda g: hb.kernel_matrix(g, 1.5),
+        lambda g: hb.on_diagonal_curves(g, g.vertex_ids, [0.0, 0.5, 2.0]),
+        lambda g: KernelEvolution(g, "2").fill([0.0, 0.5, 2.0]),
+        lambda g: KernelEvolution(g, "2", domain=["1", "2", "3"]).fill(
+            [0.0, 0.5, 2.0]),
+        lambda g: hb.bound_sweep(g, hb.shortest_path_metric(g), "prop2.6",
+                                 [0.5, 2.0]),
+    ], ids=["heat_kernel", "killed_kernel", "kernel_matrix",
+            "on_diagonal_curves", "fill", "fill-killed", "bound_sweep"])
+    def test_entry_point(self, p5_csrw, engine_calls, call):
+        call(p5_csrw)
+        assert len(engine_calls) == 1
 
     @pytest.mark.parametrize("domain", [None, ["1", "2", "3"]])
     def test_j_grid(self, p5_csrw, engine_calls, domain):
