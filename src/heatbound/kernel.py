@@ -26,6 +26,11 @@ Lam*t below about 60 (at tol = 1e-10) L is 0 and it never does.  Times that
 share an anchor share its power sequence, so a time's value does not depend
 on the other times or sources of a call or on the entry point.
 
+A step calls the compiled CSR kernel that scipy's `@` ends in and adds the
+power only into the windows open at that step.  Both do the floating-point
+operations of `pi_t @ v` and of adding into every window, in the same
+order, less additions of exact zeros, so every value keeps its bits.
+
 There is no second backend: the tests check this one against scipy's expm
 and closed forms, the benchmark against a 40-digit spectral oracle.
 """
@@ -37,6 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+# private to scipy: the compiled kernels that `@` on a CSR matrix and a dense
+# vector or block ends in.  Called directly they skip the ~5 us of Python
+# dispatch around each step; tests/test_kernel.py checks them against `@`.
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.special import gammaln
 
 from .graph import WeightedGraph
@@ -138,7 +147,10 @@ def _poisson_window(lam_t, tol):
 
 
 # cost model of the jump, in multiply-adds: a dense n x n product costs n^3,
-# a sparse step nnz(Pi), and either call about _CALL_COST more
+# a sparse step nnz(Pi), and either call about _CALL_COST more.  A step
+# through the compiled kernel costs less call overhead than this price, set
+# for `@`; it is kept because the anchors, and so the bits of every value,
+# depend on it, until a certified err_bound changes the bits anyway
 _CALL_COST = 2e4
 _JUMP_MAX_ENTRIES = 1 << 24  # 128 MB of dense powers of Pi
 
@@ -182,6 +194,37 @@ def _jump_starts(pi_t, p0, anchors):
     return starts
 
 
+def _csr_step(pi_t, v):
+    """step(u) = pi_t @ u, bit for bit, for u shaped like v: the kernel that
+    ``@`` calls, csr_matvec for a vector or one column and csr_matvecs for a
+    block, into a freshly zeroed output.  The kernel checks no shape and
+    quietly copies an operand of another dtype or layout, so the operands
+    are checked here, once; each step's output, the next step's input, has
+    v's shape and layout."""
+    n = pi_t.shape[0]
+    if (pi_t.format != "csr" or pi_t.shape != (n, n)
+            or pi_t.dtype != np.float64
+            or pi_t.indptr.dtype not in (np.int32, np.int64)
+            or pi_t.indices.dtype != pi_t.indptr.dtype):
+        raise ValueError("the step needs a square float64 CSR matrix with "
+                         "int32 or int64 indices")
+    if (v.dtype != np.float64 or not v.flags.c_contiguous or v.ndim == 0
+            or v.shape[0] != n):
+        raise ValueError(f"the step needs a C-contiguous float64 operand of "
+                         f"{n} rows, got {v.dtype} {v.shape}")
+    csr, cols = (pi_t.indptr, pi_t.indices, pi_t.data), math.prod(v.shape[1:])
+
+    def step(u):
+        out = np.zeros(v.shape)
+        if cols == 1:
+            csr_matvec(n, n, *csr, u, out)
+        else:
+            csr_matvecs(n, n, cols, *csr, u, out)
+        return out
+
+    return step
+
+
 def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     """(values, err): values[j] is the Poisson(Lam t_j) mixture of the
     powers of Pi = I + Q/Lam applied to p0, one start distribution per
@@ -191,9 +234,12 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
     Each time sums the powers k in its Poisson window [first, K].  They come
     from one power sequence v <- Pi^T v per anchor (see _jump_anchor), shared
     by every time on that anchor; the sequences advance together as the
-    column blocks of one matrix.  Every time adds weight times power into its
-    own accumulator at every step, with weight 0 outside its window, which
-    adds exact zeros.
+    column blocks of one matrix, stepped by _csr_step.  A time adds weight
+    times power into its own accumulator only while its window is open: one
+    open window through a view, several by one broadcast over the span of
+    the open ones, where a closed window has weight 0.  Adding into every
+    window at every step gives the same bits, since it only adds +-0.0 to
+    more accumulators, each of which starts at +0.0.
     """
     lam = float(lam)
     n = q_mat.shape[0]
@@ -219,7 +265,6 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
                         len(windows)))
     for r, (o, (_, w, _)) in enumerate(zip(opens, windows)):
         weights[o:o + len(w), r] = w
-    first_open = min(opens)
     starts = _jump_starts(pi_t, p0, order)
     if len(order) == 1:
         # one anchor needs no stacking, so a single source stays a 1-D
@@ -228,14 +273,30 @@ def _uniformized(q_mat, lam, p0, times, tol, entries=None):
         v, seq = starts[order[0]], None
     else:
         v = np.stack([starts[a] for a in order], axis=-1)
-        seq = [order.index(a) for a in anchors]
+        seq = np.array([order.index(a) for a in anchors])
+    step = _csr_step(pi_t, v)
     acc = np.zeros(readout(p0).shape + (len(windows),))
-    for j in range(len(weights)):
-        if j:
-            v = (pi_t @ v if seq is None
-                 else (pi_t @ v.reshape(n, -1)).reshape(v.shape))
-        if j >= first_open:
-            acc += readout(v)[..., seq] * weights[j]
+    opens = np.array(opens)
+    closes = opens + [len(w) for _, w, _ in windows]
+    # the open windows change only at a step where one opens or closes, so
+    # their span [lo, hi) is found once per run of steps between such steps
+    j = 0
+    for stop in np.unique(np.concatenate([opens, closes])).tolist():
+        live = np.flatnonzero((opens <= j) & (closes > j))
+        if len(live):
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            if hi - lo == 1:  # one open window: add through a view
+                sums, ws = acc[..., lo], weights[:, lo]
+                pick = (...,) if seq is None else (..., seq[lo])
+            else:
+                sums, ws = acc[..., lo:hi], weights[:, lo:hi]
+                pick = (..., None) if seq is None else (..., seq[lo:hi])
+        for j in range(j, stop):
+            if j:
+                v = step(v)
+            if len(live):
+                sums += readout(v)[pick] * ws[j]
+        j = stop
     values[[j for j, _, _ in windows]] = np.moveaxis(acc, -1, 0)
     return values, err
 

@@ -388,6 +388,128 @@ class TestJump:
             for i, x in enumerate(STIFF.vertex_ids):
                 assert np.array_equal(mat[i], hb.heat_kernel(STIFF, x, t).probs)
 
+    # 30 vertices make the jump block 4 steps long, so the windows below open
+    # 1 to 3 steps after their anchors and close at different steps
+    WIDE = hb.random_connected_graph(30, seed=352, nu_range=(1e-4, 1),
+                                     mu_range=(1e-2, 1))
+
+    @pytest.mark.parametrize("mode", ["full", "killed", "diagonal"])
+    def test_open_windows_equal_single_times(self, mode):
+        g = self.WIDE
+        lam = float(g.rates.max())
+        # unsorted, with a repeat, a near repeat and t = 0
+        lam_ts = [1e3, 0.0, 100.0, 3e3, 1e3, 400.0, 1e3 * (1.0 + 1e-9), 60.0,
+                  200.0]
+        times = [x / lam for x in lam_ts]
+        # the two slowest vertices are left out; the fastest stays, so Lam
+        # and the times' Lam t are those of the full graph
+        domain = (None if mode != "killed" else
+                  [g.vertex_ids[i] for i in np.argsort(g.rates)[2:]])
+        sub = [g.index(v) for v in domain or g.vertex_ids]
+        q = rate_matrix(g)[np.ix_(sub, sub)]
+        assert float(g.rates[sub].max()) == lam
+        pi_t = (sparse.eye(len(sub), format="csr") + q.T * (1.0 / lam)).tocsr()
+        opens, closes, anchors = set(), set(), set()
+        for x in set(lam_ts) - {0.0}:
+            w, first, _ = _poisson_window(x, DEFAULT_TOL)
+            anchor = _jump_anchor(len(sub), pi_t.nnz, first)
+            opens.add(first - anchor)
+            closes.add(first - anchor + len(w))
+            anchors.add(anchor)
+        # no window is open at step 0, windows open at several steps, and
+        # the six anchors' windows close at six steps (the near repeat of
+        # 1e3 has its window)
+        assert min(opens) > 0 and len(opens) > 1
+        assert len(anchors) == len(closes) == 6
+        sources = g.vertex_ids[-3:]
+        rows, err = hb.kernel_rows(g, sources, times, domain=domain,
+                                   diagonal=mode == "diagonal")
+        for k, x in enumerate(sources):
+            for j, t in enumerate(times):
+                if mode == "diagonal":
+                    [(_, p)] = hb.on_diagonal_curve(g, x, [t])
+                    assert rows[k, j] == p
+                    assert err[j] == hb.heat_kernel(g, x, t).err_bound
+                    continue
+                ref = (hb.killed_kernel(g, domain, x, t) if domain
+                       else hb.heat_kernel(g, x, t))
+                assert np.array_equal(rows[k, j], ref.probs)
+                assert err[j] == ref.err_bound
+
+    def test_empty_and_edgeless_calls(self):
+        n = STIFF.n
+        rows, err = hb.kernel_rows(STIFF, [], [1.0, 2.0])
+        assert rows.shape == (0, 2, n) and err.shape == (2,)
+        assert err.tolist() == [hb.heat_kernel(STIFF, "0", t).err_bound
+                                for t in (1.0, 2.0)]
+        assert hb.kernel_rows(STIFF, [], [1.0, 2.0], diagonal=True)[0].shape \
+            == (0, 2)
+        rows, err = hb.kernel_rows(STIFF, ["0"], [])
+        assert rows.shape == (1, 0, n) and err.shape == (0,)
+        g = hb.load_graph("v a 2\n")  # no edge: Lam = 0, the walk never moves
+        for sources in (["a"], ["a", "a"]):
+            rows, err = hb.kernel_rows(g, sources, [0.0, 1.0, 5.0])
+            assert rows.tolist() == [[[1.0]] * 3] * len(sources)
+            assert err.tolist() == [0.0] * 3
+
+
+class TestCsrStep:
+    """The engine's step calls the compiled CSR kernels that scipy's `@` ends
+    in, which are private to scipy: they must give `pi_t @ v` bit for bit."""
+
+    @staticmethod
+    def pi_t(q):
+        lam = float(-q.diagonal().min())
+        return (sparse.eye(q.shape[0], format="csr") + q.T * (1.0 / lam)).tocsr()
+
+    @staticmethod
+    def assert_steps_equal(pi_t, v, count=30):
+        step, ref = kernel_mod._csr_step(pi_t, v), v
+        for _ in range(count):
+            v, ref = step(v), pi_t @ ref.reshape(len(ref), -1)
+            ref = ref.reshape(v.shape)
+            assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (5,), (3, 2)],
+                             ids=["vector", "column", "pair", "block",
+                                  "stacked"])
+    def test_equals_matmul(self, shape):
+        pi_t = self.pi_t(rate_matrix(STIFF))
+        v = np.random.default_rng(1).random((STIFF.n,) + shape)
+        self.assert_steps_equal(pi_t, v)
+
+    def test_killed_domain(self):
+        sub = np.arange(1, STIFF.n, 2)
+        pi_t = self.pi_t(rate_matrix(STIFF)[np.ix_(sub, sub)].tocsr())
+        for shape in [(), (4,)]:
+            self.assert_steps_equal(pi_t, np.random.default_rng(2).random(
+                (len(sub),) + shape))
+
+    def test_int64_indices(self):
+        pi_t = self.pi_t(rate_matrix(STIFF))
+        pi_t.indptr = pi_t.indptr.astype(np.int64)
+        pi_t.indices = pi_t.indices.astype(np.int64)
+        assert pi_t.indptr.dtype == pi_t.indices.dtype == np.int64
+        for shape in [(), (4,)]:
+            self.assert_steps_equal(pi_t, np.random.default_rng(3).random(
+                (STIFF.n,) + shape))
+
+    def test_operands_checked_once(self):
+        pi_t = self.pi_t(rate_matrix(STIFF))
+        n = STIFF.n
+        for v in (np.ones(n, dtype=np.float32),  # another dtype
+                  np.ones(2 * n)[::2],  # not contiguous
+                  np.ones((3, n)).T,  # a Fortran-ordered block
+                  np.ones(n - 1),  # the kernel would read past its end
+                  np.float64(1.0)):
+            with pytest.raises(ValueError):
+                kernel_mod._csr_step(pi_t, v)
+        mixed = pi_t.copy()
+        mixed.indptr = mixed.indptr.astype(np.int64)
+        for bad in (pi_t.astype(np.float32), mixed, pi_t[:-1]):
+            with pytest.raises(ValueError):
+                kernel_mod._csr_step(bad, np.ones(bad.shape[1]))
+
 
 class TestSimulate:
     def test_deterministic_given_seed(self, two_state):
