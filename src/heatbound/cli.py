@@ -2,10 +2,12 @@
 
 Subcommands are thin compositions of library calls -- no numeric logic lives
 here.  Each takes the loaded graph and the parsed arguments and returns a
-CSV header, its rows (plot-ready, diff-able), a JSON summary and an exit
+CSV header, its columns (plot-ready, diff-able), a JSON summary and an exit
 status; ``main`` writes them under one rule.  With --out the CSV goes to the
 file and the summary to stdout; without it stdout gets the summary for
-``metric`` and ``regularity`` and the CSV for the other subcommands.  Exit
+``metric`` and ``regularity`` and the CSV for the other subcommands.  Every
+CSV comes from one writer, ``_csv_lines``: what ``csv.writer`` writes, byte
+for byte, each distinct value formatted once and the rows streamed.  Exit
 codes: 0 all checks passed, 1 verification failures present, 2 input error
 (machine-readable JSON on stderr, nothing on stdout).
 
@@ -18,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -34,24 +38,35 @@ from . import metric as metric_mod
 from . import regularity as reg_mod
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _fmt_rows(rows):
-    """CSV fields of rows of values: floats to 12 significant digits."""
-    return ([_fmt(v) for v in row] for row in rows)
-
-
 def _fmt_floats(values):
-    """_fmt of each value of a float array, formatting each distinct value
-    (bit pattern) once."""
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    text = np.array([_fmt(v) for v in values[first].tolist()], dtype=object)
+    """Each value of a float array to 12 significant digits (``%.12g``),
+    formatting each distinct value (bit pattern) once."""
+    u, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.12g}" for v in u.view(np.float64).tolist()],
+                    dtype=object)
     return text[inverse].tolist()
+
+
+def _csv_lines(header, columns):
+    """The lines csv.writer(lineterminator="\\n") writes from the header and
+    the rows of the columns, two or more: float64 arrays by _fmt_floats,
+    other values by str, each distinct string quoted once, by csv itself
+    (its rules differ between Python versions).  Every field is ready
+    before the first line is read."""
+    strings = [None if isinstance(c, np.ndarray) and c.dtype == np.float64 else
+               list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
+               for c in columns]
+    distinct = dict.fromkeys(itertools.chain(header, *filter(None, strings)))
+    lines = []
+    csv.writer(types.SimpleNamespace(write=lines.append),
+               lineterminator="\n").writerows((s, "") for s in distinct)
+    text = dict(zip(distinct, (line[:-2] for line in lines)))  # less ",\n"
+    fields = strings  # in place: each column's strings go as its fields come
+    for k, (c, s) in enumerate(zip(columns, strings)):
+        fields[k] = _fmt_floats(c) if s is None else list(map(text.__getitem__, s))
+    template = ",".join(["%s"] * len(header)) + "\n"
+    return itertools.chain([template % tuple(map(text.__getitem__, header))],
+                           map(template.__mod__, zip(*fields)))
 
 
 def _strict_json(x):
@@ -62,13 +77,6 @@ def _strict_json(x):
     if isinstance(x, (list, tuple)):
         return [_strict_json(v) for v in x]
     return None if isinstance(x, float) and not math.isfinite(x) else x
-
-
-def _write_csv(out, header, rows):
-    """The header and rows of CSV fields (strings)."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _threads():
@@ -117,8 +125,8 @@ def _adapted_metric(g, args):
         a, b = g.edge_ids()[int(np.argmax(metric.dist[tuple(g.edge_index.T)]))]
         raise ValueError(
             f"the metric is not adapted: vertex {g.vertex_ids[v]!r} has (1/nu) "
-            f"sum d^2 mu = {_fmt(float(cert.vertex_constraint[v]))} and edge "
-            f"{a!r}-{b!r} has d = {_fmt(cert.max_edge_dist)}; both must be at "
+            f"sum d^2 mu = {cert.vertex_constraint[v]:.12g} and edge "
+            f"{a!r}-{b!r} has d = {cert.max_edge_dist:.12g}; both must be at "
             "most 1")
     return metric
 
@@ -137,19 +145,19 @@ def _add_common(p, times=True):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (g, args) and returns (header, rows, summary,
+# subcommands: each takes (g, args) and returns (header, columns, summary,
 # status); main writes them
 
 def _cmd_kernel(g, args):
     source = args.source or g.vertex_ids[0]
-    rows = []
-    for t in _time_grid(args):
-        res = kernel_mod.heat_kernel(g, source, float(t), tol=args.tol)
-        rows.extend((res.source, v, res.time, float(p), res.method,
-                     res.err_bound)
-                    for v, p in zip(g.vertex_ids, res.probs))
+    results = [kernel_mod.heat_kernel(g, source, float(t), tol=args.tol)
+               for t in _time_grid(args)]
+    rows = [res for res in results for _ in g.vertex_ids]  # a time's n rows
     return (("source", "target", "t", "prob", "method", "err_bound"),
-            _fmt_rows(rows),
+            ([r.source for r in rows], list(g.vertex_ids) * len(results),
+             np.array([r.time for r in rows]),
+             np.concatenate([r.probs for r in results]),
+             [r.method for r in rows], np.array([r.err_bound for r in rows])),
             {"source": source, "rows": len(rows), "out": args.out}, 0)
 
 
@@ -160,9 +168,9 @@ def _cmd_metric(g, args):
         report["d_nu"] = {f"{a}|{b}": float(metric.dist[g.index(a), g.index(b)])
                            for k, a in enumerate(g.vertex_ids)
                            for b in g.vertex_ids[k + 1:]}
-    return (("vertex", "constraint_slack"),
-            _fmt_rows(sorted(report["vertex_slacks"].items())), report,
-            0 if report["pass"] else 1)
+    vertices, slacks = zip(*sorted(report["vertex_slacks"].items()))
+    return (("vertex", "constraint_slack"), (vertices, np.array(slacks)),
+            report, 0 if report["pass"] else 1)
 
 
 def _build_profile(g, args):
@@ -197,10 +205,10 @@ def _cmd_regularity(g, args):
     # (t, f) rows: the table itself, or a closed form on the CLI time grid,
     # which is checked here whether or not --out asks for the rows
     if profile.kind == "table":
-        rows = zip(profile.times, profile.values)
+        columns = (profile.times, profile.values)
     else:
         grid = _time_grid(args)
-        rows = ((t, profile.value(t)) for t in grid)
+        columns = (grid, np.array([profile.value(t) for t in grid]))
     interval = tuple(args.interval) if args.interval else profile.domain
     if interval[1] == math.inf:
         # report a finite window: the table's end or the CLI time grid's
@@ -209,7 +217,7 @@ def _cmd_regularity(g, args):
     report = reg_mod.regularity_report(
         profile, args.gamma, interval, envelope_kind=args.envelope,
         delta=args.delta, eps=args.eps, beta_convention=args.beta_convention)
-    return (("t", "f"), _fmt_rows(rows), report,
+    return (("t", "f"), columns, report,
             0 if report["envelope"].get("holds", True) else 1)
 
 
@@ -264,19 +272,11 @@ def _cmd_bounds(g, args):
                        gamma=setup.gamma, delta=setup.delta)
     return (("formula", "x1", "x2", "t", "d_nu", "p_computed", "log_bound",
              "log_ratio", "constants_provenance", "pass", "domain_flag"),
-            _bound_fields(rows), summary,
-            1 if summary["failures_in_domain"] else 0)
-
-
-def _bound_fields(rows):
-    """The CSV fields of a BoundTable, built by column."""
-    return zip(rows.formula, rows.x1, rows.x2, _fmt_floats(rows.t),
-               _fmt_floats(rows.d_nu),
-               *([f"{v:.12g}" for v in col.tolist()]  # _fmt, inlined
-                 for col in (rows.p_computed, rows.log_bound, rows.log_ratio)),
-               itertools.repeat(rows.provenance),
-               ["True" if v else "False" for v in rows.passed.tolist()],
-               ["in" if v else "out" for v in rows.in_domain.tolist()])
+            (rows.formula, rows.x1, rows.x2, rows.t, rows.d_nu,
+             rows.p_computed, rows.log_bound, rows.log_ratio,
+             [rows.provenance] * len(rows), rows.passed,
+             ["in" if v else "out" for v in rows.in_domain.tolist()]),
+            summary, 1 if summary["failures_in_domain"] else 0)
 
 
 def _cmd_imp(g, args):
@@ -301,15 +301,15 @@ def _cmd_imp(g, args):
     evo = kernel_mod.KernelEvolution(g, origin, tol=args.tol)
     jrep = imp_mod.check_J_monotone(evo, h, times)
     edge = "|".join(membership.worst_edge)
-    rows = [(float(t), float(jv), edge, membership.worst_slack)
-            for t, jv in zip(jrep.times, jrep.J)]
     summary = {"family": args.family, "origin": origin,
                "membership_pass": membership.passed,
                "worst_slack": membership.worst_slack,
                "worst_time": membership.worst_time,
                "J_monotone": jrep.passed, "J_tol": jrep.tol_used,
                "worst_J_ratio": jrep.worst_ratio}
-    return (("t", "J", "worst_edge", "slack"), _fmt_rows(rows), summary,
+    return (("t", "J", "worst_edge", "slack"),
+            (jrep.times, jrep.J, [edge] * len(jrep.times),
+             np.full(len(jrep.times), membership.worst_slack)), summary,
             0 if (membership.passed and jrep.passed) else 1)
 
 
@@ -317,14 +317,14 @@ def _cmd_simulate(g, args):
     source = args.source or g.vertex_ids[0]
     res = kernel_mod.simulate(g, source, args.tmax, args.paths, args.seed,
                               jump_cap=args.jump_cap)
-    rows = [(v, int(c), c / res.n_paths)
-            for v, c in zip(g.vertex_ids, res.counts)]
     summary = {"source": source, "t_max": res.t_max, "n_paths": res.n_paths,
                "seed": res.seed, "jump_cap": res.jump_cap,
                "exploded_fraction": res.exploded_fraction}
-    return ("vertex", "count", "prob"), _fmt_rows(rows), summary, 0
+    return (("vertex", "count", "prob"),
+            (g.vertex_ids, res.counts, res.counts / res.n_paths), summary, 0)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="heatbound",
@@ -399,19 +399,19 @@ _SUMMARY_ON_STDOUT = ("metric", "regularity")
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         threads = _threads()
         g = graph_mod.load_graph_file(args.graph)
-        header, rows, summary, status = args.func(g, args)
-        if args.out:
-            rows = list(rows)  # before the file opens: a failed row leaves none
+        header, columns, summary, status = args.func(g, args)
+        if args.out or args.command not in _SUMMARY_ON_STDOUT:
+            # every field is ready before any output: a failed row writes none
+            lines = _csv_lines(header, columns)
+            if not args.out:
+                sys.stdout.writelines(lines)
+                return status
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                _write_csv(fh, header, rows)
-        elif args.command not in _SUMMARY_ON_STDOUT:
-            _write_csv(sys.stdout, header, list(rows))
-            return status
+                fh.writelines(lines)
         summary.update(command=args.command, graph=args.graph, threads=threads)
         print(json.dumps(_strict_json(summary), sort_keys=True))
         return status

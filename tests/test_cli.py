@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatbound as hb
 from heatbound import bounds as bounds_mod
 from heatbound import kernel as kernel_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
-from heatbound.cli import build_parser, main
+from heatbound.cli import _csv_lines, build_parser, main
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
 
@@ -395,6 +399,88 @@ class TestStdout:
         assert code == 0
         summary = json.loads(out, parse_constant=pytest.fail)
         assert [summary[k] for k in nulls] == [None] * len(nulls)
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                   1.7976931348623157e308, 1.0, 0.1]
+_QUOTING_TEXT = st.text(st.sampled_from(list(',"\n\r% ab')) | st.characters(),
+                        max_size=5)
+_COLUMN_KINDS = {
+    "float": (st.sampled_from(_SPECIAL_FLOATS) | st.floats(),
+              lambda v: np.array(v, dtype=float)),
+    "str": (_QUOTING_TEXT, list),
+    "int": (st.integers(-10 ** 20, 10 ** 20), list),
+    "int64": (st.integers(-2 ** 63, 2 ** 63 - 1),
+              lambda v: np.array(v, dtype=np.int64)),
+    "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+}
+
+
+def _fmt(x):
+    """A CSV field as the row-by-row writer formatted it."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns, rows): columns of one kind each, with many repeats,
+    and the same table as rows of Python values."""
+    n = draw(st.integers(0, 25))
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(_QUOTING_TEXT, min_size=width, max_size=width))
+    columns, values = [], []
+    for _ in range(width):
+        elements, make = _COLUMN_KINDS[draw(st.sampled_from(
+            sorted(_COLUMN_KINDS)))]
+        pool = draw(st.lists(elements, min_size=1, max_size=3))
+        col = draw(st.lists(st.sampled_from(pool) | elements, min_size=n,
+                            max_size=n))
+        columns.append(make(col))
+        values.append(columns[-1].tolist() if isinstance(columns[-1],
+                                                          np.ndarray) else col)
+    return header, columns, list(zip(*values))
+
+
+class TestCsvWriter:
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_csv_writer(self, table):
+        # byte for byte what csv.writer writes from the _fmt of each value
+        header, columns, rows = table
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        assert "".join(_csv_lines(header, columns)) == expected.getvalue()
+
+    def test_zero_rows_give_the_header_alone(self):
+        header = ("t", "x,y", "p")
+        columns = (np.array([]), [], np.array([], dtype=bool))
+        assert list(_csv_lines(header, columns)) == ['t,"x,y",p\n']
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--tcount", "2"),
+        ("bounds", "--formula", "cor2.7", "--tmin", "1", "--tmax", "2",
+         "--tcount", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_ids_that_need_quoting(self, argv, tmp_path, capsys):
+        ids = ["a,b", 'q"x', "50%", 7]
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({
+            "vertices": [{"id": v, "nu": 2.0} for v in ids],
+            "edges": [{"a": a, "b": b, "mu": 1.0}
+                      for a, b in zip(ids, ids[1:] + ids[:1])]}))
+        out_file = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, argv[0], "--graph", str(graph),
+                             *argv[1:], "--out", str(out_file))
+        text = out_file.read_text(encoding="utf-8")
+        code_stdout, stdout, _ = run_cli(capsys, argv[0], "--graph",
+                                         str(graph), *argv[1:])
+        assert code == code_stdout == 0 and stdout == text
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
+        names = ("source", "target") if argv[0] == "kernel" else ("x1", "x2")
+        assert {row[name] for row in rows for name in names} == \
+            {str(v) for v in ids}
 
 
 class TestErrors:
