@@ -6,10 +6,10 @@ CSV header, its columns (plot-ready, diff-able), a JSON summary and an exit
 status; ``main`` writes them under one rule.  With --out the CSV goes to the
 file and the summary to stdout; without it stdout gets the summary for
 ``metric`` and ``regularity`` and the CSV for the other subcommands.  Every
-CSV comes from one writer, ``_csv_lines``: what ``csv.writer`` writes, byte
-for byte, each distinct value formatted once and the rows streamed.  Exit
-codes: 0 all checks passed, 1 verification failures present, 2 input error
-(machine-readable JSON on stderr, nothing on stdout).
+CSV comes from one writer, ``_csv_lines``: what Python 3.13's
+``csv.writer`` writes, byte for byte, each distinct value formatted once and
+the rows streamed.  Exit codes: 0 all checks passed, 1 verification failures
+present, 2 input error (machine-readable JSON on stderr, nothing on stdout).
 
 The environment variable HEATBOUND_THREADS changes nothing today: every
 report is computed serially, and the value is validated before any work and
@@ -50,17 +50,18 @@ def _fmt_floats(values):
 def _csv_lines(header, columns):
     """The lines csv.writer(lineterminator="\\n") writes from the header and
     the rows of the columns, two or more: float64 arrays by _fmt_floats,
-    other values by str, each distinct string quoted once, by csv itself
-    (its rules differ between Python versions).  Every field is ready
-    before the first line is read."""
+    other values by str, each distinct string quoted once, by csv itself, as
+    Python 3.13 quotes it: a writer ending lines in "\\r\\n" also quotes a
+    bare \\r, which one ending them in "\\n" does only from 3.13 on.  Every
+    field is ready before the first line is read."""
     strings = [None if isinstance(c, np.ndarray) and c.dtype == np.float64 else
                list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
                for c in columns]
     distinct = dict.fromkeys(itertools.chain(header, *filter(None, strings)))
     lines = []
     csv.writer(types.SimpleNamespace(write=lines.append),
-               lineterminator="\n").writerows((s, "") for s in distinct)
-    text = dict(zip(distinct, (line[:-2] for line in lines)))  # less ",\n"
+               lineterminator="\r\n").writerows((s, "") for s in distinct)
+    text = dict(zip(distinct, (line[:-3] for line in lines)))  # less ",\r\n"
     fields = strings  # in place: each column's strings go as its fields come
     for k, (c, s) in enumerate(zip(columns, strings)):
         fields[k] = _fmt_floats(c) if s is None else list(map(text.__getitem__, s))

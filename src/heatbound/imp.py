@@ -81,42 +81,50 @@ def _verify_lipschitz(metric, rho):
 # test functions
 
 class TestFunction:
-    """Positive space-time function given through log h and d/dt log h.
+    """Positive space-time function h(t, x) = g(t, rho(x)) of a radial
+    profile g (a GClassFunction) and a weight rho, given through log h and
+    d/dt log h.  Its times are the profile's interval (closed on both ends).
 
-    ``log_h_fn`` and ``dlog_dt_fn`` map a time to an array over vertices.
-    ``interval`` restricts admissible times (closed on both ends).
+    ``log_h``, ``h`` and ``dlog_dt`` take one time, giving one value per
+    vertex, or an array of times, giving one row per time.
     """
 
     __test__ = False  # not a pytest class, despite the mathematical name
 
-    def __init__(self, kind, rho, log_h_fn, dlog_dt_fn,
-                 interval=(0.0, math.inf), params=None):
-        self.kind = kind
+    def __init__(self, profile, rho, kind=None):
+        self.profile = profile
         self.rho = rho
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.params = dict(params or {})
-        self._log_h = log_h_fn
-        self._dlog = dlog_dt_fn
+        self.kind = profile.kind if kind is None else kind
 
-    def _check_time(self, t):
+    interval = property(lambda self: self.profile.interval)
+    params = property(lambda self: self.profile.params)
+
+    def _rows(self, fn, t, what):
+        """fn(t, rho) at the time or times t, which must lie in the interval;
+        a value that is not finite is an error naming the first such time."""
+        rows = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.interval
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise ValueError(f"time {t} outside test-function interval "
-                             f"[{lo:g}, {hi:g}]")
+        outside = (rows < lo - 1e-12) | (rows > hi + 1e-12)
+        if outside.any():
+            raise ValueError(f"time {rows[outside][0]} outside test-function "
+                             f"interval [{lo:g}, {hi:g}]")
+        # an overflow is the finiteness error below, not a numpy warning
+        with np.errstate(all="ignore"):
+            out = fn(rows[:, None], self.rho.values)
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{what} at t={rows[bad][0]:g}")
+        return out if np.ndim(t) else out[0]
 
     def log_h(self, t):
-        self._check_time(t)
-        out = np.asarray(self._log_h(float(t)), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("test function is not positive/finite at t=%g" % t)
-        return out
+        return self._rows(self.profile._log_g, t,
+                          "test function is not positive/finite")
 
     def h(self, t):
         return np.exp(self.log_h(t))
 
     def dlog_dt(self, t):
-        self._check_time(t)
-        return np.asarray(self._dlog(float(t)), dtype=float)
+        return self._rows(self.profile._dlog, t, "d/dt log h is not finite")
 
     def __repr__(self):
         return f"TestFunction({self.kind}, {self.params})"
@@ -131,13 +139,13 @@ def make_lemma23(tau, rho):
     one-sided form at the branch point rho = m:
     -d/dt log h = 1/tau + (e/4) log(1 v rho/m) + ((rho - m) v 0)/(t + tau).
     """
-    return GClassFunction.from_lemma23(tau)._applied(rho, "lemma23")
+    return TestFunction(GClassFunction.from_lemma23(tau), rho)
 
 
 def make_drift(a, rho):
     """Exponential drift h(t,x) = exp(a rho(x) - a^2 t / 2), a in [0, 1/4]:
     the radial class GClassFunction.from_drift applied to rho."""
-    return GClassFunction.from_drift(a)._applied(rho, "drift")
+    return TestFunction(GClassFunction.from_drift(a), rho)
 
 
 def make_gaussian(D, R, Delta, s, rho):
@@ -160,17 +168,17 @@ def make_gaussian(D, R, Delta, s, rho):
     vals = rho.values
     if vals.min() < 1.0 - 1e-12 or vals.max() > R + 1e-12:
         raise ValueError("gaussian family needs 1 <= rho <= R everywhere")
-    sq = vals * vals
 
-    def log_h(t):
-        return -sq / (D * (s - t + Delta))
+    def log_g(t, r):
+        return -(r * r) / (D * (s - t + Delta))
 
-    def dlog(t):
+    def dlog(t, r):
         u = s - t + Delta
-        return -sq / (D * u * u)
+        return -(r * r) / (D * u * u)
 
-    return TestFunction("gaussian", rho, log_h, dlog, interval=(0.0, s),
-                        params={"D": D, "R": R, "Delta": Delta, "s": s})
+    return TestFunction(GClassFunction(
+        "gaussian", log_g, dlog, interval=(0.0, s),
+        params={"D": D, "R": R, "Delta": Delta, "s": s}), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,26 @@ class MembershipReport:
         return self.passed
 
 
+def _slack(lhs, rhs):
+    """Relative slack (rhs - lhs) / max(1, |lhs|, |rhs|) of lhs <= rhs."""
+    return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _membership(slack, times, g, *ends):
+    """Report on a slack array with one row per time: the worst cell is the
+    first least slack in row-major order (time first), and names the vertices
+    ends[m][c] of its cell c within the row."""
+    if not slack.size:
+        return MembershipReport(True, math.inf, float("nan"), (), 0)
+    k = int(np.argmin(slack))  # the first nan, if any: a nan fails
+    t, c = divmod(k, slack.size // len(times))
+    worst = float(slack.flat[k])
+    return MembershipReport(passed=worst >= -REL_TOL, worst_slack=worst,
+                            worst_time=float(times[t]),
+                            worst_edge=tuple(g.vertex_ids[e[c]] for e in ends),
+                            n_checks=slack.size)
+
+
 def is_in_F(h, g, metric, time_grid):
     """Edge-wise admissibility check of h against the metric, on the grid.
 
@@ -195,28 +223,14 @@ def is_in_F(h, g, metric, time_grid):
     the second vertex).  Slack is (RHS - LHS) / max(1, |LHS|, |RHS|); the
     report carries the worst (time, edge).
     """
-    if not g.n_edges:
-        return MembershipReport(True, math.inf, float("nan"), (), 0)
+    times = np.asarray(time_grid, dtype=float)
     i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    d_sq = metric.dist[i, j] ** 2
-    worst = (math.inf, float("nan"), ())
-    n_checks = 0
-    for t in time_grid:
-        lh = h.log_h(t)
-        dl = h.dlog_dt(t)
-        lhs = np.sinh(0.5 * (lh[i] - lh[j])) ** 2
-        for y_idx, x_idx in ((j, i), (i, j)):
-            rhs = -d_sq * dl[y_idx]
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            slack = (rhs - lhs) / scale
-            k = int(np.argmin(slack))
-            n_checks += len(slack)
-            if slack[k] < worst[0]:
-                worst = (float(slack[k]), float(t),
-                         (g.vertex_ids[x_idx[k]], g.vertex_ids[y_idx[k]]))
-    return MembershipReport(passed=worst[0] >= -REL_TOL, worst_slack=worst[0],
-                            worst_time=worst[1], worst_edge=worst[2],
-                            n_checks=n_checks)
+    x, y = np.stack([i, j]), np.stack([j, i])  # the two orientations
+    lh, dl = h.log_h(times), h.dlog_dt(times)
+    lhs = np.sinh(0.5 * (lh[:, i] - lh[:, j])) ** 2
+    rhs = -metric.dist[i, j] ** 2 * dl[:, y]
+    return _membership(_slack(lhs[:, None], rhs), times, g,
+                       x.ravel(), y.ravel())
 
 
 def check_condition_2_2(h, g, time_grid):
@@ -226,25 +240,15 @@ def check_condition_2_2(h, g, time_grid):
     This is the exact hypothesis the monotonicity theorem needs; the edge-wise
     check plus an adapted metric implies it.
     """
+    times = np.asarray(time_grid, dtype=float)
     i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    worst = (math.inf, float("nan"), None)
-    for t in time_grid:
-        lh = h.log_h(t)
-        dl = h.dlog_dt(t)
-        contrib = np.sinh(0.5 * (lh[i] - lh[j])) ** 2 * g.edge_mu
-        agg = np.zeros(g.n)
-        np.add.at(agg, i, contrib)
-        np.add.at(agg, j, contrib)
-        lhs = agg / g.nu
-        rhs = -dl
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        slack = (rhs - lhs) / scale
-        k = int(np.argmin(slack))
-        if slack[k] < worst[0]:
-            worst = (float(slack[k]), float(t), g.vertex_ids[k])
-    return MembershipReport(passed=worst[0] >= -REL_TOL, worst_slack=worst[0],
-                            worst_time=worst[1], worst_edge=(worst[2],),
-                            n_checks=len(time_grid) * g.n)
+    lh, dl = h.log_h(times), h.dlog_dt(times)
+    contrib = np.sinh(0.5 * (lh[:, i] - lh[:, j])) ** 2 * g.edge_mu
+    agg = np.zeros_like(lh)
+    # unbuffered, edge by edge: every i end, then every j end
+    np.add.at(agg, (slice(None), np.concatenate([i, j])),
+              np.concatenate([contrib, contrib], axis=1))
+    return _membership(_slack(agg / g.nu, -dl), times, g, range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +276,12 @@ def check_J_monotone(u, h, time_grid):
     times = np.asarray(list(time_grid), dtype=float)
     if len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    g = u.graph
     u.fill(times)
-    J = np.empty(len(times))
-    max_err = 0.0
-    for k, t in enumerate(times):
-        vals = u.u(t)
-        J[k] = float(np.dot(vals * vals * h.h(t), g.nu))
-        max_err = max(max_err, u.err_bound(t))
+    vals = np.array([u.u(t) for t in times])
+    w = vals * vals * h.h(times)
+    # one (1 x n) @ (n x 1) product per row: the dot np.dot takes, bit for bit
+    J = (w[:, None, :] @ u.graph.nu[:, None])[:, 0, 0]
+    max_err = max(map(u.err_bound, times))
     min_J = J.min()
     if min_J <= 0:
         raise ValueError("J vanished on the grid; refine the grid or the domain")
@@ -298,9 +300,11 @@ def check_J_monotone(u, h, time_grid):
 # radial profiles and the two-radius tail lemma
 
 class GClassFunction:
-    """Radial profile g(t, r), non-decreasing in r, composing to a test function.
+    """Radial profile g(t, r) composing to a test function; the key lemma's
+    class also needs it non-decreasing in r, which check_g_class gates.
 
-    ``log_g_fn(t, r)`` and ``dlog_dt_fn(t, r)`` accept array r.  Composition
+    ``log_g_fn(t, r)`` and ``dlog_dt_fn(t, r)`` take arrays t and r and
+    return a value for each pair of their broadcast.  Composition
     substitutes r = d(o, .) ^ R.
     """
 
@@ -313,21 +317,14 @@ class GClassFunction:
         self._dlog = dlog_dt_fn
 
     def log_g(self, t, r):
-        return self._log_g(float(t), np.asarray(r, dtype=float))
+        return self._log_g(np.asarray(t, float), np.asarray(r, float))
 
     def g(self, t, r):
         return np.exp(self.log_g(t, r))
 
-    def _applied(self, rho, kind):
-        """The test function h(t, x) = g(t, rho(x)), labelled ``kind``."""
-        vals = rho.values
-        return TestFunction(kind, rho, lambda t: self._log_g(t, vals),
-                            lambda t: self._dlog(t, vals),
-                            interval=self.interval, params=self.params)
-
     def compose(self, metric, o, R):
         rho = make_rho(metric, o, R, variant="capped-dist")
-        return self._applied(rho, f"g-class:{self.kind}")
+        return TestFunction(self, rho, f"g-class:{self.kind}")
 
     @classmethod
     def from_lemma23(cls, tau):
@@ -353,21 +350,22 @@ class GClassFunction:
             raise ValueError("drift parameter a must lie in [0, 1/4]")
         return cls("drift",
                    lambda t, r: a * r - 0.5 * a * a * t,
-                   lambda t, r: np.full_like(np.asarray(r, float), -0.5 * a * a),
+                   lambda t, r: np.full(np.broadcast(t, r).shape, -0.5 * a * a),
                    params={"a": a})
 
 
 def check_g_class(gfun, metric, o, R, time_grid):
     """Membership gate for the radial class: monotone in r on 33 radii of
     [0, R v 1], and the composed function in F."""
+    times = np.asarray(time_grid, dtype=float)
     r_grid = np.linspace(0.0, max(R, 1.0), 33)
-    for t in time_grid:
-        vals = gfun.log_g(t, r_grid)
-        if np.any(np.diff(vals) < -REL_TOL):
-            return MembershipReport(False, float(np.diff(vals).min()), float(t),
-                                    ("r-monotonicity",), len(r_grid))
-    composed = gfun.compose(metric, o, R)
-    return is_in_F(composed, metric.graph, metric, time_grid)
+    steps = np.diff(gfun.log_g(times[:, None], r_grid), axis=1)
+    falls = np.any(steps < -REL_TOL, axis=1)
+    if falls.any():
+        k = int(np.argmax(falls))
+        return MembershipReport(False, float(steps[k].min()), float(times[k]),
+                                ("r-monotonicity",), len(r_grid))
+    return is_in_F(gfun.compose(metric, o, R), metric.graph, metric, times)
 
 
 @dataclass(frozen=True)
@@ -401,6 +399,7 @@ def check_key_lemma(u, gfun, tau, T, r, R, metric):
         raise ValueError(f"radial profile failed the class gate "
                          f"(worst slack {gate.worst_slack:.3e} at "
                          f"t={gate.worst_time:g}, {gate.worst_edge})")
+    u.fill([tau, T])
     outside_R = ~metric.ball(u.origin, R)
     outside_r = ~metric.ball(u.origin, r)
     lhs = u.tail_mass(T, outside_R)
@@ -426,17 +425,14 @@ def gradient_check(h, times, vertex_indices):
     shifted inward by one step.
     """
     lo, hi = h.interval
-    worst = 0.0
-    for t, v in zip(times, vertex_indices):
-        t = max(float(t), lo + FD_STEP)
-        if math.isfinite(hi):
-            t = min(t, hi - FD_STEP)
-        fd = ((h.log_h(t + FD_STEP)[v] - h.log_h(t - FD_STEP)[v])
-              / (2.0 * FD_STEP))
-        an = h.dlog_dt(t)[v]
-        err = abs(fd - an) / max(1e-12, abs(an))
-        worst = max(worst, err)
-    return worst
+    t = np.minimum(np.maximum(np.asarray(times, dtype=float), lo + FD_STEP),
+                   hi - FD_STEP)
+    cell = (np.arange(len(t)), np.asarray(vertex_indices, dtype=np.intp))
+    fd = ((h.log_h(t + FD_STEP)[cell] - h.log_h(t - FD_STEP)[cell])
+          / (2.0 * FD_STEP))
+    an = h.dlog_dt(t)[cell]
+    return float(np.max(np.abs(fd - an) / np.maximum(1e-12, np.abs(an)),
+                        initial=0.0))
 
 
 __all__ = [

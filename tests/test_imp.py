@@ -25,10 +25,116 @@ def constant_in_time_increasing():
 
     def build(g):
         rho = hb.VertexFunction.constant(g, 0.0)
-        return TestFunction("custom", rho,
-                            lambda t: np.full(g.n, t),
-                            lambda t: np.ones(g.n))
+        return TestFunction(GClassFunction("custom", lambda t, r: t + 0.0 * r,
+                                           lambda t, r: 1.0 + 0.0 * (t + r)),
+                            rho)
     return build
+
+
+# the per-time loops that is_in_F, check_condition_2_2 and check_J_monotone
+# ran before they took the whole grid at once, kept as their reference:
+# each gives (worst_slack, worst_time, worst_edge, n_checks) or the J array
+
+def loop_is_in_F(h, g, metric, time_grid):
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    d_sq = metric.dist[i, j] ** 2
+    worst = (math.inf, float("nan"), ())
+    n_checks = 0
+    for t in time_grid:
+        lh = h.log_h(t)
+        dl = h.dlog_dt(t)
+        lhs = np.sinh(0.5 * (lh[i] - lh[j])) ** 2
+        for y_idx, x_idx in ((j, i), (i, j)):
+            rhs = -d_sq * dl[y_idx]
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            slack = (rhs - lhs) / scale
+            k = int(np.argmin(slack))
+            n_checks += len(slack)
+            if slack[k] < worst[0]:
+                worst = (float(slack[k]), float(t),
+                         (g.vertex_ids[x_idx[k]], g.vertex_ids[y_idx[k]]))
+    return worst + (n_checks,)
+
+
+def loop_condition_2_2(h, g, time_grid):
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    worst = (math.inf, float("nan"), None)
+    for t in time_grid:
+        lh = h.log_h(t)
+        dl = h.dlog_dt(t)
+        contrib = np.sinh(0.5 * (lh[i] - lh[j])) ** 2 * g.edge_mu
+        agg = np.zeros(g.n)
+        np.add.at(agg, i, contrib)
+        np.add.at(agg, j, contrib)
+        lhs = agg / g.nu
+        rhs = -dl
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        slack = (rhs - lhs) / scale
+        k = int(np.argmin(slack))
+        if slack[k] < worst[0]:
+            worst = (float(slack[k]), float(t), g.vertex_ids[k])
+    return worst[0], worst[1], (worst[2],), len(time_grid) * g.n
+
+
+def loop_J(u, h, times):
+    u.fill(times)
+    return np.array([float(np.dot(u.u(t) * u.u(t) * h.h(t), u.graph.nu))
+                     for t in times])
+
+
+def report_tuple(rep):
+    return rep.worst_slack, rep.worst_time, rep.worst_edge, rep.n_checks
+
+
+class TestGridEqualsLoops:
+    @staticmethod
+    def families(m, o, s):
+        span = max(m.diameter, 1.0)
+        rho = hb.make_rho(m, o, span)
+        refl = hb.make_rho(m, o, span, variant="reflected")
+        return [hb.make_lemma23(0.5, rho), hb.make_lemma23(5.0, rho),
+                hb.make_drift(0.25, rho),
+                hb.make_gaussian(5.0, span, 24.0 * span / 5.0, s, refl)]
+
+    def test_membership_on_random_graphs(self):
+        grid = np.linspace(0.0, 3.0, 13)
+        for g in random_suite(6, 14, seed0=500, nu_range=(0.1, 10),
+                              mu_range=(0.1, 10)):
+            adapted = metric_of(g)
+            # edges a third as long: a metric the families fail against
+            short = hb.shortest_path_metric(
+                g, hb.default_edge_lengths(g) / 3.0)
+            for h in self.families(adapted, g.vertex_ids[-1], 3.0):
+                rep = check_condition_2_2(h, g, grid)
+                assert report_tuple(rep) == loop_condition_2_2(h, g, grid)
+                for m in (adapted, short):
+                    rep = hb.is_in_F(h, g, m, grid)
+                    assert report_tuple(rep) == loop_is_in_F(h, g, m, grid)
+                    assert rep.passed == (rep.worst_slack >= -1e-9)
+
+    def test_ties_across_times_go_to_the_first(self, k4_csrw):
+        # the drift family's slack does not depend on t: every time ties
+        m = metric_of(k4_csrw)
+        h = hb.make_drift(0.25, hb.make_rho(m, "0", 1.0))
+        grid = [2.0, 0.5, 1.0, 0.5]
+        for rep, ref in ((hb.is_in_F(h, k4_csrw, m, grid),
+                          loop_is_in_F(h, k4_csrw, m, grid)),
+                         (check_condition_2_2(h, k4_csrw, grid),
+                          loop_condition_2_2(h, k4_csrw, grid))):
+            assert report_tuple(rep) == ref
+            assert rep.worst_time == 2.0
+
+    def test_J_on_random_graphs(self):
+        grid = np.linspace(0.0, 2.0, 21)
+        for g in random_suite(4, 12, seed0=540, csrw=True):
+            m = metric_of(g)
+            o = g.vertex_ids[0]
+            for h in self.families(m, o, 2.0):
+                for u in (KernelEvolution(g, o, tol=1e-12),
+                          KernelEvolution(g, o, domain=g.vertex_ids[:3],
+                                          tol=1e-12)):
+                    rep = hb.check_J_monotone(u, h, grid)
+                    assert np.array_equal(rep.J, loop_J(u, h, grid))
 
 
 class TestRho:
@@ -120,6 +226,28 @@ class TestMembership:
         assert not rep.passed
         rep2 = check_condition_2_2(h, k4_csrw, [0.5, 1.0])
         assert not rep2.passed
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_derivative_rejected(self, bad):
+        g = hb.csrw_normalized(hb.path_graph(4))
+        m = metric_of(g)
+        h = TestFunction(GClassFunction(
+            "bad", lambda t, r: 0.0 * (t + r),
+            lambda t, r: np.full(np.broadcast(t, r).shape, bad)),
+            hb.make_rho(m, "0", 2.0))
+        with pytest.raises(ValueError, match="d/dt log h is not finite"):
+            hb.is_in_F(h, g, m, [0.0, 1.0])
+        with pytest.raises(ValueError, match="d/dt log h is not finite"):
+            check_condition_2_2(h, g, [0.0, 1.0])
+
+    def test_overflowing_edge_term_fails(self, p3_csrw):
+        # rho from a first edge 1e4 long: sinh^2 of the drift's log-ratio
+        # there overflows, and the nan slack fails rather than being passed
+        long = hb.shortest_path_metric(p3_csrw, np.array([1e4, 1.0]))
+        h = hb.make_drift(0.25, hb.make_rho(long, "0", 1e5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = hb.is_in_F(h, p3_csrw, metric_of(p3_csrw), [0.0, 1.0])
+        assert not rep.passed and rep.worst_edge == ("0", "1")
 
     def test_drift_quarter_on_random_graphs(self):
         for g in random_suite(5, 15, seed0=300, nu_range=(0.1, 10),
@@ -251,9 +379,8 @@ class TestKeyLemma:
         g = p5_csrw
         m = metric_of(g)
         u = KernelEvolution(g, "2", tol=1e-12)
-        bad = GClassFunction("decreasing",
-                             lambda t, r: -np.asarray(r, float),
-                             lambda t, r: np.zeros_like(np.asarray(r, float)))
+        bad = GClassFunction("decreasing", lambda t, r: 0.0 * t - r,
+                             lambda t, r: 0.0 * (t + r))
         with pytest.raises(ValueError, match="class gate"):
             hb.check_key_lemma(u, bad, tau=0.0, T=1.0, r=0.5, R=1.5, metric=m)
 
