@@ -10,10 +10,6 @@ CSV comes from one writer, ``_csv_lines``: what Python 3.13's
 ``csv.writer`` writes, byte for byte, each distinct value formatted once and
 the rows streamed.  Exit codes: 0 all checks passed, 1 verification failures
 present, 2 input error (machine-readable JSON on stderr, nothing on stdout).
-
-The environment variable HEATBOUND_THREADS changes nothing today: every
-report is computed serially, and the value is validated before any work and
-echoed in summaries.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 import types
 
@@ -78,19 +73,6 @@ def _strict_json(x):
     if isinstance(x, (list, tuple)):
         return [_strict_json(v) for v in x]
     return None if isinstance(x, float) and not math.isfinite(x) else x
-
-
-def _threads():
-    raw = os.environ.get("HEATBOUND_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"HEATBOUND_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise ValueError("HEATBOUND_THREADS must be at least 1")
-    return val
 
 
 def _time_grid(args):
@@ -402,7 +384,6 @@ _SUMMARY_ON_STDOUT = ("metric", "regularity")
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads()
         g = graph_mod.load_graph_file(args.graph)
         header, columns, summary, status = args.func(g, args)
         if args.out or args.command not in _SUMMARY_ON_STDOUT:
@@ -413,7 +394,7 @@ def main(argv=None):
                 return status
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 fh.writelines(lines)
-        summary.update(command=args.command, graph=args.graph, threads=threads)
+        summary.update(command=args.command, graph=args.graph)
         print(json.dumps(_strict_json(summary), sort_keys=True))
         return status
     except (graph_mod.GraphFormatError, reg_mod.ProfileDomainError, ValueError,

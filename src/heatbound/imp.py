@@ -271,7 +271,9 @@ def check_J_monotone(u, h, time_grid):
 
     The tolerance couples to the kernel truncation error:
     tol = max(J_TOL, 10 * err_bound / min J).  Raises when the kernel
-    tolerance is too large for the J scale to make the check meaningful.
+    tolerance is too large for the J scale to make the check meaningful
+    (tol > 0.1, a vanishing J with a nonzero err_bound included), and when J
+    vanishes with no kernel error.
     """
     times = np.asarray(list(time_grid), dtype=float)
     if len(times) < 2 or np.any(np.diff(times) <= 0):
@@ -282,14 +284,17 @@ def check_J_monotone(u, h, time_grid):
     # one (1 x n) @ (n x 1) product per row: the dot np.dot takes, bit for bit
     J = (w[:, None, :] @ u.graph.nu[:, None])[:, 0, 0]
     max_err = max(map(u.err_bound, times))
-    min_J = J.min()
+    min_J = float(J.min())
+    # also when J vanishes where the kernel has an error: the clamped kernel
+    # can read 0 there, which says nothing about J
+    if 10.0 * max_err > 0.1 * min_J:
+        raise ValueError(
+            f"kernel tolerance too coarse for this grid: 10 * err_bound = "
+            f"{10.0 * max_err:.2e} exceeds 0.1 * min J = {0.1 * min_J:.2e}; "
+            f"tighten the kernel tol")
     if min_J <= 0:
         raise ValueError("J vanished on the grid; refine the grid or the domain")
-    tol = float(max(J_TOL, 10.0 * max_err / min_J))
-    if tol > 0.1:
-        raise ValueError(
-            f"kernel tolerance too coarse for this grid: coupled J tolerance "
-            f"{tol:.2e} exceeds 0.1; tighten the kernel tol")
+    tol = max(J_TOL, 10.0 * max_err / min_J)
     ratios = J[1:] / J[:-1] - 1.0
     worst = float(ratios.max())
     return JReport(passed=bool(worst <= tol), times=times, J=J, tol_used=tol,

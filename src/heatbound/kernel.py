@@ -1,12 +1,17 @@
 """Transition probabilities of the walk: exact kernels, killed kernels, Monte Carlo.
 
-Every kernel comes from series uniformization: with Lam = max_x mu_x/nu_x and
-Pi = I + Q/Lam, the distribution at time t is the Poisson(Lam*t) mixture of
-powers of Pi.  Each time sums only the powers k in its Poisson window
-[L, K].  Below the Fox-Glynn left point L the weights hold at most
-tol * 2^-53, under the rounding of err_bound itself; K is the first right
-point at which the window holds 1 - tol.  err_bound is the mass outside the
-window, left and right.
+Every kernel comes from one Chebyshev-Bessel expansion (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 1984).  With Lam = max_x mu_x/nu_x, B = I + Q^T/Lam and
+tau = Lam*t, the distribution at time t from p0 is
+
+    exp(t Q^T) p0 = sum_k c_k T_k(B) p0,   c_k = 2 ive(k, tau), c_0 halved,
+
+with T_k the Chebyshev polynomials.  Each time sums k = 0..K, K the least
+cut whose certified tail bound (Amos's ratio bound for I_{k+1}/I_k) times
+sqrt(max nu / min nu) is at most tol; that product is err_bound.  K is about
+sqrt(2 tau ln(1/tol)), and depends only on t, tol and the graph (or killed
+domain), never on the rest of a call.  Values are clamped at 0.  Rounding,
+of order Lam*t times the unit roundoff, is not in err_bound.
 
 Every kernel entry point calls kernel_rows(g, sources, times, tol, domain),
 which makes one engine call and returns (rows, err): rows[k, j] is the
@@ -15,24 +20,17 @@ distribution from sources[k] at times[j], killed on first exit from
 outside), and err[j] is the err_bound of times[j].  It may read out only
 the diagonal, one number per source and time for the on-diagonal curves.
 
-In the engine, sparse steps v <- Pi^T v on a block of start vectors (one
-unit column per source; a single source is a vector, stepped by matvecs)
-make the powers.  When L is large they do not start from p0 but from an
-anchor A <= L, a multiple of a block length fixed by n and nnz(Pi):
-(Pi^T)^A p0 comes from about 2 log2(A) dense n x n products (binary
-powering of Pi^T) and one product with p0.  The engine jumps when a cost
-model of n, nnz(Pi) and L says this is cheaper than A sparse steps; for
-Lam*t below about 60 (at tol = 1e-10) L is 0 and it never does.  Times that
-share an anchor share its power sequence, so a time's value does not depend
+In the engine, one three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on a
+block of start vectors (one unit column per source; a single source is a
+vector, stepped by matvecs) serves every time of the call.  A step calls the
+compiled CSR kernel that scipy's `@` ends in, which does the floating-point
+operations of `b_t @ v` in the same order, so a value's bits do not depend
 on the other times or sources of a call or on the entry point.
 
-A step calls the compiled CSR kernel that scipy's `@` ends in and adds the
-power only into the windows open at that step.  Both do the floating-point
-operations of `pi_t @ v` and of adding into every window, in the same
-order, less additions of exact zeros, so every value keeps its bits.
-
-There is no second backend: the tests check this one against scipy's expm
-and closed forms, the benchmark against a 40-digit spectral oracle.
+The results keep the method name "series-uniformization": the expansion is
+still a series in the uniformized matrix B.  There is no second backend:
+the tests check this one against scipy's expm, closed forms and a 40-digit
+spectral oracle, the benchmark against the 40-digit oracle too.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from scipy import sparse
 # vector or block ends in.  Called directly they skip the ~5 us of Python
 # dispatch around each step; tests/test_kernel.py checks them against `@`.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.special import gammaln
+from scipy.special import ive
 
 from .graph import WeightedGraph
 
@@ -118,101 +116,25 @@ def rate_matrix(g):
     return (off - sparse.diags(g.rates)).tocsr()
 
 
-def _poisson_window(lam_t, tol):
-    """(w, first, err): the Poisson(lam_t) weights w_first..w_K of a window
-    [first, K] that holds at least 1 - tol of the mass, and err, the mass
-    outside it: the left mass below the Fox-Glynn point ``first`` plus the
-    right tail beyond K."""
-    # a left mass under tol * 2^-53 is below the rounding of err itself, so
-    # the cut leaves err_bound as it was
-    left_budget = math.ldexp(tol, -53)
-    guess = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 30.0)
-    while True:
-        ks = np.arange(guess + 1)
-        logw = -lam_t + ks * math.log(lam_t) - gammaln(ks + 1.0)
-        w = np.exp(logw)
-        csum = np.cumsum(w)
-        first = int(np.searchsorted(csum, left_budget, side="right"))
-        left = float(csum[first - 1]) if first else 0.0
-        if csum[-1] >= 1.0 - tol + left:
-            break
-        if w[-1] == 0.0:
-            # past the mode every further weight underflows too
-            raise ValueError(f"tol={tol!r} is below the rounding of the "
-                             f"Poisson({lam_t!r}) weights")
-        guess *= 2
-    last = int(np.searchsorted(csum, 1.0 - tol + left))
-    err = max(1.0 - csum[last], 0.0) + left
-    return w[first:last + 1], first, err
-
-
-# cost model of the jump, in multiply-adds: a dense n x n product costs n^3,
-# a sparse step nnz(Pi), and either call about _CALL_COST more.  A step
-# through the compiled kernel costs less call overhead than this price, set
-# for `@`; it is kept because the anchors, and so the bits of every value,
-# depend on it, until a certified err_bound changes the bits anyway
-_CALL_COST = 2e4
-_JUMP_MAX_ENTRIES = 1 << 24  # 128 MB of dense powers of Pi
-
-
-def _jump_anchor(n, nnz, first):
-    """Where the power sequence that serves a window starting at ``first``
-    begins: 0 (steps from p0) or a multiple of a block length, reached by
-    a dense jump when the cost model says that is cheaper than the steps.
-
-    It depends on n, nnz(Pi) and first alone, so a time is computed the same
-    way whatever else is in the call and whichever entry point asks.  The
-    costs assume single-threaded BLAS (OPENBLAS_NUM_THREADS=1); with threaded
-    BLAS a dense product can be slower, which changes speed, never values.
-    """
-    dense, step = n ** 3 + _CALL_COST, nnz + _CALL_COST
-    # the least power of two >= dense / step: the steps from the anchor up to
-    # first cost under two dense products, and the anchor's low bits are 0
-    block = 1 << (math.ceil(dense / step) - 1).bit_length()
-    anchor = first - first % block
-    if anchor == 0 or n * n * anchor.bit_length() > _JUMP_MAX_ENTRIES:
-        return 0
-    products = anchor.bit_length() + bin(anchor).count("1") - 1
-    return anchor if products * dense < anchor * step else 0
-
-
-def _jump_starts(pi_t, p0, anchors):
-    """{a: (Pi^T)^a @ p0} for each anchor a.  (Pi^T)^a is the product of
-    the squares (Pi^T)^(2^j) over the set bits j of a, lowest bit first, so it
-    is the same matrix in every call, and a unit column of p0 picks out one of
-    its columns exactly."""
-    squares, starts = [], {}
-    for a in anchors:
-        power = None  # stays None for a = 0
-        for j in range(a.bit_length()):
-            if j == len(squares):
-                squares.append(squares[-1] @ squares[-1] if squares
-                               else pi_t.toarray())
-            if a >> j & 1:
-                power = squares[j] if power is None else squares[j] @ power
-        starts[a] = p0 if power is None else power @ p0
-    return starts
-
-
-def _csr_step(pi_t, v):
-    """step(u) = pi_t @ u, bit for bit, for u shaped like v: the kernel that
+def _csr_step(b_t, v):
+    """step(u) = b_t @ u, bit for bit, for u shaped like v: the kernel that
     ``@`` calls, csr_matvec for a vector or one column and csr_matvecs for a
     block, into a freshly zeroed output.  The kernel checks no shape and
     quietly copies an operand of another dtype or layout, so the operands
     are checked here, once; each step's output, the next step's input, has
     v's shape and layout."""
-    n = pi_t.shape[0]
-    if (pi_t.format != "csr" or pi_t.shape != (n, n)
-            or pi_t.dtype != np.float64
-            or pi_t.indptr.dtype not in (np.int32, np.int64)
-            or pi_t.indices.dtype != pi_t.indptr.dtype):
+    n = b_t.shape[0]
+    if (b_t.format != "csr" or b_t.shape != (n, n)
+            or b_t.dtype != np.float64
+            or b_t.indptr.dtype not in (np.int32, np.int64)
+            or b_t.indices.dtype != b_t.indptr.dtype):
         raise ValueError("the step needs a square float64 CSR matrix with "
                          "int32 or int64 indices")
     if (v.dtype != np.float64 or not v.flags.c_contiguous or v.ndim == 0
             or v.shape[0] != n):
         raise ValueError(f"the step needs a C-contiguous float64 operand of "
                          f"{n} rows, got {v.dtype} {v.shape}")
-    csr, cols = (pi_t.indptr, pi_t.indices, pi_t.data), math.prod(v.shape[1:])
+    csr, cols = (b_t.indptr, b_t.indices, b_t.data), math.prod(v.shape[1:])
 
     def step(u):
         out = np.zeros(v.shape)
@@ -225,79 +147,90 @@ def _csr_step(pi_t, v):
     return step
 
 
-def _uniformized(q_mat, lam, p0, times, tol, entries=None):
-    """(values, err): values[j] is the Poisson(Lam t_j) mixture of the
-    powers of Pi = I + Q/Lam applied to p0, one start distribution per
-    column, and err[j] its truncation bound.  With entries, an index such
-    as (rows, cols), values[j] is only the mixture's [entries].
+def _chebyshev_cut(taus, tol, spread):
+    """(coefs, err): for each tau = Lam t, coefs[j] holds c_0..c_K, where
+    c_k = 2 ive(k, tau) with c_0 halved, and err[j] is ``spread`` times a
+    bound on the tail sum_{k > K} c_k, for the least K with err[j] <= tol.
 
-    Each time sums the powers k in its Poisson window [first, K].  They come
-    from one power sequence v <- Pi^T v per anchor (see _jump_anchor), shared
-    by every time on that anchor; the sequences advance together as the
-    column blocks of one matrix, stepped by _csr_step.  A time adds weight
-    times power into its own accumulator only while its window is open: one
-    open window through a view, several by one broadcast over the span of
-    the open ones, where a closed window has weight 0.  Adding into every
-    window at every step gives the same bits, since it only adds +-0.0 to
-    more accumulators, each of which starts at +0.0.
+    Amos's ratio bound (Math. Comp. 28, 1974), I_{v+1}(tau) / I_v(tau) <=
+    r_v = tau / (v + 1/2 + sqrt((v + 1/2)^2 + tau^2)), decreases in v, so the
+    tail from k on is at most c_k / (1 - r_k).
+
+    One ive call serves every time, over k = 0..m with the cut certain to lie
+    below m: e^-tau I_k(tau) is the Skellam law of X - Y, X and Y
+    Poisson(tau/2), so Bennett's inequality gives c_m <= 2 exp(-m^2 / (2 (tau
+    + m/3))), and 1 / (1 - r_m) <= 2 + tau for m >= 1.  Both together are at
+    most tol / spread once m^2 >= 2 L (tau + m/3), L = ln(2 spread (2 + tau)
+    / tol).
+    """
+    taus = np.asarray(taus, dtype=float)
+    budget = math.log(2.0 * spread) - math.log(tol) + np.log(2.0 + taus)
+    size = np.ceil(budget / 3.0 + np.sqrt(budget ** 2 / 9.0 + 2.0 * budget
+                                          * taus)).astype(np.intp) + 2
+    starts = np.cumsum(size) - size
+    ks = np.arange(size.sum()) - np.repeat(starts, size)
+    tau_k = np.repeat(taus, size)
+    c = 2.0 * ive(ks, tau_k)
+    c[starts] *= 0.5
+    a = ks + 0.5
+    tail = spread * c / (1.0 - tau_k / (a + np.hypot(a, tau_k)))
+    met = np.flatnonzero((tail <= tol) & (ks > 0))
+    # the first index past each start at which the tail meets tol
+    cut = met[np.searchsorted(met, starts)]
+    return [c[s:e] for s, e in zip(starts, cut)], tail[cut]
+
+
+def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
+    """(values, err): values[j] = exp(t_j Q^T) p0 for each start distribution
+    (column) of p0, and err[j] the truncation bound of times[j].  With
+    entries, an index such as (rows, cols), values[j] is only the [entries]
+    of that.
+
+    With B = I + Q^T/Lam and tau = Lam t, exp(t Q^T) = sum_k c_k T_k(B), c_k
+    as in _chebyshev_cut.  Q is self-adjoint in L^2(nu) with spectrum in
+    [-2 Lam, 0], so B is self-adjoint in L^2(1/nu) with spectrum in [-1, 1],
+    |T_k(B)| <= 1 there, and an entry of T_k(B) p0 is at most sqrt(max nu /
+    min nu) for a unit p0: the ``spread`` that scales the Bessel tail.
+
+    The recurrence T_0 = p0, T_1 = B p0, T_{k+1} = 2 B T_k - T_{k-1}, stepped
+    by _csr_step, serves every time of the call, and time j adds c_k T_k into
+    its own accumulator for k <= K_j.  K_j depends on t_j, tol, Lam and nu
+    alone, so a time's value does not depend on the rest of the call.  Sorted
+    by K, longest first, the times still summing at step k are a prefix.
+    Values are clamped at 0: the true values are probabilities, so the clamp
+    can only shrink the error.
     """
     lam = float(lam)
-    n = q_mat.shape[0]
     readout = (lambda v: v) if entries is None else (lambda v: v[entries])
-    values = np.empty((len(times),) + readout(p0).shape)
-    err = np.zeros(len(times))
-    windows = []
-    for j, t in enumerate(times):
-        if t == 0.0 or lam == 0.0:
-            values[j] = readout(p0)
-        else:
-            w, first, err[j] = _poisson_window(lam * t, tol)
-            windows.append((j, w, first))
-    if not windows:
-        return values, err
-    pi_t = (sparse.eye(n, format="csr") + q_mat.T * (1.0 / lam)).tocsr()
-    anchors = [_jump_anchor(n, pi_t.nnz, first) for _, _, first in windows]
-    order = sorted(set(anchors))
-    # weights[j, r]: the weight of window r at step j of its sequence, the
-    # step that reaches power anchor + j
-    opens = [first - a for (_, _, first), a in zip(windows, anchors)]
-    weights = np.zeros((max(o + len(w) for o, (_, w, _) in zip(opens, windows)),
-                        len(windows)))
-    for r, (o, (_, w, _)) in enumerate(zip(opens, windows)):
-        weights[o:o + len(w), r] = w
-    starts = _jump_starts(pi_t, p0, order)
-    if len(order) == 1:
-        # one anchor needs no stacking, so a single source stays a 1-D
-        # matvec, which keeps single-source calls fast; v[..., None] spreads
-        # the one sequence over every window
-        v, seq = starts[order[0]], None
-    else:
-        v = np.stack([starts[a] for a in order], axis=-1)
-        seq = np.array([order.index(a) for a in anchors])
-    step = _csr_step(pi_t, v)
-    acc = np.zeros(readout(p0).shape + (len(windows),))
-    opens = np.array(opens)
-    closes = opens + [len(w) for _, w, _ in windows]
-    # the open windows change only at a step where one opens or closes, so
-    # their span [lo, hi) is found once per run of steps between such steps
-    j = 0
-    for stop in np.unique(np.concatenate([opens, closes])).tolist():
-        live = np.flatnonzero((opens <= j) & (closes > j))
-        if len(live):
-            lo, hi = int(live[0]), int(live[-1]) + 1
-            if hi - lo == 1:  # one open window: add through a view
-                sums, ws = acc[..., lo], weights[:, lo]
-                pick = (...,) if seq is None else (..., seq[lo])
-            else:
-                sums, ws = acc[..., lo:hi], weights[:, lo:hi]
-                pick = (..., None) if seq is None else (..., seq[lo:hi])
-        for j in range(j, stop):
-            if j:
-                v = step(v)
-            if len(live):
-                sums += readout(v)[pick] * ws[j]
-        j = stop
-    values[[j for j, _, _ in windows]] = np.moveaxis(acc, -1, 0)
+    coefs, err = _chebyshev_cut([lam * t for t in times], tol,
+                                math.sqrt(nu.max() / nu.min()))
+    order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
+    lengths = np.array([len(coefs[j]) for j in order], dtype=np.intp)
+    shape = readout(p0).shape
+    # table[k, i]: c_k of the i-th longest time, 0 past its cut
+    table = np.zeros((lengths[0] if len(lengths) else 0, len(times)))
+    for i, j in enumerate(order):
+        table[:lengths[i], i] = coefs[j]
+    table = table.reshape(table.shape + (1,) * len(shape))
+    live = len(lengths) - np.searchsorted(lengths[::-1], np.arange(len(table)),
+                                          side="right")
+    acc = np.zeros((len(times),) + shape)
+    prev, cur = None, p0
+    for k, (coef, m) in enumerate(zip(table, live.tolist())):
+        if k == 1:
+            b_t = (sparse.eye(len(p0), format="csr")
+                   + q_mat.T * (1.0 / lam)).tocsr()
+            step = _csr_step(b_t, p0)
+            prev, cur = cur, step(cur)
+        elif k:
+            nxt = step(cur)
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        acc[:m] += coef[:m] * readout(cur)
+    values = np.empty_like(acc)
+    values[order] = acc
+    np.maximum(values, 0.0, out=values)
     return values, err
 
 
@@ -312,7 +245,8 @@ def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
     ``diagonal`` the call reads out only rows[k, j] = P_{sources[k]}(X_t =
     sources[k] [, exit > t]), shaped (sources, times), so a batch of
     on-diagonal curves keeps one number per source and time.  err[j] bounds
-    the truncation error of time j (see heat_kernel).
+    the truncation error of time j (see heat_kernel); values are clamped at
+    0, which can only shrink the error.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
@@ -334,8 +268,8 @@ def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
     p0[at, cols] = 1.0
     if len(idx) == 1:
         p0 = p0[:, 0]  # one source steps by sparse matvecs
-    values, err = _uniformized(q_sub, g.rates[sub].max(), p0, times, tol,
-                               (at, cols)[:p0.ndim] if diagonal else None)
+    values, err = _chebyshev(q_sub, g.rates[sub].max(), g.nu[sub], p0, times,
+                             tol, (at, cols)[:p0.ndim] if diagonal else None)
     if diagonal:
         return values.T, err
     rows = np.zeros((len(idx), len(times), g.n))
@@ -353,10 +287,11 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL):
     source : vertex id
     t : float, finite and >= 0
     tol : float, finite with 0 < tol < 1
-        Bound on the truncation error, the Poisson mass outside the window
-        [L, K].  Rounding over the K sparse matvecs, of order K times the
-        unit roundoff u, is not included in err_bound; nor is that of a
-        dense jump, of order log2(L) n u, which is smaller.
+        Bound on the truncation error.  err_bound is the certified Bessel
+        tail beyond the cut K times sqrt(max nu / min nu), at most tol for
+        every t: no tol is too fine for a large Lam*t.  Rounding over the K
+        sparse steps, of order Lam*t times the unit roundoff u, is not
+        included in err_bound.
     """
     return killed_kernel(g, None, source, t, tol)
 

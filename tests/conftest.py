@@ -40,8 +40,8 @@ def random_suite(count, n_max, seed0=1000, **kwargs):
     return graphs
 
 
-# holding rates over four decades and Lam = 1.2e3, so that Lam t reaches the
-# dense jump at the times of the engine tests
+# holding rates over four decades and Lam = 1.2e3, so that the times of the
+# engine tests reach Lam t of 1e4 and stop the recurrence at different steps
 STIFF = hb.random_connected_graph(8, seed=352, nu_range=(1e-4, 1),
                                   mu_range=(1e-2, 1))
 

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.special import pdtr
 
 import heatbound as hb
 from heatbound import kernel as kernel_mod
 from heatbound.bounds import all_pairs, fit_sweep_setup
-from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _jump_anchor,
-                              _poisson_window, _uniformized, point_mass_values,
-                              rate_matrix)
+from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _chebyshev,
+                              _chebyshev_cut, point_mass_values, rate_matrix)
 
 from conftest import ENGINE_SUITE, STIFF, random_suite
 
@@ -66,15 +64,9 @@ class TestHeatKernel:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 2.0, 1.0, -1e-3])
     def test_tol_outside_unit_interval_rejected(self, two_state, tol):
-        # tol = nan used to double the Poisson weight array forever
+        # the cut never meets tol = nan
         with pytest.raises(ValueError, match="0 < tol < 1"):
             hb.heat_kernel(two_state, "a", 1.0, tol=tol)
-
-    def test_tol_below_weight_rounding_rejected(self, p5_csrw):
-        # the Poisson(1000) weights never sum to 1 - 1e-13 in double
-        # precision; this used to double the weight array forever
-        with pytest.raises(ValueError, match="below the rounding"):
-            hb.heat_kernel(p5_csrw, "0", 1000.0, tol=1e-13)
 
     def test_every_entry_point_validates(self, p5_csrw):
         g = p5_csrw
@@ -185,7 +177,7 @@ class TestOnDiagonal:
 
 
 class TestEngine:
-    """Every entry point is one call to the same power sequence, so their
+    """Every entry point is one call to the same recurrence, so their
     values agree bit for bit, not just within tol."""
 
     SUITE = ENGINE_SUITE
@@ -218,8 +210,8 @@ class TestEngine:
     def test_block_of_sources_over_a_grid(self, p5_csrw):
         g = p5_csrw
         times = [2.5, 0.0, 0.4, 2.5]
-        values, err = _uniformized(rate_matrix(g), g.rates.max(), np.eye(g.n),
-                                   times, DEFAULT_TOL)
+        values, err = _chebyshev(rate_matrix(g), g.rates.max(), g.nu,
+                                 np.eye(g.n), times, DEFAULT_TOL)
         assert values.shape == (len(times), g.n, g.n)
         assert err.shape == (len(times),)
         for t, block, tail in zip(times, values, err):
@@ -235,7 +227,7 @@ class TestEngine:
             (0.0, 1.0), (1.0, 1.0), (9.0, 1.0)]
         assert hb.killed_kernel(g, ["a"], "a", 2.0).total_mass() == 1.0
 
-    # unsorted, with a repeat and t = 0; on STIFF the later times jump
+    # unsorted, with a repeat and t = 0; on STIFF the times' cuts differ
     BATCH_GRID = [3.0, 0.0, 0.7, 11.0, 0.05, 0.7]
 
     def test_batched_curves_equal_single_curves(self):
@@ -298,13 +290,13 @@ class TestOneEngineCall:
     @pytest.fixture
     def engine_calls(self, monkeypatch):
         calls = []
-        real = kernel_mod._uniformized
+        real = kernel_mod._chebyshev
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(kernel_mod, "_uniformized", counting)
+        monkeypatch.setattr(kernel_mod, "_chebyshev", counting)
         return calls
 
     def test_profile_fit(self, engine_calls):
@@ -338,46 +330,34 @@ class TestOneEngineCall:
 
 
 class TestJump:
-    """The Poisson window [first, K] of each time, and the dense jump of the
-    power sequence to the anchor below first."""
+    """Calls whose times stop the recurrence at very different steps, with
+    Lam*t up to 1e4."""
 
     LAM = float(STIFF.rates.max())
 
-    def window(self, t):
-        """(first, K, anchor) the engine uses for time t on STIFF."""
-        w, first, _ = _poisson_window(self.LAM * t, DEFAULT_TOL)
-        pi_t = (sparse.eye(STIFF.n, format="csr")
-                + rate_matrix(STIFF).T * (1.0 / self.LAM)).tocsr()
-        return first, first + len(w) - 1, _jump_anchor(STIFF.n, pi_t.nnz,
-                                                       first)
-
-    @pytest.mark.parametrize("lam_t", [1e2, 1e4])
-    def test_err_bound_includes_left_mass(self, lam_t):
-        _, first, err = _poisson_window(lam_t, DEFAULT_TOL)
-        left = pdtr(first - 1, lam_t)  # P(N < first), N ~ Poisson(lam_t)
-        assert first > 0 and 0.0 < left <= math.ldexp(DEFAULT_TOL, -53)
-        assert left <= err <= DEFAULT_TOL
-        r = hb.heat_kernel(STIFF, "0", lam_t / self.LAM)
-        assert r.err_bound == err
+    @staticmethod
+    def cut(g, lam_t, sub=None):
+        """K, the last step the engine sums for Lam*t on g (or on sub)."""
+        nu = g.nu if sub is None else g.nu[sub]
+        coefs, _ = _chebyshev_cut([lam_t], DEFAULT_TOL,
+                                  math.sqrt(nu.max() / nu.min()))
+        return len(coefs[0]) - 1
 
     def test_matches_expm_oracle_after_a_jump(self):
         t = 1e4 / self.LAM
-        first, last, anchor = self.window(t)
-        assert 0 < anchor <= first
         expected = expm(rate_matrix(STIFF).toarray() * t)
         for i, x in enumerate(STIFF.vertex_ids):
             r = hb.heat_kernel(STIFF, x, t)
-            # truncation, plus rounding of order K u, which err_bound leaves out
-            allowance = r.err_bound + last * math.ldexp(1.0, -53)
+            # truncation, plus rounding of order Lam t u, which err_bound
+            # leaves out
+            allowance = r.err_bound + 1e4 * math.ldexp(1.0, -53)
             assert np.max(np.abs(r.probs - expected[i])) <= allowance
 
     def test_grid_equals_single_times(self):
         t1 = 1e3 / self.LAM
         times = [t1, t1 * (1.0 + 1e-9), 3e3 / self.LAM, 60.0 / self.LAM, 0.0]
-        (_, _, a1), (_, _, a2), (_, _, a3), (f4, _, a4) = (
-            self.window(t) for t in times[:4])
-        assert a1 == a2 > 0 and a3 > 0 and a3 != a1  # shared and not
-        assert f4 > 0 and a4 == 0  # a left cut reached by steps alone
+        cuts = [self.cut(STIFF, self.LAM * t) for t in times]
+        assert cuts[0] == cuts[1] and len(set(cuts)) == 4  # shared and not
         for x in STIFF.vertex_ids[:3]:
             curve = hb.on_diagonal_curve(STIFF, x, times)
             for t, p in curve:
@@ -388,8 +368,7 @@ class TestJump:
             for i, x in enumerate(STIFF.vertex_ids):
                 assert np.array_equal(mat[i], hb.heat_kernel(STIFF, x, t).probs)
 
-    # 30 vertices make the jump block 4 steps long, so the windows below open
-    # 1 to 3 steps after their anchors and close at different steps
+    # holding rates over four decades on 30 vertices
     WIDE = hb.random_connected_graph(30, seed=352, nu_range=(1e-4, 1),
                                      mu_range=(1e-2, 1))
 
@@ -405,22 +384,13 @@ class TestJump:
         # and the times' Lam t are those of the full graph
         domain = (None if mode != "killed" else
                   [g.vertex_ids[i] for i in np.argsort(g.rates)[2:]])
-        sub = [g.index(v) for v in domain or g.vertex_ids]
-        q = rate_matrix(g)[np.ix_(sub, sub)]
+        sub = np.array([g.index(v) for v in domain or g.vertex_ids])
         assert float(g.rates[sub].max()) == lam
-        pi_t = (sparse.eye(len(sub), format="csr") + q.T * (1.0 / lam)).tocsr()
-        opens, closes, anchors = set(), set(), set()
-        for x in set(lam_ts) - {0.0}:
-            w, first, _ = _poisson_window(x, DEFAULT_TOL)
-            anchor = _jump_anchor(len(sub), pi_t.nnz, first)
-            opens.add(first - anchor)
-            closes.add(first - anchor + len(w))
-            anchors.add(anchor)
-        # no window is open at step 0, windows open at several steps, and
-        # the six anchors' windows close at six steps (the near repeat of
-        # 1e3 has its window)
-        assert min(opens) > 0 and len(opens) > 1
-        assert len(anchors) == len(closes) == 6
+        cuts = {x: self.cut(g, x, sub) for x in lam_ts}
+        # t = 0 stops at step 0, the six other distinct Lam t at six other
+        # steps, and the near repeat of 1e3 stops where 1e3 does
+        assert cuts[0.0] == 0 and len(set(cuts.values())) == 7
+        assert cuts[1e3] == cuts[1e3 * (1.0 + 1e-9)]
         sources = g.vertex_ids[-3:]
         rows, err = hb.kernel_rows(g, sources, times, domain=domain,
                                    diagonal=mode == "diagonal")
@@ -451,6 +421,95 @@ class TestJump:
             rows, err = hb.kernel_rows(g, sources, [0.0, 1.0, 5.0])
             assert rows.tolist() == [[[1.0]] * 3] * len(sources)
             assert err.tolist() == [0.0] * 3
+
+
+def bessel_tail(tau, K, dps=40):
+    """sum_{k > K} 2 e^-tau I_k(tau) at ``dps`` digits, by Miller's backward
+    recurrence I_{k-1} = I_{k+1} + (2k / tau) I_k from far past K, normalised
+    by e^tau = I_0 + 2 sum_{k >= 1} I_k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        top = K + int(20 * math.sqrt(tau)) + 60  # e^-200 of the tail beyond
+        tau = mpmath.mpf(tau)
+        vals = [mpmath.mpf(0)] * (top + 2)
+        vals[top] = mpmath.mpf(1)
+        for k in range(top, 0, -1):
+            vals[k - 1] = vals[k + 1] + 2 * k / tau * vals[k]
+        total = vals[0] + 2 * mpmath.fsum(vals[1:])
+        return float(2 * mpmath.fsum(vals[K + 1:]) / total)
+
+
+def spectral_kernel(g, t, dps=40):
+    """p_t(x, y) for every pair, from a ``dps``-digit eigendecomposition of
+    S = D^{1/2} Q D^{-1/2}, D = diag(nu): S_xy = mu_xy / sqrt(nu_x nu_y),
+    p_t(x, y) = sqrt(nu_y / nu_x) sum_k V_xk V_yk e^{lam_k t}."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        nu = [mpmath.mpf(float(v)) for v in g.nu]
+        s = mpmath.matrix(g.n, g.n)
+        w = g.weights.tocoo()
+        for x, y, mu in zip(w.row, w.col, w.data):
+            s[x, y] = mpmath.mpf(float(mu)) / mpmath.sqrt(nu[x] * nu[y])
+            s[x, x] -= mpmath.mpf(float(mu)) / nu[x]
+        lam, vec = mpmath.eigsy(s)
+        decay = [mpmath.exp(lam[k] * mpmath.mpf(t)) for k in range(g.n)]
+        return np.array([[float(mpmath.sqrt(nu[y] / nu[x]) * mpmath.fsum(
+            vec[x, k] * vec[y, k] * decay[k] for k in range(g.n)))
+            for y in range(g.n)] for x in range(g.n)])
+
+
+class TestChebyshev:
+    """The certified truncation bound of the Chebyshev-Bessel engine."""
+
+    U = math.ldexp(1.0, -53)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("tau", [1e-2, 0.5, 3.0, 40.0, 1e3, 1e5])
+    def test_certified_tail_covers_mpmath_tail(self, tau, tol):
+        coefs, err = _chebyshev_cut([tau], tol, 1.0)
+        exact = bessel_tail(tau, len(coefs[0]) - 1)
+        # certified, and tight: Amos's ratio bound is sharp at the cut
+        assert exact <= err[0] <= tol
+        assert err[0] <= 1.1 * exact
+
+    def test_within_err_bound_of_spectral_oracle(self):
+        # nu over twelve decades: err_bound carries sqrt(max nu / min nu) = 1e6
+        g = hb.random_connected_graph(25, seed=2, nu_range=(1e-6, 1e6),
+                                      mu_range=(1e-2, 1e2))
+        t = 3e4 / float(g.rates.max())
+        exact = spectral_kernel(g, t)
+        mat = hb.kernel_matrix(g, t)
+        err = hb.heat_kernel(g, g.vertex_ids[0], t).err_bound
+        assert err <= DEFAULT_TOL
+        assert np.max(np.abs(mat - exact)) <= err
+
+    def test_large_lam_t_meets_tol(self):
+        t = 2e5 / float(STIFF.rates.max())
+        r = hb.heat_kernel(STIFF, "0", t, tol=1e-10)
+        assert 0.0 < r.err_bound <= 1e-10
+        assert abs(math.fsum(r.probs) - 1.0) <= r.err_bound + 1e-11
+
+    def test_rows_nonnegative_with_mass_one_minus_tail(self):
+        times = [0.05, 0.7, 3.0, 11.0]
+        for g in ENGINE_SUITE:
+            lam_ts = [float(g.rates.max()) * t for t in times]
+            rows, err = hb.kernel_rows(g, g.vertex_ids, times)
+            coefs, _ = _chebyshev_cut(lam_ts, DEFAULT_TOL,
+                                      math.sqrt(g.nu.max() / g.nu.min()))
+            assert np.all(rows >= 0.0)
+            for j, c in enumerate(coefs):
+                # 1^T T_k(B) = 1^T, so the expansion cut at K has mass
+                # sum_{k <= K} c_k = 1 - tail
+                mass = math.fsum(c)
+                tail = bessel_tail(lam_ts[j], len(c) - 1)
+                assert abs(1.0 - mass - tail) <= len(c) * self.U
+                assert tail <= err[j]
+                # rounding moves it by about Lam t u: the columns of B sum
+                # to 1 only up to rounding, and sum_k k^2 c_k = Lam t
+                rounding = 2.0 * (lam_ts[j] + len(c)) * self.U
+                for row in rows[:, j]:
+                    assert abs(math.fsum(row) - mass) <= rounding
+                    assert abs(math.fsum(row) - 1.0) <= err[j] + rounding
 
 
 class TestCsrStep:
