@@ -50,7 +50,6 @@ from .kernel import (
     heat_kernel,
     kernel_matrix,
     kernel_rows,
-    killed_kernel,
     on_diagonal_curve,
     on_diagonal_curves,
     simulate,

@@ -504,7 +504,7 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
 
     Returns a BoundTable in grid order (pairs outer, times inner).  The
     kernels come from one engine call, with a start column for each
-    distinct x1 and every distinct grid time, and each formula is evaluated
+    distinct x1 and every grid time, and each formula is evaluated
     once on the whole grid.  ``setup`` (a SweepSetup) is required for the
     theorem formulas and ignored by "cor2.7" / "prop2.6"; when omitted it
     is fitted via fit_sweep_setup.
@@ -522,10 +522,8 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     i1 = np.array([g.index(x1) for x1, _ in pair_list], dtype=np.intp)
     i2 = np.array([g.index(x2) for _, x2 in pair_list], dtype=np.intp)
     sources, col = np.unique(i1, return_inverse=True)
-    distinct = sorted(set(times))
     kernels, _ = kernel_rows(g, [g.vertex_ids[i] for i in sources.tolist()],
-                             distinct, tol=tol)
-    kernels = kernels[:, np.searchsorted(distinct, times)]
+                             times, tol=tol)
     sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
                    i1, i2, metric.dist[i1, i2][:, None], g.nu[i1][:, None],
                    g.nu[i2][:, None], col, kernels, kernels[col, :, i2])

@@ -133,15 +133,15 @@ def _add_common(p, times=True):
 
 def _cmd_kernel(g, args):
     source = args.source or g.vertex_ids[0]
-    results = [kernel_mod.heat_kernel(g, source, float(t), tol=args.tol)
-               for t in _time_grid(args)]
-    rows = [res for res in results for _ in g.vertex_ids]  # a time's n rows
+    grid = _time_grid(args)
+    rows, err = kernel_mod.kernel_rows(g, [source], grid, args.tol)
+    count = rows.size  # a row per time and target
     return (("source", "target", "t", "prob", "method", "err_bound"),
-            ([r.source for r in rows], list(g.vertex_ids) * len(results),
-             np.array([r.time for r in rows]),
-             np.concatenate([r.probs for r in results]),
-             [r.method for r in rows], np.array([r.err_bound for r in rows])),
-            {"source": source, "rows": len(rows), "out": args.out}, 0)
+            ([g.vertex_ids[g.index(source)]] * count,
+             list(g.vertex_ids) * len(grid), np.repeat(grid, g.n),
+             rows[0].ravel(), [kernel_mod.METHOD] * count,
+             np.repeat(err, g.n)),
+            {"source": source, "rows": count, "out": args.out}, 0)
 
 
 def _cmd_metric(g, args):
@@ -191,7 +191,7 @@ def _cmd_regularity(g, args):
         columns = (profile.times, profile.values)
     else:
         grid = _time_grid(args)
-        columns = (grid, np.array([profile.value(t) for t in grid]))
+        columns = (grid, profile.value(grid))
     interval = tuple(args.interval) if args.interval else profile.domain
     if interval[1] == math.inf:
         # report a finite window: the table's end or the CLI time grid's

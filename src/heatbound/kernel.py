@@ -21,14 +21,14 @@ outside), and err[j] is the err_bound of times[j].  It may read out only
 the diagonal, one number per source and time for the on-diagonal curves.
 
 In the engine, one three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on a
-block of start vectors (one unit column per source; a single source is a
-vector, stepped by matvecs) serves every time of the call.  A step calls the
-compiled CSR kernel that scipy's `@` ends in, which does the floating-point
-operations of `b_t @ v` in the same order, so a value's bits do not depend
-on the other times or sources of a call or on the entry point.
+block of start vectors, one unit column per source, serves every time of the
+call.  A step calls the compiled CSR kernel that scipy's `@` ends in, which
+does the floating-point operations of `b_t @ v` in the same order, so a
+value's bits do not depend on the other times or sources of a call or on the
+entry point.
 
-The results keep the method name "series-uniformization": the expansion is
-still a series in the uniformized matrix B.  There is no second backend:
+Results keep the method name METHOD, "series-uniformization": the expansion
+is still a series in the uniformized matrix B.  There is no second backend:
 the tests check this one against scipy's expm, closed forms and a 40-digit
 spectral oracle, the benchmark against the 40-digit oracle too.
 """
@@ -49,6 +49,10 @@ from scipy.special import ive
 from .graph import WeightedGraph
 
 DEFAULT_TOL = 1e-10
+METHOD = "series-uniformization"
+# the most Bessel coefficients one call may need over all its times: finding
+# the cuts peaks at 7 float64 or intp arrays of that length, about 560 MB
+MAX_COEFFICIENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class HeatKernelResult:
     source: str
     time: float
     probs: np.ndarray
-    method: str
     err_bound: float
     domain: frozenset | None = None
 
@@ -161,12 +164,19 @@ def _chebyshev_cut(taus, tol, spread):
     Poisson(tau/2), so Bennett's inequality gives c_m <= 2 exp(-m^2 / (2 (tau
     + m/3))), and 1 / (1 - r_m) <= 2 + tau for m >= 1.  Both together are at
     most tol / spread once m^2 >= 2 L (tau + m/3), L = ln(2 spread (2 + tau)
-    / tol).
+    / tol).  A call whose m, summed over its times, is past MAX_COEFFICIENTS
+    (or inf: Lam t may overflow) raises ValueError before any is allocated.
     """
     taus = np.asarray(taus, dtype=float)
     budget = math.log(2.0 * spread) - math.log(tol) + np.log(2.0 + taus)
-    size = np.ceil(budget / 3.0 + np.sqrt(budget ** 2 / 9.0 + 2.0 * budget
-                                          * taus)).astype(np.intp) + 2
+    with np.errstate(over="ignore"):  # an infinite count is rejected below
+        size = np.ceil(budget / 3.0 + np.sqrt(budget ** 2 / 9.0 + 2.0 * budget
+                                              * taus)) + 2.0
+    if not size.sum() <= MAX_COEFFICIENTS:  # also when it is inf
+        raise ValueError(f"times up to Lam*t = {taus.max():.6g} need "
+                         f"{size.sum():.6g} Chebyshev coefficients, more than "
+                         f"the {MAX_COEFFICIENTS:.6g} one kernel call may hold")
+    size = size.astype(np.intp)
     starts = np.cumsum(size) - size
     ks = np.arange(size.sum()) - np.repeat(starts, size)
     tau_k = np.repeat(taus, size)
@@ -266,20 +276,18 @@ def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
     at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
     p0 = np.zeros((len(sub), len(idx)))
     p0[at, cols] = 1.0
-    if len(idx) == 1:
-        p0 = p0[:, 0]  # one source steps by sparse matvecs
     values, err = _chebyshev(q_sub, g.rates[sub].max(), g.nu[sub], p0, times,
-                             tol, (at, cols)[:p0.ndim] if diagonal else None)
+                             tol, (at, cols) if diagonal else None)
     if diagonal:
         return values.T, err
     rows = np.zeros((len(idx), len(times), g.n))
-    rows[..., sub] = values.reshape(len(times), len(sub), len(idx)).transpose(
-        2, 0, 1)
+    rows[..., sub] = values.transpose(2, 0, 1)
     return rows, err
 
 
-def heat_kernel(g, source, t, tol=DEFAULT_TOL):
-    """P_source(X_t = .) on the whole graph; err_bound covers truncation only.
+def heat_kernel(g, source, t, tol=DEFAULT_TOL, domain=None):
+    """P_source(X_t = .) on the whole graph, killed on first exit from
+    ``domain`` when given; err_bound covers truncation only.
 
     Parameters
     ----------
@@ -289,27 +297,19 @@ def heat_kernel(g, source, t, tol=DEFAULT_TOL):
     tol : float, finite with 0 < tol < 1
         Bound on the truncation error.  err_bound is the certified Bessel
         tail beyond the cut K times sqrt(max nu / min nu), at most tol for
-        every t: no tol is too fine for a large Lam*t.  Rounding over the K
-        sparse steps, of order Lam*t times the unit roundoff u, is not
-        included in err_bound.
+        every t.  Rounding over the K sparse steps, of order Lam*t times the
+        unit roundoff u, is not included in err_bound.
+    domain : vertex ids including ``source``, or None (never killed)
+        The killed kernel solves the Dirichlet problem, the generator
+        restricted to the domain with absorption outside: it vanishes off the
+        domain and is dominated by the full kernel pointwise.
     """
-    return killed_kernel(g, None, source, t, tol)
-
-
-def killed_kernel(g, domain, o, t, tol=DEFAULT_TOL):
-    """Kernel of the walk killed on first exit from ``domain`` (None: the
-    full kernel, as heat_kernel).
-
-    Solves the Dirichlet problem: the generator restricted to the domain with
-    absorption outside.  The result vanishes off the domain and is dominated
-    by the full kernel pointwise.
-    """
-    rows, err = kernel_rows(g, [o], [t], tol, domain)
+    rows, err = kernel_rows(g, [source], [t], tol, domain)
     probs = rows[0, 0]
     probs.flags.writeable = False
     return HeatKernelResult(
-        graph=g, source=g.vertex_ids[g.index(o)], time=float(t), probs=probs,
-        method="series-uniformization", err_bound=float(err[0]),
+        graph=g, source=g.vertex_ids[g.index(source)], time=float(t),
+        probs=probs, err_bound=float(err[0]),
         domain=None if domain is None else frozenset(
             g.vertex_ids[g.index(v)] for v in domain))
 

@@ -150,7 +150,9 @@ class DecayProfile:
         return float(out) if np.ndim(t) == 0 else out
 
     def value(self, t):
-        return np.exp(self.log_value(t))
+        """f(t); inf where f(t) is past the largest float64."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_value(t))
 
     def __repr__(self):
         if self.kind == "table":

@@ -85,8 +85,7 @@ class TestKernelCommand:
             for k, target in enumerate(("a", "b")):
                 cols = rows[offset + k].split(",")
                 assert cols[:2] == ["a", target]
-                assert float(cols[3]) == pytest.approx(res.prob(target),
-                                                       rel=1e-11)
+                assert cols[3] == "%.12g" % res.prob(target)
 
 
 class TestBoundsCommand:
@@ -155,14 +154,21 @@ class TestBoundsCommand:
         assert len(lines) == len(all_pairs(g)) * len(times)
         assert abs(max(float(line.split(",")[7]) for line in lines)) <= LOG_TOL
 
-    @pytest.mark.parametrize("formula,constants,calls", [
-        ("thm1.1", "paper", 2), ("thm1.1", "empirical", 2),
-        ("cor2.7", "paper", 1), ("prop2.6", "paper", 1)])
+    @pytest.mark.parametrize("argv,calls", [
+        pytest.param(("bounds", "--formula", "thm1.1", *EMPIRICAL_GRID), 2,
+                     id="thm1.1-paper-2"),
+        pytest.param(("bounds", "--formula", "thm1.1", "--constants",
+                      "empirical", *EMPIRICAL_GRID), 2,
+                     id="thm1.1-empirical-2"),
+        pytest.param(("bounds", "--formula", "cor2.7", *EMPIRICAL_GRID), 1,
+                     id="cor2.7-paper-1"),
+        pytest.param(("bounds", "--formula", "prop2.6", *EMPIRICAL_GRID), 1,
+                     id="prop2.6-paper-1"),
+        pytest.param(("kernel", "--tcount", "4"), 1, id="kernel-1")])
     def test_one_engine_call_per_sweep(self, random_file, tmp_path, capsys,
-                                       monkeypatch, formula, constants,
-                                       calls):
+                                       monkeypatch, argv, calls):
         # a theorem's profile fit is one call and every sweep one more,
-        # however many pairs and times
+        # however many pairs and times; a kernel grid is one call
         engine = []
         real = kernel_mod._chebyshev
 
@@ -171,9 +177,7 @@ class TestBoundsCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(kernel_mod, "_chebyshev", counting)
-        code, _, _ = run_cli(capsys, "bounds", "--graph", random_file,
-                             "--formula", formula, "--constants", constants,
-                             *self.EMPIRICAL_GRID,
+        code, _, _ = run_cli(capsys, *argv, "--graph", random_file,
                              "--out", str(tmp_path / "rows.csv"))
         assert code == 0
         assert len(engine) == calls
@@ -244,12 +248,25 @@ class TestRegularityCommand:
         assert out.count("beta convention discrepancy") == 1
         assert report["envelope"]["holds"] is True
 
-    def test_closed_form_profile(self, two_state_file, capsys):
+    def test_closed_form_profile(self, two_state_file, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "regularity", "--graph", two_state_file,
                                "--form", "power", "--p", "2", "--gamma", "2",
                                "--interval", "0.1", "100")
         assert code == 0
         assert json.loads(out)["A"] == pytest.approx(1.0, abs=1e-9)
+        # e^{2t} is past float64 at t = 1000: the row reads inf, and numpy
+        # warns nothing ahead of it
+        out_csv = tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "regularity", "--graph",
+                                     two_state_file, "--form", "exp",
+                                     "--delta", "2", "--tmin", "1", "--tmax",
+                                     "1000", "--tcount", "5",
+                                     "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=pytest.fail)["A"] == 1.0
+        assert out_csv.read_text().splitlines()[-1] == "1000,inf"
 
     def test_failed_envelope_exits_one(self, two_state_file, capsys):
         code, out, _ = run_cli(capsys, "regularity", "--graph", two_state_file,
@@ -577,23 +594,29 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "finite and nonnegative" in json.loads(err)["message"]
 
-    @pytest.mark.parametrize("bound", [("--tmax", "inf", "log"),
-                                       ("--tmax", "inf", "linear"),
-                                       ("--tmin", "nan", "log")])
+    @pytest.mark.parametrize("bound", [
+        (("--tmax", "inf", "--tscale", "log"), "must be finite"),
+        (("--tmax", "inf", "--tscale", "linear"), "must be finite"),
+        (("--tmin", "nan", "--tscale", "log"), "must be finite"),
+        # finite times whose Chebyshev terms no call can hold: the first
+        # count overflows to inf, the second would take terabytes
+        (("--tmin", "1e308", "--tmax", "1e308", "--tcount", "1"),
+         "Chebyshev coefficients"),
+        (("--tmin", "1e20", "--tmax", "1e20", "--tcount", "1"),
+         "Chebyshev coefficients")])
     def test_non_finite_grid_end(self, two_state_file, tmp_path, bound):
         # numpy used to print a RuntimeWarning ahead of the JSON error
-        flag, value, scale = bound
+        grid, message = bound
         src = str(Path(hb.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "heatbound.cli", "kernel", "--graph",
-             two_state_file, flag, value, "--tscale", scale, "--out",
-             str(tmp_path / "k.csv")],
+             two_state_file, *grid, "--out", str(tmp_path / "k.csv")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert "must be finite" in json.loads(line)["message"]
+        assert message in json.loads(line)["message"]
 
     @pytest.mark.parametrize("extra", [
         ("--delta", "0"), ("--delta", "nan"), ("--delta", "-1"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,8 +73,9 @@ class TestHeatKernel:
         g = p5_csrw
         calls = [lambda: hb.kernel_matrix(g, math.nan),
                  lambda: hb.kernel_matrix(g, 1.0, tol=math.nan),
-                 lambda: hb.killed_kernel(g, ["1", "2"], "2", math.inf),
-                 lambda: hb.killed_kernel(g, ["1", "2"], "2", 1.0, tol=2.0),
+                 lambda: hb.heat_kernel(g, "2", math.inf, domain=["1", "2"]),
+                 lambda: hb.heat_kernel(g, "2", 1.0, tol=2.0,
+                                        domain=["1", "2"]),
                  lambda: hb.on_diagonal_curve(g, "2", [0.5, math.inf]),
                  lambda: hb.on_diagonal_curve(g, "2", [0.5, -1.0]),
                  lambda: hb.on_diagonal_curve(g, "2", [0.5], tol=math.inf),
@@ -81,6 +83,17 @@ class TestHeatKernel:
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+    @pytest.mark.parametrize("t", [1e20, 1e308])
+    def test_term_budget(self, t):
+        # Lam = 6: the count of Lam t = 6e20 would take terabytes, and Lam t
+        # = 6e308 overflows to inf; both are rejected before any allocation,
+        # with no numpy warning first
+        g = hb.load_graph("v a 1\nv b 2\nv c 0.5\ne a b 1\ne b c 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Chebyshev coefficients"):
+                hb.kernel_rows(g, ["a", "c"], [1.0, t])
 
     def test_reversibility(self):
         for g in random_suite(4, 12, seed0=60, nu_range=(0.2, 5),
@@ -114,20 +127,20 @@ class TestKilledKernel:
     def test_full_domain_matches_heat_kernel(self, p5_csrw):
         g = p5_csrw
         t = 1.2
-        kk = hb.killed_kernel(g, g.vertex_ids, "2", t, tol=1e-12)
+        kk = hb.heat_kernel(g, "2", t, tol=1e-12, domain=g.vertex_ids)
         hk = hb.heat_kernel(g, "2", t, tol=1e-12)
         assert np.allclose(kk.probs, hk.probs, atol=1e-10)
 
     def test_normalized_weighting(self, p5_csrw):
         g = p5_csrw
         evo = KernelEvolution(g, "2", domain=["1", "2", "3"])
-        raw = hb.killed_kernel(g, ["1", "2", "3"], "2", 0.9)
+        raw = hb.heat_kernel(g, "2", 0.9, domain=["1", "2", "3"])
         w = np.sqrt(g.nu[g.index("2")]) / g.nu
         assert np.allclose(evo.u(0.9), raw.probs * w)
 
     def test_single_vertex_survival(self, two_state):
         for t in (0.5, 2.0):
-            kk = hb.killed_kernel(two_state, ["a"], "a", t, tol=1e-12)
+            kk = hb.heat_kernel(two_state, "a", t, tol=1e-12, domain=["a"])
             assert kk.prob("a") == pytest.approx(np.exp(-t), abs=1e-12)
             assert kk.prob("b") == 0.0
 
@@ -135,13 +148,13 @@ class TestKilledKernel:
         for g in random_suite(4, 9, seed0=140, csrw=True):
             ids = list(g.vertex_ids)
             b1, b2 = ids[:max(2, g.n // 2)], ids
-            k1 = hb.killed_kernel(g, b1, ids[0], 1.0, tol=1e-12)
-            k2 = hb.killed_kernel(g, b2, ids[0], 1.0, tol=1e-12)
+            k1 = hb.heat_kernel(g, ids[0], 1.0, tol=1e-12, domain=b1)
+            k2 = hb.heat_kernel(g, ids[0], 1.0, tol=1e-12, domain=b2)
             assert np.all(k1.probs <= k2.probs + 1e-10)
 
     def test_dominated_by_full_kernel(self, p5_csrw):
         g = p5_csrw
-        kk = hb.killed_kernel(g, ["1", "2", "3"], "2", 1.5, tol=1e-12)
+        kk = hb.heat_kernel(g, "2", 1.5, tol=1e-12, domain=["1", "2", "3"])
         hk = hb.heat_kernel(g, "2", 1.5, tol=1e-12)
         assert np.all(kk.probs <= hk.probs + 1e-10)
         assert kk.total_mass() <= 1.0 + 1e-12
@@ -151,7 +164,7 @@ class TestKilledKernel:
 
     def test_origin_must_be_inside(self, p5_csrw):
         with pytest.raises(ValueError, match="not in the killed domain"):
-            hb.killed_kernel(p5_csrw, ["0", "1"], "4", 1.0)
+            hb.heat_kernel(p5_csrw, "4", 1.0, domain=["0", "1"])
 
 
 class TestOnDiagonal:
@@ -225,7 +238,7 @@ class TestEngine:
         assert hb.kernel_matrix(g, 3.0).tolist() == [[1.0]]
         assert hb.on_diagonal_curve(g, "a", [0.0, 1.0, 9.0]) == [
             (0.0, 1.0), (1.0, 1.0), (9.0, 1.0)]
-        assert hb.killed_kernel(g, ["a"], "a", 2.0).total_mass() == 1.0
+        assert hb.heat_kernel(g, "a", 2.0, domain=["a"]).total_mass() == 1.0
 
     # unsorted, with a repeat and t = 0; on STIFF the times' cuts differ
     BATCH_GRID = [3.0, 0.0, 0.7, 11.0, 0.05, 0.7]
@@ -249,8 +262,7 @@ class TestEngine:
             for t in self.BATCH_GRID:
                 assert np.array_equal(grid_evo.u(t), single.u(t))
                 assert grid_evo.err_bound(t) == single.err_bound(t)
-                ref = (hb.killed_kernel(g, domain, o, t) if killed
-                       else hb.heat_kernel(g, o, t))
+                ref = hb.heat_kernel(g, o, t, domain=domain)
                 assert np.array_equal(single.u(t), point_mass_values(
                     g, g.index(o), ref.probs))
                 assert single.err_bound(t) == ref.err_bound
@@ -267,7 +279,7 @@ class TestEngine:
             assert rows.shape == (len(sources), len(self.BATCH_GRID), g.n)
             for k, x in enumerate(sources):
                 for j, t in enumerate(self.BATCH_GRID):
-                    ref = hb.killed_kernel(g, domain, x, t)
+                    ref = hb.heat_kernel(g, x, t, domain=domain)
                     assert np.array_equal(rows[k, j], ref.probs)
                     assert err[j] == ref.err_bound
 
@@ -306,7 +318,7 @@ class TestOneEngineCall:
 
     @pytest.mark.parametrize("call", [
         lambda g: hb.heat_kernel(g, "2", 1.5),
-        lambda g: hb.killed_kernel(g, ["1", "2", "3"], "2", 1.5),
+        lambda g: hb.heat_kernel(g, "2", 1.5, domain=["1", "2", "3"]),
         lambda g: hb.kernel_matrix(g, 1.5),
         lambda g: hb.on_diagonal_curves(g, g.vertex_ids, [0.0, 0.5, 2.0]),
         lambda g: KernelEvolution(g, "2").fill([0.0, 0.5, 2.0]),
@@ -314,7 +326,7 @@ class TestOneEngineCall:
             [0.0, 0.5, 2.0]),
         lambda g: hb.bound_sweep(g, hb.shortest_path_metric(g), "prop2.6",
                                  [0.5, 2.0]),
-    ], ids=["heat_kernel", "killed_kernel", "kernel_matrix",
+    ], ids=["heat_kernel", "heat_kernel-killed", "kernel_matrix",
             "on_diagonal_curves", "fill", "fill-killed", "bound_sweep"])
     def test_entry_point(self, p5_csrw, engine_calls, call):
         call(p5_csrw)
@@ -401,8 +413,7 @@ class TestJump:
                     assert rows[k, j] == p
                     assert err[j] == hb.heat_kernel(g, x, t).err_bound
                     continue
-                ref = (hb.killed_kernel(g, domain, x, t) if domain
-                       else hb.heat_kernel(g, x, t))
+                ref = hb.heat_kernel(g, x, t, domain=domain)
                 assert np.array_equal(rows[k, j], ref.probs)
                 assert err[j] == ref.err_bound
 
