@@ -335,7 +335,7 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--envelope", choices=("none", "exp", "stretched", "poly"),
+    p.add_argument("--envelope", choices=("none", *reg_mod.ENVELOPES),
                    default="none")
     p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
     p.add_argument("--beta-convention", choices=reg_mod.BETA_CONVENTIONS,

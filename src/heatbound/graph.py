@@ -82,10 +82,7 @@ class WeightedGraph:
         self.edge_mu = mu.copy()
         self.nu = nu.copy()
 
-        rows = np.concatenate([self.edge_index[:, 0], self.edge_index[:, 1]])
-        cols = np.concatenate([self.edge_index[:, 1], self.edge_index[:, 0]])
-        vals = np.concatenate([self.edge_mu, self.edge_mu])
-        self.weights = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        self.weights = edge_matrix(self, self.edge_mu)
 
         ncomp, _ = csgraph.connected_components(self.weights, directed=False)
         if n > 1 and ncomp != 1:
@@ -182,14 +179,29 @@ def _require_bound(g, f):
     return f.values
 
 
+def edge_matrix(g, values):
+    """Symmetric n x n CSR matrix holding values[k] at (i, j) and (j, i) for
+    the k-th edge (i, j) of ``g.edge_index``."""
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    return sparse.csr_matrix((np.concatenate([values, values]),
+                              (np.concatenate([i, j]), np.concatenate([j, i]))),
+                             shape=(g.n, g.n))
+
+
+def rate_matrix(g):
+    """Q with Q_xy = mu_xy/nu_x off the diagonal and vanishing row sums."""
+    inv_nu = sparse.diags(1.0 / g.nu)
+    off = inv_nu @ g.weights
+    return (off - sparse.diags(g.rates)).tocsr()
+
+
 def apply_generator(g, f):
-    """Apply the walk generator: (Lf)(x) = (1/nu_x) sum_y (f(y)-f(x)) mu_xy.
+    """Apply the walk generator: (Lf)(x) = (1/nu_x) sum_y (f(y)-f(x)) mu_xy,
+    that is Q f with Q = rate_matrix(g).
 
     The result at x depends only on f at x and its neighbors.
     """
-    vals = _require_bound(g, f)
-    out = (g.weights @ vals - g.weighted_degree * vals) / g.nu
-    return VertexFunction(g, out)
+    return VertexFunction(g, rate_matrix(g) @ _require_bound(g, f))
 
 
 def inner_product(g, f1, f2):

@@ -46,7 +46,7 @@ from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.special import ive
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, rate_matrix
 
 DEFAULT_TOL = 1e-10
 METHOD = "series-uniformization"
@@ -110,14 +110,7 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
-
-def rate_matrix(g):
-    """Q with Q_xy = mu_xy/nu_x off the diagonal and vanishing row sums."""
-    inv_nu = sparse.diags(1.0 / g.nu)
-    off = inv_nu @ g.weights
-    return (off - sparse.diags(g.rates)).tocsr()
-
+# the engine and its entry points
 
 def _csr_step(b_t, v):
     """step(u) = b_t @ u, bit for bit, for u shaped like v: the kernel that

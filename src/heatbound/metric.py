@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 
-from .graph import GraphFormatError, WeightedGraph
+from .graph import GraphFormatError, WeightedGraph, edge_matrix
 
 #: additive tolerance for the compliance checks; the default construction is
 #: exact algebra, so this only absorbs rounding.
@@ -92,12 +91,7 @@ def shortest_path_metric(g, lengths=None):
     if g.n_edges and not np.all((lengths > 0) & np.isfinite(lengths)):
         raise ValueError("edge lengths must be strictly positive and finite")
 
-    n = g.n
-    rows = np.concatenate([g.edge_index[:, 0], g.edge_index[:, 1]])
-    cols = np.concatenate([g.edge_index[:, 1], g.edge_index[:, 0]])
-    vals = np.concatenate([lengths, lengths])
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    dist = csgraph.dijkstra(mat, directed=False)
+    dist = csgraph.dijkstra(edge_matrix(g, lengths), directed=False)
     dist.flags.writeable = False
     lengths = lengths.copy()
     lengths.flags.writeable = False

@@ -2,10 +2,13 @@
 
 A profile f is (A, gamma)-regular on [a, b) when it is non-decreasing and
 f(gamma*s)/f(s) <= A * f(gamma*t)/f(t) for all a <= s < t < b/gamma.  This
-module fits the least such A on a grid, checks exponential / stretched /
-polynomial growth envelopes, and computes the derived constants
+module fits the least such A on a grid, checks growth envelopes (A times an
+exponential, stretched or power DecayProfile), and computes the constants
 
     alpha = min{1/(2*gamma), 1/(64*delta)},    beta = ceil(log 2 / log gamma).
+
+Every grid is cut from one window, a finite a < b (b may be inf) inside the
+profile's domain; a non-finite interval start, A or t raises ValueError.
 
 Two beta conventions are in circulation (see ``beta_constant``); the
 ``section3`` form, which guarantees gamma**beta >= 2, is the default, and
@@ -164,30 +167,36 @@ class DecayProfile:
 # ---------------------------------------------------------------------------
 # regularity fitting
 
-def _sweep_grid(profile, gamma, interval):
-    """Grid of admissible s values in [a, b/gamma) with gamma*s evaluable."""
+def _window(profile, interval):
+    """The checked interval, cut to where the profile can be read."""
     a, b = interval
-    if not (math.isfinite(a) and a < b):  # b may be inf, not nan
-        raise ValueError(f"need a finite start a < b, "
-                         f"got interval {interval!r}")
+    if not (math.isfinite(a) and a < b):
+        raise ValueError(f"need a finite start a < b, got interval {interval!r}")
     if profile.kind == "table":
         lo, hi = profile.domain
-        a_eff = max(a, lo)
-        b_eff = min(b, hi * (1 + 1e-15))
-        pts = profile.times
-        mask = (pts >= a_eff) & (pts < b_eff / gamma) & (pts * gamma <= hi * (1 + 1e-12))
-        grid = pts[mask]
+        return max(a, lo), min(b, hi * (1 + 1e-15))
+    return (a if a > 0 else CLOSED_FORM_FLOOR,
+            b if math.isfinite(b) else CLOSED_FORM_CAP)
+
+
+def _log_grid(lo, hi, decades):
+    """Log-spaced grid from lo to hi, POINTS_PER_DECADE points per decade."""
+    count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
+    return np.geomspace(lo, hi, count)
+
+
+def _sweep_grid(profile, gamma, interval):
+    """Grid of admissible s values in [a, b/gamma) with gamma*s evaluable."""
+    a, b = _window(profile, interval)
+    upper = b / gamma
+    if profile.kind == "table":
+        pts, hi = profile.times, profile.domain[1]
+        grid = pts[(pts >= a) & (pts < upper) & (pts * gamma <= hi * (1 + 1e-12))]
+    elif upper <= a:
+        grid = np.zeros(0)
     else:
-        a_eff = a if a > 0 else CLOSED_FORM_FLOOR
-        b_eff = b if math.isfinite(b) else CLOSED_FORM_CAP
-        upper = b_eff / gamma
-        if upper <= a_eff:
-            grid = np.zeros(0)
-        else:
-            decades = math.log10(upper / a_eff)
-            count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
-            grid = np.geomspace(a_eff, upper, count)
-            grid = grid[grid < upper * (1 - 1e-15) + 1e-300]
+        grid = _log_grid(a, upper, math.log10(upper / a))
+        grid = grid[grid < upper * (1 - 1e-15) + 1e-300]
     if len(grid) < 2:
         raise ValueError("empty admissible pair set: grid too sparse for this "
                          "interval and gamma")
@@ -219,16 +228,18 @@ def minimal_regularity_constant(profile, gamma, interval,
 
 
 def check_regular(profile, A, gamma, interval):
-    """True iff the minimal grid constant is at most A (within REL_TOL).
-
-    On failure the witness is the violating (s, t) pair.
-    """
-    if A <= 0:
-        raise ValueError("A must be positive")
+    """(ok, witness): ok iff the minimal grid constant is at most A (within
+    REL_TOL); on failure the witness is the violating (s, t) pair."""
+    if not 0 < A < math.inf:
+        raise ValueError(f"A must be finite and positive, got {A!r}")
     a_min, witness = minimal_regularity_constant(profile, gamma, interval,
                                                  return_witness=True)
     ok = a_min <= A * (1.0 + REL_TOL)
     return ok, (None if ok else witness)
+
+
+#: growth envelopes of check_envelope, each with the parameters it reads
+ENVELOPES = {"exp": ("delta",), "stretched": ("delta", "eps"), "poly": ("eps",)}
 
 
 def check_envelope(profile, kind, A, interval, delta=None, eps=None):
@@ -238,28 +249,27 @@ def check_envelope(profile, kind, A, interval, delta=None, eps=None):
     (A e^{delta t^eps}, delta >= 0, eps in [0,1)), or "poly" (A t^eps, eps >= 0).
     Returns (ok, witness) with witness the worst grid point on failure.
     """
-    if A < 1:
-        raise ValueError("A must be at least 1")
+    if not 1 <= A < math.inf:
+        raise ValueError(f"A must be finite and at least 1, got {A!r}")
+    if kind not in ENVELOPES:
+        raise ValueError(f"unknown envelope kind {kind!r}")
     if kind == "exp":
         if delta is None or not 1 <= delta < math.inf:
             raise ValueError("exp envelope needs finite delta >= 1")
-        log_env = lambda t: math.log(A) + delta * t
+        law = DecayProfile.exponential(delta)
     elif kind == "stretched":
         if (delta is None or eps is None or not 0 <= delta < math.inf
                 or not 0 <= eps < 1):
             raise ValueError("stretched envelope needs finite delta >= 0, "
                              "eps in [0,1)")
-        log_env = lambda t: math.log(A) + delta * t ** eps
-    elif kind == "poly":
+        law = DecayProfile.stretched_exp(delta, eps)
+    else:
         if eps is None or not 0 <= eps < math.inf:
             raise ValueError("poly envelope needs finite eps >= 0")
-        log_env = lambda t: math.log(A) + eps * math.log(t)
-    else:
-        raise ValueError(f"unknown envelope kind {kind!r}")
-
+        law = DecayProfile.power(eps)
     grid = _envelope_grid(profile, interval)
     log_f = np.atleast_1d(profile.log_value(grid))
-    log_bound = np.array([log_env(float(t)) for t in grid])
+    log_bound = math.log(A) + law.log_value(grid)
     slack = log_bound - log_f
     worst = int(np.argmin(slack))
     ok = bool(slack[worst] >= -REL_TOL)
@@ -268,17 +278,12 @@ def check_envelope(profile, kind, A, interval, delta=None, eps=None):
 
 
 def _envelope_grid(profile, interval):
-    a, b = interval
+    """[a, b] at a table's own points, or a closed form's log grid."""
+    a, b = _window(profile, interval)
     if profile.kind == "table":
-        lo, hi = profile.domain
-        a_eff, b_eff = max(a, lo), min(b, hi * (1 + 1e-15))
-        grid = profile.times[(profile.times >= a_eff) & (profile.times <= b_eff)]
+        grid = profile.times[(profile.times >= a) & (profile.times <= b)]
     else:
-        a_eff = a if a > 0 else CLOSED_FORM_FLOOR
-        b_eff = b if math.isfinite(b) else CLOSED_FORM_CAP
-        decades = math.log10(max(b_eff / a_eff, 10.0))
-        count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
-        grid = np.geomspace(a_eff, b_eff, count)
+        grid = _log_grid(a, b, math.log10(max(b / a, 10.0)))
     if len(grid) == 0:
         raise ValueError("interval contains no evaluable grid points")
     return grid
@@ -308,17 +313,17 @@ def beta_constant(gamma, convention="section3"):
 
 
 def alpha_constant(gamma, delta):
-    """min{1/(2 gamma), 1/(64 delta)}; Theorem 1.1 reads profiles at alpha t."""
-    return min(1.0 / (2.0 * gamma), 1.0 / (64.0 * delta))
+    """min{1/(2 gamma), 1/(64 delta)}, delta >= 0, bit for bit (1/x is correctly
+    rounded and monotone); Theorem 1.1 reads profiles at alpha t."""
+    return 1.0 / max(2.0 * gamma, 64.0 * delta)
 
 
 def derived_constants(gamma, delta):
     """(alpha_constant, beta_constant) for gamma > 1 and delta >= 1."""
-    if not 1 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    beta = beta_constant(gamma)
     if not 1 <= delta < math.inf:
         raise ValueError(f"delta must be finite and at least 1, got {delta!r}")
-    return alpha_constant(gamma, delta), beta_constant(gamma)
+    return alpha_constant(gamma, delta), beta
 
 
 def check_halving_lemma(profile, A, gamma, t, k_max):
@@ -326,6 +331,8 @@ def check_halving_lemma(profile, A, gamma, t, k_max):
 
     Numerical confirmation of the halving consequence of (A, gamma)-regularity.
     """
+    if not (0 < t < math.inf and 0 < A < math.inf):
+        raise ValueError(f"t and A must be finite and positive: {t!r}, {A!r}")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     beta = beta_constant(gamma)
@@ -334,15 +341,12 @@ def check_halving_lemma(profile, A, gamma, t, k_max):
     if needed < lo * (1 - 1e-12):
         raise ProfileDomainError(
             f"halving chain needs t down to {needed:g}, below domain floor {lo:g}")
-    log_base = (beta * math.log(A) + profile.log_value(t)
-                - profile.log_value(t * gamma ** (-beta)))
-    log_ft = profile.log_value(t)
-    for k in range(1, k_max + 1):
-        lhs = profile.log_value(t / 2.0 ** k)
-        rhs = -k * log_base + log_ft
-        if lhs < rhs - REL_TOL:
-            return False
-    return True
+    k = np.arange(1, k_max + 1)
+    # log f at t, gamma^-beta t and t/2^k, k = 1..k_max
+    log_f = profile.log_value(
+        np.concatenate(([t, t * gamma ** (-beta)], t / 2.0 ** k)))
+    log_base = beta * math.log(A) + log_f[0] - log_f[1]
+    return not np.any(log_f[2:] < -k * log_base + log_f[0] - REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +357,15 @@ def regularity_report(profile, gamma, interval, envelope_kind="none",
     """Fit A on the interval, check the requested envelope and derive
     (alpha, beta); a JSON-ready report that surfaces the beta-convention
     discrepancy exactly once."""
-    A = max(1.0, minimal_regularity_constant(profile, gamma, interval))
+    A = minimal_regularity_constant(profile, gamma, interval)
     envelope = {"kind": envelope_kind}
     if envelope_kind != "none":
-        # check_envelope rejects an unknown kind and the parameters it needs
-        # out of range
+        # check_envelope rejects an unknown kind or out-of-range parameters
         envelope["holds"], _ = check_envelope(profile, envelope_kind, A,
                                               interval, delta=delta, eps=eps)
-    if envelope_kind in ("exp", "stretched"):
-        envelope["delta"] = delta
-    if envelope_kind in ("stretched", "poly"):
-        envelope["eps"] = eps
-    alpha = (alpha_constant(gamma, delta) if envelope_kind == "exp"
-             else 1.0 / (2.0 * gamma))
+        envelope.update((name, {"delta": delta, "eps": eps}[name])
+                        for name in ENVELOPES[envelope_kind])
+    alpha = alpha_constant(gamma, delta if envelope_kind == "exp" else 0.0)
     b3 = beta_constant(gamma, "section3")
     bt = beta_constant(gamma, "theorem-statement")
     return {

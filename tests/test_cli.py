@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import heatbound as hb
 from heatbound import bounds as bounds_mod
 from heatbound import kernel as kernel_mod
+from heatbound import regularity as reg_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
 from heatbound.cli import _csv_lines, build_parser, main
 
@@ -232,6 +233,13 @@ class TestBoundsCommand:
         [formula] = [a for a in sub.choices["bounds"]._actions
                      if a.dest == "formula"]
         assert tuple(formula.choices) == tuple(bounds_mod.FORMULAS)
+
+    def test_envelope_choices_are_the_list(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        [envelope] = [a for a in sub.choices["regularity"]._actions
+                      if a.dest == "envelope"]
+        assert tuple(envelope.choices) == ("none", *reg_mod.ENVELOPES)
 
 
 class TestRegularityCommand:

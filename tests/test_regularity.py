@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import heatbound as hb
 from heatbound.regularity import (
     BETA_NOTE,
+    CLOSED_FORM_CAP,
+    CLOSED_FORM_FLOOR,
+    ENVELOPES,
+    POINTS_PER_DECADE,
+    REL_TOL,
     DecayProfile,
     ProfileDomainError,
+    alpha_constant,
     beta_constant,
     regularity_report,
 )
@@ -24,6 +30,95 @@ def brute_force_min_A(profile, gamma, grid):
         for j in range(i + 1, len(grid)):
             best = max(best, ratios[i] / ratios[j])
     return best
+
+
+def reference_envelope(profile, kind, A, interval, delta=None, eps=None):
+    """check_envelope as a loop: each envelope a lambda evaluated point by
+    point with math, on a window computed here.  Valid input only; None
+    when the window holds no grid point."""
+    log_env = {"exp": lambda t: math.log(A) + delta * t,
+               "stretched": lambda t: math.log(A) + delta * t ** eps,
+               "poly": lambda t: math.log(A) + eps * math.log(t)}[kind]
+    a, b = interval
+    if profile.kind == "table":
+        lo, hi = profile.domain
+        a_eff, b_eff = max(a, lo), min(b, hi * (1 + 1e-15))
+        grid = profile.times[(profile.times >= a_eff) & (profile.times <= b_eff)]
+    else:
+        a_eff = a if a > 0 else CLOSED_FORM_FLOOR
+        b_eff = b if math.isfinite(b) else CLOSED_FORM_CAP
+        decades = math.log10(max(b_eff / a_eff, 10.0))
+        count = max(int(decades * POINTS_PER_DECADE) + 1, 2)
+        grid = np.geomspace(a_eff, b_eff, count)
+    if len(grid) == 0:
+        return None
+    log_f = np.atleast_1d(profile.log_value(grid))
+    log_bound = np.array([log_env(float(t)) for t in grid])
+    slack = log_bound - log_f
+    worst = int(np.argmin(slack))
+    ok = bool(slack[worst] >= -REL_TOL)
+    return ok, (None if ok else (float(grid[worst]), float(np.exp(log_f[worst])),
+                                 float(np.exp(log_bound[worst]))))
+
+
+def reference_halving(profile, A, gamma, t, k_max):
+    """check_halving_lemma as a loop over k with one log_value call per
+    point.  Finite input only."""
+    beta = beta_constant(gamma)
+    needed = min(t / 2.0 ** k_max, t * gamma ** (-beta)) if k_max else t
+    if needed < profile.domain[0] * (1 - 1e-12):
+        raise ProfileDomainError("halving chain leaves the domain")
+    log_base = (beta * math.log(A) + profile.log_value(t)
+                - profile.log_value(t * gamma ** (-beta)))
+    log_ft = profile.log_value(t)
+    for k in range(1, k_max + 1):
+        lhs = profile.log_value(t / 2.0 ** k)
+        rhs = -k * log_base + log_ft
+        if lhs < rhs - REL_TOL:
+            return False
+    return True
+
+
+@st.composite
+def tables(draw, max_points=60):
+    """Table profiles: increasing times, non-decreasing positive values."""
+    n = draw(st.integers(2, max_points))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1))
+    times = draw(st.floats(1e-3, 10.0)) * np.exp(np.cumsum([0.0] + steps))
+    values = draw(st.floats(1e-3, 1e3)) * np.exp(np.cumsum([0.0] + rises))
+    return DecayProfile.from_table(times, values)
+
+
+CLOSED_FORMS = st.one_of(
+    st.floats(0.0, 5.0).map(DecayProfile.power),
+    st.floats(0.0, 5.0).map(DecayProfile.exponential),
+    st.builds(DecayProfile.stretched_exp, st.floats(0.0, 5.0),
+              st.floats(0.0, 0.99)))
+
+# (kind, delta, eps) inside each envelope's parameter range
+ENVELOPE_PARAMS = st.one_of(
+    st.tuples(st.just("exp"), st.floats(1.0, 10.0), st.none()),
+    st.tuples(st.just("stretched"), st.floats(0.0, 5.0), st.floats(0.0, 0.99)),
+    st.tuples(st.just("poly"), st.none(), st.floats(0.0, 5.0)))
+
+
+@st.composite
+def profiles_and_intervals(draw):
+    """A table with an interval around its domain, or a closed form with an
+    interval that may start at 0 or end at inf."""
+    if draw(st.booleans()):
+        prof = draw(tables())
+        lo, hi = prof.domain
+        a = lo * draw(st.floats(0.5, 2.0))
+        b = draw(st.one_of(st.just(math.inf),
+                           st.floats(0.5, 2.0).map(lambda v: hi * v)))
+    else:
+        prof = draw(CLOSED_FORMS)
+        a = draw(st.one_of(st.just(0.0), st.floats(1e-4, 10.0)))
+        b = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 100.0)))
+    assume(a < b)
+    return prof, (a, b)
 
 
 def piecewise_profile(flat_first):
@@ -243,3 +338,96 @@ class TestReport:
                                    envelope_kind="exp", delta=1.0)
         assert report["envelope"]["holds"]
         assert report["alpha"] == 1.0 / 64.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("A, t", [(1.0, math.nan), (1.0, math.inf),
+                                      (math.nan, 8.0), (math.inf, 8.0),
+                                      (-1.0, 8.0)])
+    def test_halving_needs_finite_positive_t_and_A(self, A, t):
+        with pytest.raises(ValueError, match="finite and positive"):
+            hb.check_halving_lemma(DecayProfile.power(1.0), A, 2.0, t, 3)
+
+    @pytest.mark.parametrize("interval", [(0.1, math.nan), (math.nan, 10.0),
+                                          (10.0, 0.1)])
+    def test_envelope_window_checked(self, interval):
+        with pytest.raises(ValueError, match="finite start a < b"):
+            hb.check_envelope(DecayProfile.power(1.0), "poly", 1.0, interval,
+                              eps=1.0)
+
+    @pytest.mark.parametrize("A", [math.inf, math.nan])
+    def test_envelope_needs_finite_A(self, A):
+        with pytest.raises(ValueError, match="A must be finite"):
+            hb.check_envelope(DecayProfile.power(1.0), "poly", A, (0.1, 10.0),
+                              eps=1.0)
+
+    @pytest.mark.parametrize("A", [math.inf, math.nan])
+    def test_regular_needs_finite_A(self, A):
+        with pytest.raises(ValueError, match="A must be finite"):
+            hb.check_regular(DecayProfile.power(2.0), A, 2.0, (0.1, 100.0))
+
+
+class TestChecksEqualLoops:
+    """The array checks against the per-point loops they replace."""
+
+    @given(profiles_and_intervals(), ENVELOPE_PARAMS, st.floats(1.0, 1e3))
+    @settings(max_examples=150, deadline=None)
+    def test_envelope(self, prof_interval, params, A):
+        prof, interval = prof_interval
+        kind, delta, eps = params
+        # a failing envelope's witness values may overflow to inf, in both
+        with np.errstate(over="ignore"):
+            ref = reference_envelope(prof, kind, A, interval, delta, eps)
+            if ref is None:
+                with pytest.raises(ValueError, match="no evaluable grid"):
+                    hb.check_envelope(prof, kind, A, interval, delta=delta,
+                                      eps=eps)
+                return
+            ok, witness = hb.check_envelope(prof, kind, A, interval,
+                                            delta=delta, eps=eps)
+        assert ok == ref[0]
+        if not ok:
+            # the envelope's value comes from numpy's pow and log, the
+            # reference's from math's: they may differ in the last bits
+            assert witness[:2] == ref[1][:2]
+            assert math.isclose(witness[2], ref[1][2], rel_tol=1e-12)
+
+    @given(st.one_of(tables(), CLOSED_FORMS), st.floats(1.0, 100.0),
+           st.floats(1.05, 8.0), st.floats(0.0, 1.0), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_halving(self, prof, A, gamma, u, k_max):
+        if prof.kind == "table":
+            lo, hi = prof.domain
+            t = min(lo * (hi / lo) ** u, hi)
+        else:
+            t = 10.0 ** (6.0 * u - 3.0)
+        try:
+            expected = reference_halving(prof, A, gamma, t, k_max)
+        except ProfileDomainError:
+            with pytest.raises(ProfileDomainError):
+                hb.check_halving_lemma(prof, A, gamma, t, k_max)
+            return
+        assert hb.check_halving_lemma(prof, A, gamma, t, k_max) is expected
+
+    @given(tables(max_points=30), st.floats(1.1, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_minimal_constant_against_brute_force(self, prof, gamma):
+        grid = prof.times[prof.times < prof.domain[1] / gamma]
+        assume(len(grid) >= 2)
+        a = hb.minimal_regularity_constant(prof, gamma, prof.domain)
+        assert a == pytest.approx(brute_force_min_A(prof, gamma, grid),
+                                  rel=1e-9)
+
+    @given(st.floats(1.0, math.inf, exclude_min=True, exclude_max=True),
+           st.floats(0.0, math.inf, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_alpha_is_the_min_form(self, gamma, delta):
+        assert alpha_constant(gamma, delta) == min(1.0 / (2.0 * gamma),
+                                                   1.0 / (64.0 * delta))
+
+    @pytest.mark.parametrize("kind", ["none", *ENVELOPES])
+    def test_report_names_the_envelope_parameters(self, kind):
+        report = regularity_report(DecayProfile.power(1.0), 2.0, (0.1, 100.0),
+                                   envelope_kind=kind, delta=1.0, eps=0.5)
+        names = {"holds", *ENVELOPES[kind]} if kind != "none" else set()
+        assert set(report["envelope"]) == {"kind"} | names
