@@ -22,10 +22,17 @@ the diagonal, one number per source and time for the on-diagonal curves.
 
 In the engine, one three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on a
 block of start vectors, one unit column per source, serves every time of the
-call.  A step calls the compiled CSR kernel that scipy's `@` ends in, which
-does the floating-point operations of `b_t @ v` in the same order, so a
-value's bits do not depend on the other times or sources of a call or on the
-entry point.
+call.  After T_1 = B T_0, each step is one call of the compiled CSR kernel
+that scipy's `@` ends in, on the stacked matrix [2B | -I] and the contiguous
+pair [T_k; T_{k-1}] of rows of a ring buffer.  Doubling is exact and commutes
+with rounding, except for a product below 2^-1022, so the call gives the bits
+of `2 (b_t @ T_k) - T_{k-1}`.  The coefficient products c_k T_k of a chunk of
+steps are one broadcast multiply, added into each time's accumulator one step
+at a time in k order.  So a value's bits do not depend on the chunk, on the
+other times or sources of a call, or on the entry point.  A chunk holds at
+most CHUNK_BYTES of rows and products; the ring adds two rows of the block to
+it, and a block larger than CHUNK_BYTES steps one row and one product at a
+time.
 
 Results keep the method name METHOD, "series-uniformization": the expansion
 is still a series in the uniformized matrix B.  There is no second backend:
@@ -35,6 +42,7 @@ spectral oracle, the benchmark against the 40-digit oracle too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +61,9 @@ METHOD = "series-uniformization"
 # the most Bessel coefficients one call may need over all its times: finding
 # the cuts peaks at 7 float64 or intp arrays of that length, about 560 MB
 MAX_COEFFICIENTS = 10_000_000
+# bytes of one chunk of Chebyshev steps: its rows of the recurrence buffer
+# and their coefficient products; a larger block steps one row at a time
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -112,35 +123,52 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 # the engine and its entry points
 
-def _csr_step(b_t, v):
-    """step(u) = b_t @ u, bit for bit, for u shaped like v: the kernel that
-    ``@`` calls, csr_matvec for a vector or one column and csr_matvecs for a
-    block, into a freshly zeroed output.  The kernel checks no shape and
-    quietly copies an operand of another dtype or layout, so the operands
-    are checked here, once; each step's output, the next step's input, has
-    v's shape and layout."""
+def _csr_call(csr, cols, x, out):
+    """call(x, out): out += A @ x, bit for bit, for operands shaped and laid
+    out like x and out, A the CSR matrix csr = (indptr, indices, data) with
+    ``cols`` columns: one call into the compiled kernel that ``@`` ends in,
+    csr_matvec for one column and csr_matvecs for a block, whose column
+    count is that of out's rows.  x may stack several operands, as
+    [T_k; T_{k-1}] does for _stacked's matrix.  The kernel checks no shape
+    and quietly copies an operand of another dtype or layout, so the
+    operands are checked here, once, and the call is the kernel itself."""
+    indptr, indices, data = csr
+    rows = len(indptr) - 1
+    if (data.dtype != np.float64 or indptr.dtype not in (np.int32, np.int64)
+            or indices.dtype != indptr.dtype):
+        raise ValueError("the step needs a float64 CSR matrix with int32 or "
+                         "int64 indices")
+    width = math.prod(out.shape[1:])
+    for v, count in ((x, cols), (out, rows)):
+        if (v.dtype != np.float64 or not v.flags.c_contiguous or v.ndim == 0
+                or v.size != count * width):
+            raise ValueError(f"the step needs C-contiguous float64 operands "
+                             f"of {cols} and {rows} rows of {width}, got "
+                             f"{x.dtype} {x.shape} and {out.dtype} "
+                             f"{out.shape}")
+    if width == 1:
+        return functools.partial(csr_matvec, rows, cols, *csr)
+    return functools.partial(csr_matvecs, rows, cols, width, *csr)
+
+
+def _stacked(b_t, blocks=2, at=0, back=1):
+    """The CSR arrays (indptr, indices, data) of [2 b_t | -I] by default: an
+    n x (blocks n) matrix whose row i holds 2 b_t's row i in b_t's CSR order
+    at columns at n + j, then -1 at column back n + i.  A call on an operand
+    of ``blocks`` blocks of n rows, u in block ``at`` and w in block
+    ``back``, sums row i as b_t @ u does, each product doubled, then adds
+    -w_i: it gives 2 (b_t @ u) - w bit for bit (see _sum_series)."""
     n = b_t.shape[0]
-    if (b_t.format != "csr" or b_t.shape != (n, n)
-            or b_t.dtype != np.float64
-            or b_t.indptr.dtype not in (np.int32, np.int64)
-            or b_t.indices.dtype != b_t.indptr.dtype):
-        raise ValueError("the step needs a square float64 CSR matrix with "
-                         "int32 or int64 indices")
-    if (v.dtype != np.float64 or not v.flags.c_contiguous or v.ndim == 0
-            or v.shape[0] != n):
-        raise ValueError(f"the step needs a C-contiguous float64 operand of "
-                         f"{n} rows, got {v.dtype} {v.shape}")
-    csr, cols = (b_t.indptr, b_t.indices, b_t.data), math.prod(v.shape[1:])
-
-    def step(u):
-        out = np.zeros(v.shape)
-        if cols == 1:
-            csr_matvec(n, n, *csr, u, out)
-        else:
-            csr_matvecs(n, n, cols, *csr, u, out)
-        return out
-
-    return step
+    indptr = b_t.indptr + np.arange(n + 1, dtype=np.int64)
+    last = indptr[1:] - 1
+    theirs = np.ones(indptr[-1], dtype=bool)
+    theirs[last] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[theirs] = b_t.indices + np.int64(at * n)
+    indices[last] = np.arange(back * n, (back + 1) * n)
+    data = np.empty(indptr[-1])
+    data[theirs], data[last] = 2.0 * b_t.data, -1.0
+    return indptr, indices, data
 
 
 def _chebyshev_cut(taus, tol, spread):
@@ -195,8 +223,8 @@ def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
     |T_k(B)| <= 1 there, and an entry of T_k(B) p0 is at most sqrt(max nu /
     min nu) for a unit p0: the ``spread`` that scales the Bessel tail.
 
-    The recurrence T_0 = p0, T_1 = B p0, T_{k+1} = 2 B T_k - T_{k-1}, stepped
-    by _csr_step, serves every time of the call, and time j adds c_k T_k into
+    The recurrence T_0 = p0, T_1 = B p0, T_{k+1} = 2 B T_k - T_{k-1} (see
+    _sum_series) serves every time of the call, and time j adds c_k T_k into
     its own accumulator for k <= K_j.  K_j depends on t_j, tol, Lam and nu
     alone, so a time's value does not depend on the rest of the call.  Sorted
     by K, longest first, the times still summing at step k are a prefix.
@@ -204,37 +232,95 @@ def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
     can only shrink the error.
     """
     lam = float(lam)
-    readout = (lambda v: v) if entries is None else (lambda v: v[entries])
     coefs, err = _chebyshev_cut([lam * t for t in times], tol,
                                 math.sqrt(nu.max() / nu.min()))
     order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
     lengths = np.array([len(coefs[j]) for j in order], dtype=np.intp)
-    shape = readout(p0).shape
+    # the readout of a stack of rows: all of each, or its [entries]
+    index = (slice(None),) + (() if entries is None else tuple(entries))
+    acc = np.zeros((len(times),) + p0[None][index].shape[1:])
     # table[k, i]: c_k of the i-th longest time, 0 past its cut
     table = np.zeros((lengths[0] if len(lengths) else 0, len(times)))
     for i, j in enumerate(order):
         table[:lengths[i], i] = coefs[j]
-    table = table.reshape(table.shape + (1,) * len(shape))
+    table = table.reshape(table.shape + (1,) * (acc.ndim - 1))
     live = len(lengths) - np.searchsorted(lengths[::-1], np.arange(len(table)),
                                           side="right")
-    acc = np.zeros((len(times),) + shape)
-    prev, cur = None, p0
-    for k, (coef, m) in enumerate(zip(table, live.tolist())):
-        if k == 1:
-            b_t = (sparse.eye(len(p0), format="csr")
-                   + q_mat.T * (1.0 / lam)).tocsr()
-            step = _csr_step(b_t, p0)
-            prev, cur = cur, step(cur)
-        elif k:
-            nxt = step(cur)
-            nxt *= 2.0
-            nxt -= prev
-            prev, cur = cur, nxt
-        acc[:m] += coef[:m] * readout(cur)
+    _sum_series(q_mat, lam, p0, table, live.tolist(), index, acc)
     values = np.empty_like(acc)
     values[order] = acc
     np.maximum(values, 0.0, out=values)
     return values, err
+
+
+def _sum_series(q_mat, lam, p0, table, live, index, acc):
+    """acc[i] += table[k, i] T_k(B) p0 [index] for each step k in order,
+    i < live[k]: the times still summing at step k.
+
+    The recurrence runs in a ring of ``size`` + 2 rows, filled newest first:
+    T_0 and T_1 in rows 1 and 0, then T_k in row (1 - k) mod (size + 2),
+    from the last row down.  T_1 = B T_0 is the one plain step.  Every later
+    step is one compiled call of [2B | -I] (_stacked) on the contiguous pair
+    [T_{k-1}; T_{k-2}] of rows below it, or, for the one row whose pair
+    wraps round (T_{k-1} in the last row, T_{k-2} in the first), of the
+    same entries placed for the whole ring; so no row is ever copied.  The
+    call gives 2 (B T_{k-1}) - T_{k-2} bit for bit: doubling is exact, and
+    it commutes with rounding except where a product falls below 2^-1022
+    and loses bits, so each row's sum is twice B T_{k-1}'s, and the -1
+    entry comes last.
+
+    The steps go in chunks of at most ``size`` rows that do not wrap round.
+    A chunk zeroes its rows once, as the compiled kernel adds into its
+    output.  After its steps, the products for the times summing at its
+    first step are one broadcast multiply, and each step adds its products
+    into those times' accumulators, one in-place add per step in k order.
+    A time whose cut falls inside the chunk has coefficient 0 past it, and
+    adding 0 times a finite T_k, +-0, to its accumulator, which is never -0,
+    changes no bit; so every accumulator gets the bits of one step at a
+    time.  A chunk holds
+    at most CHUNK_BYTES of rows and products, and at least one row: the
+    memory added is the ring's two carried rows and a product per time for
+    each row of a chunk, one block and one product at a time for a block
+    past CHUNK_BYTES.
+    """
+    steps = len(table)
+    size = max(1, min(steps, CHUNK_BYTES // max(1, p0.nbytes + acc.nbytes)))
+    prods = np.empty((size,) + acc.shape)
+
+    def add(k0, stack):  # stack: T_k0, T_k0+1, ...
+        summing = acc[:live[k0]]
+        chunk = prods[:len(stack), :len(summing)]
+        np.multiply(table[k0:k0 + len(stack), :len(summing)],
+                    stack[index][:, None], out=chunk)
+        for p in chunk:
+            summing += p
+
+    if steps:
+        add(0, p0[None])
+    if steps < 2:  # no step, and Lam may be 0
+        return
+    n, ring = len(p0), size + 2
+    buf = np.zeros((ring,) + p0.shape)
+    rows = list(buf)
+    buf[1] = p0
+    b_t = (sparse.eye(n, format="csr") + q_mat.T * (1.0 / lam)).tocsr()
+    _csr_call((b_t.indptr, b_t.indices, b_t.data), n, rows[1], rows[0])(
+        rows[1], rows[0])
+    add(1, buf[:1])
+    down = _csr_call(_stacked(b_t), 2 * n, buf[:2], rows[0])
+    wrap = _csr_call(_stacked(b_t, ring, ring - 1, 0), ring * n, buf, rows[0])
+    # the step that writes row r
+    plan = [(down, buf[r + 1:r + 3], rows[r]) for r in range(ring - 2)]
+    plan += [(wrap, buf, rows[-2]), (down, buf[:2], rows[-1])]
+    k, top = 2, ring - 1  # the next step and its row
+    while k < steps:
+        count = min(size, top + 1, steps - k)
+        low = top + 1 - count
+        buf[low:top + 1] = 0.0
+        for call, x, out in plan[low:top + 1][::-1]:
+            call(x, out)
+        add(k, buf[low:top + 1][::-1])
+        k, top = k + count, (low - 1) % ring
 
 
 def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,

@@ -220,10 +220,15 @@ def minimal_regularity_constant(profile, gamma, interval,
     diffs = log_r[:-1] - suffix_min[1:]
     i = int(np.argmax(diffs))
     best = float(diffs[i])
-    a_min = float(math.exp(best)) if best > 0 else 1.0
+    j = i + 1 + int(np.argmin(log_r[i + 1:]))
+    try:
+        a_min = math.exp(best) if best > 0 else 1.0
+    except OverflowError:
+        raise ValueError(f"the least regularity constant is e^{best:.6g}, "
+                         f"past float range, at s = {grid[i]:.6g}, t = "
+                         f"{grid[j]:.6g}") from None
     if not return_witness:
         return a_min
-    j = i + 1 + int(np.argmin(log_r[i + 1:]))
     return a_min, (float(grid[i]), float(grid[j]))
 
 
@@ -273,8 +278,10 @@ def check_envelope(profile, kind, A, interval, delta=None, eps=None):
     slack = log_bound - log_f
     worst = int(np.argmin(slack))
     ok = bool(slack[worst] >= -REL_TOL)
-    return ok, (None if ok else (float(grid[worst]), float(np.exp(log_f[worst])),
-                                 float(np.exp(log_bound[worst]))))
+    with np.errstate(over="ignore"):  # past e^709 the witness reads inf
+        return ok, (None if ok else (float(grid[worst]),
+                                     float(np.exp(log_f[worst])),
+                                     float(np.exp(log_bound[worst]))))
 
 
 def _envelope_grid(profile, interval):

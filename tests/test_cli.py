@@ -326,6 +326,36 @@ class TestRegularityCommand:
             [0.1, 10.0]
 
 
+    def test_constant_past_float_range_exits_two(self, two_state_file,
+                                                 tmp_path, capsys):
+        # f jumps from 1e-300 to 1e300 between t = 2 and 3, so the least A
+        # is about e^1382, past float64: an input error naming the pair
+        prof = tmp_path / "prof.csv"
+        prof.write_text("t,f\n" + "".join(
+            f"{t},{1e-300 if t < 3 else 1e300}\n" for t in range(1, 9)))
+        code, out, err = run_cli(capsys, "regularity", "--graph",
+                                 two_state_file, "--profile", str(prof),
+                                 "--gamma", "2")
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValueError"
+        assert "past float range, at s = 2, t = 3" in payload["message"]
+
+    def test_envelope_witness_past_float_range(self, two_state_file, capsys):
+        # the failing envelope's worst point has f = e^1500: the witness
+        # reads inf, and numpy warns nothing ahead of the summary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "regularity", "--graph",
+                                     two_state_file, "--form", "stretched",
+                                     "--delta", "3000", "--eps", "0.5",
+                                     "--envelope", "exp", "--interval",
+                                     "0.01", "1")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["envelope"]["holds"] is False
+
+
 class TestImpCommand:
     @pytest.mark.parametrize("family,extra", [
         ("drift", ["--a", "0.25"]),

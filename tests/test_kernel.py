@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,163 @@ class TestEngine:
                                                                   outside)
 
 
+def reference_chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
+    """_chebyshev one step at a time: T_{k+1} = 2 (B @ T_k) - T_{k-1} by
+    scipy's `@` into a fresh array, and each step's products added into the
+    live accumulators before the next step.  The engine's chunked steps
+    must give its bits."""
+    lam = float(lam)
+    readout = (lambda v: v) if entries is None else (lambda v: v[entries])
+    coefs, err = _chebyshev_cut([lam * t for t in times], tol,
+                                math.sqrt(nu.max() / nu.min()))
+    order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
+    lengths = np.array([len(coefs[j]) for j in order], dtype=np.intp)
+    shape = readout(p0).shape
+    table = np.zeros((lengths[0] if len(lengths) else 0, len(times)))
+    for i, j in enumerate(order):
+        table[:lengths[i], i] = coefs[j]
+    table = table.reshape(table.shape + (1,) * len(shape))
+    live = len(lengths) - np.searchsorted(lengths[::-1], np.arange(len(table)),
+                                          side="right")
+    acc = np.zeros((len(times),) + shape)
+    prev, cur = None, p0
+    for k, (coef, m) in enumerate(zip(table, live.tolist())):
+        if k == 1:
+            b_t = (sparse.eye(len(p0), format="csr")
+                   + q_mat.T * (1.0 / lam)).tocsr()
+            prev, cur = cur, b_t @ cur
+        elif k:
+            nxt = b_t @ cur
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        acc[:m] += coef[:m] * readout(cur)
+    values = np.empty_like(acc)
+    values[order] = acc
+    np.maximum(values, 0.0, out=values)
+    return values, err
+
+
+def engine_args(g, sources, domain=None, diagonal=False):
+    """(q_mat, lam, nu, p0, entries) as kernel_rows passes them."""
+    idx = np.array([g.index(x) for x in sources], dtype=np.intp)
+    if domain is None:
+        sub, q = np.arange(g.n), rate_matrix(g)
+    else:
+        sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
+        q = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
+    at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
+    p0 = np.zeros((len(sub), len(idx)))
+    p0[at, cols] = 1.0
+    return (q, g.rates[sub].max(), g.nu[sub], p0,
+            (at, cols) if diagonal else None)
+
+
+def lam_t_with_cut(cut, spread):
+    """A Lam t whose last summed step is ``cut``: the middle of the Lam t
+    that stop there."""
+    def last_step(lam_t):
+        return len(_chebyshev_cut([lam_t], DEFAULT_TOL, spread)[0][0]) - 1
+
+    def least(k):  # the least Lam t (to bisection precision) reaching k
+        lo, hi = 0.0, 1.0
+        while last_step(hi) < k:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if last_step(mid) >= k else (mid, hi)
+        return hi
+
+    lam_t = 0.5 * (least(cut) + least(cut + 1))
+    assert last_step(lam_t) == cut
+    return lam_t
+
+
+class TestChunkedSteps:
+    """The engine steps a ring of rows a chunk at a time and sums each
+    chunk's products after its steps; every value and err_bound must be
+    the bits of the engine one step at a time (reference_chebyshev)."""
+
+    GRID = [3.0, 0.0, 0.7, 11.0, 0.05, 0.7]
+
+    @staticmethod
+    def assert_reference_bits(args, times):
+        q, lam, nu, p0, entries = args
+        values, err = _chebyshev(q, lam, nu, p0, times, DEFAULT_TOL, entries)
+        ref, ref_err = reference_chebyshev(q, lam, nu, p0, times, DEFAULT_TOL,
+                                           entries)
+        assert values.shape == ref.shape and values.dtype == ref.dtype
+        assert values.tobytes() == ref.tobytes()
+        assert err.tobytes() == ref_err.tobytes()
+
+    @pytest.mark.parametrize("block", [False, True],
+                             ids=["one-source", "block"])
+    @pytest.mark.parametrize("mode", ["full", "killed", "diagonal"])
+    def test_engine_suite(self, mode, block):
+        for g in ENGINE_SUITE:
+            domain = g.vertex_ids[g.n // 2:] if mode == "killed" else None
+            inside = domain or g.vertex_ids
+            sources = inside[::-1] if block else inside[:1]
+            self.assert_reference_bits(
+                engine_args(g, sources, domain, mode == "diagonal"), self.GRID)
+
+    @pytest.mark.parametrize("longest", ["below", "equal", "one-past",
+                                         "several"])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_chunk_boundaries(self, monkeypatch, mode, rows, longest):
+        # a budget of ``rows`` rows of the block and products per chunk;
+        # the grid's other cuts move where times stop summing
+        args = engine_args(STIFF, STIFF.vertex_ids[:3],
+                           diagonal=mode == "diagonal")
+        q, lam, nu, p0, entries = args
+        spread = math.sqrt(nu.max() / nu.min())
+        cut = {"below": rows - 1, "equal": rows, "one-past": rows + 1,
+               "several": 4 * rows + 3}[longest]
+        cuts = [cut, max(cut - 1, 0), cut, cut // 2, 0]
+        times = [lam_t_with_cut(k, spread) / lam if k else 0.0 for k in cuts]
+        coefs, _ = _chebyshev_cut([lam * t for t in times], DEFAULT_TOL,
+                                  spread)
+        assert max(len(c) for c in coefs) == cut + 1
+        readout = p0 if entries is None else p0[entries]
+        monkeypatch.setattr(kernel_mod, "CHUNK_BYTES",
+                            rows * (p0.nbytes + len(times) * readout.nbytes))
+        self.assert_reference_bits(args, times)
+
+    def test_one_vertex_graph(self):
+        # Lam = 0: every time has one coefficient, and no step is taken
+        g = hb.load_graph("v a 2\n")
+        for diagonal in (False, True):
+            self.assert_reference_bits(
+                engine_args(g, ["a", "a"], diagonal=diagonal),
+                [0.0, 1.0, 5.0])
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.0], [0.0, 2.0, 0.0]],
+                             ids=["zero", "zeros", "mixed"])
+    def test_grid_with_zero(self, times):
+        for g in (STIFF, ENGINE_SUITE[0]):
+            for diagonal in (False, True):
+                self.assert_reference_bits(
+                    engine_args(g, g.vertex_ids[:2], diagonal=diagonal), times)
+
+    def test_memory_of_a_large_block(self):
+        # all sources of 400 vertices: a block of 1.28 MB, past CHUNK_BYTES,
+        # steps one row at a time.  One step at a time peaked at five blocks
+        # (the start block, the accumulator and three more at once), the
+        # ring peaks at six; the bound is two blocks over the five
+        g = hb.random_connected_graph(400, seed=3)
+        block = 8 * g.n * g.n
+        assert block > kernel_mod.CHUNK_BYTES
+        t = 1e3 / float(g.rates.max())
+        tracemalloc.start()
+        try:
+            hb.kernel_rows(g, g.vertex_ids, [t])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * block
+
+
 class TestOneEngineCall:
     """A profile fit and a J grid are one engine call each, however many
     vertices or times they need."""
@@ -524,8 +682,9 @@ class TestChebyshev:
 
 
 class TestCsrStep:
-    """The engine's step calls the compiled CSR kernels that scipy's `@` ends
-    in, which are private to scipy: they must give `pi_t @ v` bit for bit."""
+    """The engine's steps call the compiled CSR kernels that scipy's `@` ends
+    in, which are private to scipy: on pi_t they must give `pi_t @ v` bit
+    for bit, and on the stacked [2 pi_t | -I], `2 (pi_t @ u) - w`."""
 
     @staticmethod
     def pi_t(q):
@@ -533,10 +692,15 @@ class TestCsrStep:
         return (sparse.eye(q.shape[0], format="csr") + q.T * (1.0 / lam)).tocsr()
 
     @staticmethod
-    def assert_steps_equal(pi_t, v, count=30):
-        step, ref = kernel_mod._csr_step(pi_t, v), v
+    def csr(mat):
+        return mat.indptr, mat.indices, mat.data
+
+    def assert_steps_equal(self, pi_t, v, count=30):
+        call, ref = kernel_mod._csr_call(self.csr(pi_t), len(v), v, v), v
         for _ in range(count):
-            v, ref = step(v), pi_t @ ref.reshape(len(ref), -1)
+            out = np.zeros_like(v)
+            call(v, out)
+            v, ref = out, pi_t @ ref.reshape(len(ref), -1)
             ref = ref.reshape(v.shape)
             assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes()
 
@@ -564,6 +728,35 @@ class TestCsrStep:
             self.assert_steps_equal(pi_t, np.random.default_rng(3).random(
                 (STIFF.n,) + shape))
 
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+    def test_stacked_equals_twice_matmul_minus(self, shape):
+        # signed operands, as T_k(B) p0 is; u and w one contiguous [u; w]
+        rng = np.random.default_rng(4)
+        for g in ENGINE_SUITE:
+            pi_t = self.pi_t(rate_matrix(g))
+            stacked = kernel_mod._stacked(pi_t)
+            assert len(stacked[0]) == g.n + 1
+            uw = 2.0 * rng.random((2, g.n) + shape) - 1.0
+            out = np.zeros((g.n,) + shape)
+            kernel_mod._csr_call(stacked, 2 * g.n, uw, out)(uw, out)
+            u, w = uw
+            ref = 2.0 * (pi_t @ u) - w
+            assert out.tobytes() == ref.tobytes()
+
+    def test_wrapped_pair_equals_stacked(self):
+        # the ring's wrapped step: w in the first block, u in the last, and
+        # a block between that the call never reads
+        rng = np.random.default_rng(5)
+        for g in ENGINE_SUITE:
+            pi_t = self.pi_t(rate_matrix(g))
+            wrap = kernel_mod._stacked(pi_t, 3, 2, 0)
+            ring = 2.0 * rng.random((3, g.n, 2)) - 1.0
+            ring[1] = np.nan
+            out = np.zeros((g.n, 2))
+            kernel_mod._csr_call(wrap, 3 * g.n, ring, out)(ring, out)
+            ref = 2.0 * (pi_t @ ring[2]) - ring[0]
+            assert out.tobytes() == ref.tobytes()
+
     def test_operands_checked_once(self):
         pi_t = self.pi_t(rate_matrix(STIFF))
         n = STIFF.n
@@ -572,13 +765,20 @@ class TestCsrStep:
                   np.ones((3, n)).T,  # a Fortran-ordered block
                   np.ones(n - 1),  # the kernel would read past its end
                   np.float64(1.0)):
+            fine = np.zeros((n,) + np.shape(v)[1:])
             with pytest.raises(ValueError):
-                kernel_mod._csr_step(pi_t, v)
+                kernel_mod._csr_call(self.csr(pi_t), n, v, fine)
+            with pytest.raises(ValueError):  # as the output
+                kernel_mod._csr_call(self.csr(pi_t), n, fine, v)
         mixed = pi_t.copy()
         mixed.indptr = mixed.indptr.astype(np.int64)
         for bad in (pi_t.astype(np.float32), mixed, pi_t[:-1]):
             with pytest.raises(ValueError):
-                kernel_mod._csr_step(bad, np.ones(bad.shape[1]))
+                kernel_mod._csr_call(self.csr(bad), n, np.ones(n), np.zeros(n))
+        # a stacked operand of the wrong length
+        with pytest.raises(ValueError):
+            kernel_mod._csr_call(kernel_mod._stacked(pi_t), 2 * n,
+                                 np.ones((3, n)), np.zeros(n))
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,14 @@ class TestCheckRegular:
         ok, _ = hb.check_regular(prof, a, 2.0, (0.1, 100.0))
         assert ok
 
+    def test_constant_past_float_range(self):
+        # the ratio f(2s)/f(s) falls by e^1382 from s = 2 to s = 3
+        t = np.arange(1.0, 9.0)
+        prof = DecayProfile.from_table(t, np.where(t < 3, 1e-300, 1e300))
+        with pytest.raises(ValueError, match="past float range, at s = 2, "
+                                             "t = 3"):
+            hb.minimal_regularity_constant(prof, 2.0, prof.domain)
+
     def test_piecewise_fitted(self):
         prof = piecewise_profile(flat_first=False)
         a = hb.minimal_regularity_constant(prof, 2.0, (0.1, 10.0))
@@ -233,6 +242,19 @@ class TestEnvelope:
         assert not ok
         t, f_val, bound_val = witness
         assert f_val > bound_val and t > 0
+
+    def test_witness_past_float_range(self):
+        # f = e^{3000 sqrt t} against e^{3000 t}: the worst point, t = 1/4,
+        # has f = e^1500 and bound e^750, which read inf without a warning
+        prof = DecayProfile.stretched_exp(3000.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, witness = hb.check_envelope(prof, "exp", 1.0, (0.01, 1.0),
+                                            delta=3000.0)
+        assert not ok
+        t, f_val, bound_val = witness
+        assert t == pytest.approx(0.25, rel=0.01)
+        assert f_val == bound_val == math.inf
 
     def test_poly_envelope(self):
         prof = DecayProfile.power(1.0)
