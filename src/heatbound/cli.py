@@ -7,9 +7,14 @@ status; ``main`` writes them under one rule.  With --out the CSV goes to the
 file and the summary to stdout; without it stdout gets the summary for
 ``metric`` and ``regularity`` and the CSV for the other subcommands.  Every
 CSV comes from one writer, ``_csv_lines``: what Python 3.13's
-``csv.writer`` writes, byte for byte, each distinct value formatted once and
-the rows streamed.  Exit codes: 0 all checks passed, 1 verification failures
-present, 2 input error (machine-readable JSON on stderr, nothing on stdout).
+``csv.writer`` writes, byte for byte.  It formats each distinct float of a
+column once, all of them in one ``%`` call, and quotes each distinct string
+once; then it streams the rows, each one ``",".join`` of its fields, in
+strings of ``CHUNK_ROWS`` lines, so one chunk of joined lines is held at a
+time.  The summary of a subcommand whose report is its CSV holds
+``timings``: the seconds spent loading the graph, in the subcommand, and
+formatting and writing the CSV.  Exit codes: 0 all checks passed, 1 verification failures present, 2
+input error (machine-readable JSON on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import types
 
 import numpy as np
@@ -32,23 +38,30 @@ from . import kernel as kernel_mod
 from . import metric as metric_mod
 from . import regularity as reg_mod
 
+# lines in each string _csv_lines yields, about 100 KB of a bounds table;
+# larger chunks write no faster and hold more at the peak
+CHUNK_ROWS = 1024
+
 
 def _fmt_floats(values):
     """Each value of a float array to 12 significant digits (``%.12g``),
-    formatting each distinct value (bit pattern) once."""
+    formatting each distinct value (bit pattern) once, all of them in one
+    ``%`` call: its one string, split at the "\\n" ending each value, has
+    an empty last item that no index reaches."""
     u, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([f"{v:.12g}" for v in u.view(np.float64).tolist()],
-                    dtype=object)
-    return text[inverse].tolist()
+    text = ("%.12g\n" * len(u) % tuple(u.view(np.float64).tolist())).split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _csv_lines(header, columns):
-    """The lines csv.writer(lineterminator="\\n") writes from the header and
-    the rows of the columns, two or more: float64 arrays by _fmt_floats,
-    other values by str, each distinct string quoted once, by csv itself, as
-    Python 3.13 quotes it: a writer ending lines in "\\r\\n" also quotes a
-    bare \\r, which one ending them in "\\n" does only from 3.13 on.  Every
-    field is ready before the first line is read."""
+    """The text csv.writer(lineterminator="\\n") writes from the header and
+    the rows of the columns, two or more, in strings of CHUNK_ROWS lines:
+    float64 arrays by _fmt_floats, other values by str, each distinct string
+    quoted once, by csv itself, as Python 3.13 quotes it: a writer ending
+    lines in "\\r\\n" also quotes a bare \\r, which one ending them in
+    "\\n" does only from 3.13 on.  Every field is ready before the first
+    string is read; each string is one ",".join per row and one "\\n".join
+    of them, made as it is read, so one chunk of lines is held at a time."""
     strings = [None if isinstance(c, np.ndarray) and c.dtype == np.float64 else
                list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
                for c in columns]
@@ -56,13 +69,16 @@ def _csv_lines(header, columns):
     lines = []
     csv.writer(types.SimpleNamespace(write=lines.append),
                lineterminator="\r\n").writerows((s, "") for s in distinct)
-    text = dict(zip(distinct, (line[:-3] for line in lines)))  # less ",\r\n"
+    # the strings that quoting changes, each to its field, less ",\r\n"
+    quoted = {s: q for s, line in zip(distinct, lines) if (q := line[:-3]) != s}
     fields = strings  # in place: each column's strings go as its fields come
     for k, (c, s) in enumerate(zip(columns, strings)):
-        fields[k] = _fmt_floats(c) if s is None else list(map(text.__getitem__, s))
-    template = ",".join(["%s"] * len(header)) + "\n"
-    return itertools.chain([template % tuple(map(text.__getitem__, header))],
-                           map(template.__mod__, zip(*fields)))
+        fields[k] = (_fmt_floats(c) if s is None else
+                     list(map(quoted.get, s, s)) if quoted else s)
+    rows = itertools.chain([map(quoted.get, header, header)], zip(*fields))
+    # a row has a comma, so only the chunk past the last row is [""]
+    return map("\n".join, iter(lambda: [
+        *map(",".join, itertools.islice(rows, CHUNK_ROWS)), ""], [""]))
 
 
 def _strict_json(x):
@@ -384,8 +400,11 @@ _SUMMARY_ON_STDOUT = ("metric", "regularity")
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        start = time.perf_counter()
         g = graph_mod.load_graph_file(args.graph)
+        loaded = time.perf_counter()
         header, columns, summary, status = args.func(g, args)
+        done = time.perf_counter()
         if args.out or args.command not in _SUMMARY_ON_STDOUT:
             # every field is ready before any output: a failed row writes none
             lines = _csv_lines(header, columns)
@@ -395,6 +414,12 @@ def main(argv=None):
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 fh.writelines(lines)
         summary.update(command=args.command, graph=args.graph)
+        if args.command not in _SUMMARY_ON_STDOUT:
+            # beside the CSV file, which is the report; metric's and
+            # regularity's summary is their report, the same on every run
+            summary["timings"] = {"load_s": loaded - start,
+                                  "command_s": done - loaded,
+                                  "csv_s": time.perf_counter() - done}
         print(json.dumps(_strict_json(summary), sort_keys=True))
         return status
     except (graph_mod.GraphFormatError, reg_mod.ProfileDomainError, ValueError,

@@ -1,11 +1,13 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 
 import heatbound as hb
 from heatbound import bounds as bounds_mod
+from heatbound import cli as cli_mod
 from heatbound import kernel as kernel_mod
 from heatbound import regularity as reg_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
-from heatbound.cli import _csv_lines, build_parser, main
+from heatbound.cli import _csv_lines, _fmt_floats, build_parser, main
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
 
@@ -500,6 +503,41 @@ def _fmt(x):
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+def reference_fmt_floats(values):
+    """_fmt_floats with one f-string per distinct value."""
+    u, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.12g}" for v in u.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def reference_csv_lines(header, columns):
+    """_csv_lines with one %-template per row, a line at a time."""
+    strings = [None if isinstance(c, np.ndarray) and c.dtype == np.float64 else
+               list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
+               for c in columns]
+    distinct = dict.fromkeys(itertools.chain(header, *filter(None, strings)))
+    lines = []
+    csv.writer(types.SimpleNamespace(write=lines.append),
+               lineterminator="\r\n").writerows((s, "") for s in distinct)
+    text = dict(zip(distinct, (line[:-3] for line in lines)))  # less ",\r\n"
+    fields = [reference_fmt_floats(c) if s is None else
+              list(map(text.__getitem__, s)) for c, s in zip(columns, strings)]
+    template = ",".join(["%s"] * len(header)) + "\n"
+    return itertools.chain([template % tuple(map(text.__getitem__, header))],
+                           map(template.__mod__, zip(*fields)))
+
+
+def _long_table(n):
+    """A table of n rows: floats with repeats and specials, quoted and
+    plain strings, ints and bools."""
+    rng = np.random.default_rng(5)
+    floats = rng.choice(np.array(_SPECIAL_FLOATS + [2.5, -1e-7]), n)
+    return (("t", "x,y", "id", "ok"),
+            (floats, [("a", 'q"x', "c\rd", "50%")[k % 4] for k in range(n)],
+             rng.integers(-10 ** 6, 10 ** 6, n), rng.random(n) < 0.5))
+
+
 @st.composite
 def _tables(draw):
     """(header, columns, rows): columns of one kind each, with many repeats,
@@ -544,6 +582,28 @@ class TestCsvWriter:
         columns = (np.array([]), [], np.array([], dtype=bool))
         assert list(_csv_lines(header, columns)) == ['t,"x,y",p\n']
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @given(_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_chunks_join_to_the_reference(self, chunk_rows, table):
+        # every chunk boundary a table of up to 26 lines can have; a chunk
+        # holds chunk_rows lines, the last one the rest
+        header, columns, rows = table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "CHUNK_ROWS", chunk_rows)
+            chunks = list(_csv_lines(header, columns))
+        assert "".join(chunks) == "".join(reference_csv_lines(header, columns))
+        assert len(chunks) == -(-(len(rows) + 1) // chunk_rows)
+
+    @pytest.mark.parametrize("n", [0, 2 * cli_mod.CHUNK_ROWS + 5])
+    def test_default_chunks_join_to_the_reference(self, n):
+        header, columns = _long_table(n)
+        chunks = list(_csv_lines(header, columns))
+        text = "".join(chunks)
+        assert text == "".join(reference_csv_lines(header, columns))
+        assert len(chunks) == -(-(n + 1) // cli_mod.CHUNK_ROWS)
+        assert len(list(csv.reader(io.StringIO(text, newline="")))) == n + 1
+
     @pytest.mark.parametrize("argv", [
         ("kernel", "--tcount", "2"),
         ("bounds", "--formula", "cor2.7", "--tmin", "1", "--tmax", "2",
@@ -568,6 +628,52 @@ class TestCsvWriter:
         names = ("source", "target") if argv[0] == "kernel" else ("x1", "x2")
         assert {row[name] for row in rows for name in names} == \
             {str(v) for v in ids}
+
+
+class TestFmtFloats:
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(21).integers(
+            -2 ** 63, 2 ** 63, 10 ** 5, dtype=np.int64).view(np.float64)
+        assert _fmt_floats(values) == [f"{v:.12g}" for v in values.tolist()]
+
+    def test_special_values(self):
+        # both signs of nan, inf and zero, the least subnormal and normal, the
+        # largest float, and values where %g turns from fixed to exponent
+        values = np.array([math.nan, np.copysign(math.nan, -1.0), math.inf,
+                           -math.inf, 0.0, -0.0, 5e-324,
+                           2.2250738585072014e-308, 1.7976931348623157e308,
+                           1e-5, 9.9999999999995e-05, 1e11, 1e12,
+                           999999999999.5])
+        values = np.concatenate([values, -values])
+        assert _fmt_floats(values) == [f"{v:.12g}" for v in values.tolist()]
+
+    def test_one_distinct_value(self):
+        assert _fmt_floats(np.full(1000, 0.1)) == ["0.1"] * 1000
+
+
+class TestTimings:
+    def test_stage_seconds_beside_a_csv_file(self, random_file, tmp_path,
+                                             capsys):
+        # load, subcommand and CSV seconds join the summary of bounds --out;
+        # the CSV is the bytes bounds prints without --out, nothing added
+        argv = ("bounds", "--graph", random_file, "--tmin", "1", "--tmax",
+                "4", "--tcount", "3")
+        out_file = tmp_path / "out.csv"
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        timings = json.loads(stdout)["timings"]
+        assert sorted(timings) == ["command_s", "csv_s", "load_s"]
+        assert all(math.isfinite(v) and v >= 0 for v in timings.values())
+        code_csv, csv_text, _ = run_cli(capsys, *argv)
+        assert code_csv == code
+        with open(out_file, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_text
+        assert csv_text.startswith("formula,") and "timings" not in csv_text
+
+    def test_no_timings_in_a_summary_report(self, random_file, capsys):
+        # metric's summary is its report: the same bytes on every run
+        _, first, _ = run_cli(capsys, "metric", "--graph", random_file)
+        _, second, _ = run_cli(capsys, "metric", "--graph", random_file)
+        assert first == second and "timings" not in json.loads(first)
 
 
 class TestErrors:
