@@ -294,14 +294,19 @@ def _log_ratio(p, log_bound):
 @dataclass(frozen=True, eq=False)
 class BoundTable(Sequence):
     """The rows of a sweep as columns, in grid order: pairs outer, times
-    inner, and a cell's labels innermost.  ``formula``, ``x1`` and ``x2``
-    are lists, the other columns numpy arrays; ``log_ratio`` and ``passed``
-    follow from the others.  Indexing and iteration give BoundRow.
+    inner, and a cell's labels innermost.  The string columns are codes: a
+    row's formula is ``labels[label]`` (the formula's row labels), its x1
+    and x2 are ``ids[i1]`` and ``ids[i2]`` (the graph's vertex ids); label,
+    i1, i2 and the other columns are numpy arrays, one entry per row, and
+    ``log_ratio`` and ``passed`` follow from the others.  Indexing and
+    iteration give BoundRow, whose formula, x1 and x2 are strings.
     """
 
-    formula: list
-    x1: list
-    x2: list
+    labels: tuple
+    label: np.ndarray
+    ids: tuple
+    i1: np.ndarray
+    i2: np.ndarray
     t: np.ndarray
     d_nu: np.ndarray
     p_computed: np.ndarray
@@ -317,10 +322,11 @@ class BoundTable(Sequence):
         object.__setattr__(self, "passed", log_ratio <= LOG_TOL)
 
     def __len__(self):
-        return len(self.formula)
+        return len(self.label)
 
     def __getitem__(self, k):
-        return BoundRow(formula=self.formula[k], x1=self.x1[k], x2=self.x2[k],
+        return BoundRow(formula=self.labels[self.label[k]],
+                        x1=self.ids[self.i1[k]], x2=self.ids[self.i2[k]],
                         t=float(self.t[k]), d_nu=float(self.d_nu[k]),
                         p_computed=float(self.p_computed[k]),
                         log_bound=float(self.log_bound[k]),
@@ -534,12 +540,11 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     # the rows, in C order of (pair, time, label); has and the others are
     # indexed (pair, label, time)
     at_pair, at_time, at_label = np.nonzero(has.transpose(0, 2, 1))
-    labels = np.array([formula + s for s in spec.labels], dtype=object)
-    ids = np.array(g.vertex_ids, dtype=object)
     return BoundTable(
-        formula=labels[at_label].tolist(), x1=ids[i1[at_pair]].tolist(),
-        x2=ids[i2[at_pair]].tolist(), t=sweep.times[at_time],
-        d_nu=sweep.d[at_pair, 0], p_computed=lhs[at_pair, at_label, at_time],
+        labels=tuple(formula + s for s in spec.labels), label=at_label,
+        ids=g.vertex_ids, i1=i1[at_pair], i2=i2[at_pair],
+        t=sweep.times[at_time], d_nu=sweep.d[at_pair, 0],
+        p_computed=lhs[at_pair, at_label, at_time],
         log_bound=log_b[at_pair, at_label, at_time],
         in_domain=in_domain[at_pair, at_label, at_time],
         provenance=ledger.provenance)

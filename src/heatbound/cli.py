@@ -7,11 +7,14 @@ status; ``main`` writes them under one rule.  With --out the CSV goes to the
 file and the summary to stdout; without it stdout gets the summary for
 ``metric`` and ``regularity`` and the CSV for the other subcommands.  Every
 CSV comes from one writer, ``_csv_lines``: what Python 3.13's
-``csv.writer`` writes, byte for byte.  It formats each distinct float of a
-column once, all of them in one ``%`` call, and quotes each distinct string
-once; then it streams the rows, each one ``",".join`` of its fields, in
-strings of ``CHUNK_ROWS`` lines, so one chunk of joined lines is held at a
-time.  The summary of a subcommand whose report is its CSV holds
+``csv.writer`` writes, byte for byte.  A subcommand hands it float64
+columns and string columns as ``Categorical`` codes: each column's distinct
+strings and one integer code per row.  The writer formats each distinct
+float of a column once, all of them in one ``%`` call, and quotes the header
+and each column's distinct strings once, then gathers each string column's
+fields by its codes; it streams the rows, each one ``",".join`` of its
+fields, in strings of ``CHUNK_ROWS`` lines, so one chunk of joined lines is
+held at a time.  The summary of a subcommand whose report is its CSV holds
 ``timings``: the seconds spent loading the graph, in the subcommand, and
 formatting and writing the CSV.  Exit codes: 0 all checks passed, 1 verification failures present, 2
 input error (machine-readable JSON on stderr, nothing on stdout).
@@ -28,6 +31,7 @@ import math
 import sys
 import time
 import types
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,6 +46,10 @@ from . import regularity as reg_mod
 # larger chunks write no faster and hold more at the peak
 CHUNK_ROWS = 1024
 
+# a string column of a CSV: its distinct strings (levels) and, for each row,
+# the index of its string among them (codes, a sequence of ints)
+Categorical = namedtuple("Categorical", "levels codes")
+
 
 def _fmt_floats(values):
     """Each value of a float array to 12 significant digits (``%.12g``),
@@ -53,29 +61,47 @@ def _fmt_floats(values):
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _categorical(column):
+    """column as a Categorical: itself, or the str of each of its values
+    (a list, or an int or bool array), each distinct string a level."""
+    if isinstance(column, Categorical):
+        return column
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    index = {}
+    codes = [index.setdefault(s, len(index)) for s in map(str, values)]
+    return Categorical(tuple(index), codes)
+
+
+def _repeated(text, count):
+    """The Categorical of ``count`` rows of the one string text."""
+    return Categorical((text,), np.zeros(count, dtype=np.intp))
+
+
 def _csv_lines(header, columns):
     """The text csv.writer(lineterminator="\\n") writes from the header and
     the rows of the columns, two or more, in strings of CHUNK_ROWS lines:
-    float64 arrays by _fmt_floats, other values by str, each distinct string
-    quoted once, by csv itself, as Python 3.13 quotes it: a writer ending
-    lines in "\\r\\n" also quotes a bare \\r, which one ending them in
-    "\\n" does only from 3.13 on.  Every field is ready before the first
-    string is read; each string is one ",".join per row and one "\\n".join
-    of them, made as it is read, so one chunk of lines is held at a time."""
-    strings = [None if isinstance(c, np.ndarray) and c.dtype == np.float64 else
-               list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
-               for c in columns]
-    distinct = dict.fromkeys(itertools.chain(header, *filter(None, strings)))
+    float64 arrays by _fmt_floats, every other column as a Categorical
+    (_categorical), its fields its quoted levels gathered by its codes.  The
+    header and the levels are quoted once each, by csv itself, as Python
+    3.13 quotes them: a writer ending lines in "\\r\\n" also quotes a bare
+    \\r, which one ending them in "\\n" does only from 3.13 on.  Every field
+    is ready before the first string is read; each string is one ",".join
+    per row and one "\\n".join of them, made as it is read, so one chunk of
+    lines is held at a time."""
+    columns = [c if isinstance(c, np.ndarray) and c.dtype == np.float64 else
+               _categorical(c) for c in columns]
+    strings = itertools.chain(header, *(c.levels for c in columns
+                                        if isinstance(c, Categorical)))
     lines = []
     csv.writer(types.SimpleNamespace(write=lines.append),
-               lineterminator="\r\n").writerows((s, "") for s in distinct)
-    # the strings that quoting changes, each to its field, less ",\r\n"
-    quoted = {s: q for s, line in zip(distinct, lines) if (q := line[:-3]) != s}
-    fields = strings  # in place: each column's strings go as its fields come
-    for k, (c, s) in enumerate(zip(columns, strings)):
-        fields[k] = (_fmt_floats(c) if s is None else
-                     list(map(quoted.get, s, s)) if quoted else s)
-    rows = itertools.chain([map(quoted.get, header, header)], zip(*fields))
+               lineterminator="\r\n").writerows((s, "") for s in strings)
+    quoted = (line[:-3] for line in lines)  # each field, less ",\r\n"
+    head = list(itertools.islice(quoted, len(header)))
+    fields = [np.array(list(itertools.islice(quoted, len(c.levels))),
+                       dtype=object)[c.codes].tolist()
+              if isinstance(c, Categorical) else _fmt_floats(c)
+              for c in columns]
+    rows = itertools.chain([head], zip(*fields))
     # a row has a comma, so only the chunk past the last row is [""]
     return map("\n".join, iter(lambda: [
         *map(",".join, itertools.islice(rows, CHUNK_ROWS)), ""], [""]))
@@ -153,10 +179,10 @@ def _cmd_kernel(g, args):
     rows, err = kernel_mod.kernel_rows(g, [source], grid, args.tol)
     count = rows.size  # a row per time and target
     return (("source", "target", "t", "prob", "method", "err_bound"),
-            ([g.vertex_ids[g.index(source)]] * count,
-             list(g.vertex_ids) * len(grid), np.repeat(grid, g.n),
-             rows[0].ravel(), [kernel_mod.METHOD] * count,
-             np.repeat(err, g.n)),
+            (_repeated(g.vertex_ids[g.index(source)], count),
+             Categorical(g.vertex_ids, np.tile(np.arange(g.n), len(grid))),
+             np.repeat(grid, g.n), rows[0].ravel(),
+             _repeated(kernel_mod.METHOD, count), np.repeat(err, g.n)),
             {"source": source, "rows": count, "out": args.out}, 0)
 
 
@@ -168,7 +194,9 @@ def _cmd_metric(g, args):
                            for k, a in enumerate(g.vertex_ids)
                            for b in g.vertex_ids[k + 1:]}
     vertices, slacks = zip(*sorted(report["vertex_slacks"].items()))
-    return (("vertex", "constraint_slack"), (vertices, np.array(slacks)),
+    return (("vertex", "constraint_slack"),
+            (Categorical(vertices, np.arange(len(vertices))),
+             np.array(slacks)),
             report, 0 if report["pass"] else 1)
 
 
@@ -271,10 +299,12 @@ def _cmd_bounds(g, args):
                        gamma=setup.gamma, delta=setup.delta)
     return (("formula", "x1", "x2", "t", "d_nu", "p_computed", "log_bound",
              "log_ratio", "constants_provenance", "pass", "domain_flag"),
-            (rows.formula, rows.x1, rows.x2, rows.t, rows.d_nu,
-             rows.p_computed, rows.log_bound, rows.log_ratio,
-             [rows.provenance] * len(rows), rows.passed,
-             ["in" if v else "out" for v in rows.in_domain.tolist()]),
+            (Categorical(rows.labels, rows.label),
+             Categorical(rows.ids, rows.i1), Categorical(rows.ids, rows.i2),
+             rows.t, rows.d_nu, rows.p_computed, rows.log_bound,
+             rows.log_ratio, _repeated(rows.provenance, len(rows)),
+             Categorical(("False", "True"), rows.passed.view(np.uint8)),
+             Categorical(("out", "in"), rows.in_domain.view(np.uint8))),
             summary, 1 if summary["failures_in_domain"] else 0)
 
 
@@ -307,7 +337,7 @@ def _cmd_imp(g, args):
                "J_monotone": jrep.passed, "J_tol": jrep.tol_used,
                "worst_J_ratio": jrep.worst_ratio}
     return (("t", "J", "worst_edge", "slack"),
-            (jrep.times, jrep.J, [edge] * len(jrep.times),
+            (jrep.times, jrep.J, _repeated(edge, len(jrep.times)),
              np.full(len(jrep.times), membership.worst_slack)), summary,
             0 if (membership.passed and jrep.passed) else 1)
 
@@ -320,7 +350,8 @@ def _cmd_simulate(g, args):
                "seed": res.seed, "jump_cap": res.jump_cap,
                "exploded_fraction": res.exploded_fraction}
     return (("vertex", "count", "prob"),
-            (g.vertex_ids, res.counts, res.counts / res.n_paths), summary, 0)
+            (Categorical(g.vertex_ids, np.arange(g.n)), res.counts,
+             res.counts / res.n_paths), summary, 0)
 
 
 @functools.cache

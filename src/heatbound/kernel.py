@@ -44,17 +44,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 # private to scipy: the compiled kernels that `@` on a CSR matrix and a dense
 # vector or block ends in.  Called directly they skip the ~5 us of Python
 # dispatch around each step; tests/test_kernel.py checks them against `@`.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.special import ive
 
-from .graph import WeightedGraph, rate_matrix
+from .graph import WeightedGraph
 
 DEFAULT_TOL = 1e-10
 METHOD = "series-uniformization"
@@ -157,8 +157,9 @@ def _stacked(b_t, blocks=2, at=0, back=1):
     at columns at n + j, then -1 at column back n + i.  A call on an operand
     of ``blocks`` blocks of n rows, u in block ``at`` and w in block
     ``back``, sums row i as b_t @ u does, each product doubled, then adds
-    -w_i: it gives 2 (b_t @ u) - w bit for bit (see _sum_series)."""
-    n = b_t.shape[0]
+    -w_i: it gives 2 (b_t @ u) - w bit for bit (see _sum_series).  b_t is
+    a CSR matrix or the _Csr of one."""
+    n = len(b_t.indptr) - 1
     indptr = b_t.indptr + np.arange(n + 1, dtype=np.int64)
     last = indptr[1:] - 1
     theirs = np.ones(indptr[-1], dtype=bool)
@@ -211,11 +212,43 @@ def _chebyshev_cut(taus, tol, spread):
     return [c[s:e] for s, e in zip(starts, cut)], tail[cut]
 
 
-def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
+# the arrays of a CSR matrix, named as scipy's matrices name them
+_Csr = namedtuple("_Csr", "indptr indices data")
+
+
+def _step_matrix(g, sub):
+    """The _Csr of B = I + Q^T/Lam, for Q the generator of g restricted to
+    the sorted vertex indices ``sub`` and Lam the largest holding rate among
+    them, built from g's arrays: B_xy = (mu_xy (1/nu_y)) (1/Lam) off the
+    diagonal and 1 + (-rate_x (1/Lam)) on it, each row's columns sorted and
+    exact zeros dropped (a CSRW graph has no diagonal).  These are the
+    arrays, bit for bit, of scipy's (sparse.eye(n) + q.T * (1/Lam)).tocsr()
+    for q = rate_matrix(g)[sub, sub], without its sparse arithmetic."""
+    w, n = g.weights, len(sub)
+    inv_lam = 1.0 / g.rates[sub].max()
+    local = np.full(g.n, -1, dtype=np.intp)  # each vertex's index in sub
+    local[sub] = np.arange(n)
+    row = local[np.repeat(np.arange(g.n), np.diff(w.indptr))]
+    col = local[w.indices]
+    inside = (row >= 0) & (col >= 0)
+    rows = np.concatenate([row[inside], np.arange(n)])
+    cols = np.concatenate([col[inside], np.arange(n)])
+    data = np.concatenate([
+        w.data[inside] * (1.0 / g.nu)[w.indices[inside]] * inv_lam,
+        1.0 + -g.rates[sub] * inv_lam])
+    order = np.lexsort((cols, rows))
+    order = order[data[order] != 0.0]
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return _Csr(indptr.astype(w.indices.dtype),
+                cols[order].astype(w.indices.dtype), data[order])
+
+
+def _chebyshev(g, sub, p0, times, tol, entries=None):
     """(values, err): values[j] = exp(t_j Q^T) p0 for each start distribution
-    (column) of p0, and err[j] the truncation bound of times[j].  With
-    entries, an index such as (rows, cols), values[j] is only the [entries]
-    of that.
+    (column) of p0, Q the generator of g restricted to the sorted vertex
+    indices ``sub`` (p0 has a row for each), and err[j] the truncation bound
+    of times[j].  With entries, an index such as (rows, cols), values[j] is
+    only the [entries] of that.
 
     With B = I + Q^T/Lam and tau = Lam t, exp(t Q^T) = sum_k c_k T_k(B), c_k
     as in _chebyshev_cut.  Q is self-adjoint in L^2(nu) with spectrum in
@@ -231,7 +264,7 @@ def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
     Values are clamped at 0: the true values are probabilities, so the clamp
     can only shrink the error.
     """
-    lam = float(lam)
+    lam, nu = float(g.rates[sub].max()), g.nu[sub]
     coefs, err = _chebyshev_cut([lam * t for t in times], tol,
                                 math.sqrt(nu.max() / nu.min()))
     order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
@@ -246,16 +279,17 @@ def _chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
     table = table.reshape(table.shape + (1,) * (acc.ndim - 1))
     live = len(lengths) - np.searchsorted(lengths[::-1], np.arange(len(table)),
                                           side="right")
-    _sum_series(q_mat, lam, p0, table, live.tolist(), index, acc)
+    _sum_series(g, sub, p0, table, live.tolist(), index, acc)
     values = np.empty_like(acc)
     values[order] = acc
     np.maximum(values, 0.0, out=values)
     return values, err
 
 
-def _sum_series(q_mat, lam, p0, table, live, index, acc):
+def _sum_series(g, sub, p0, table, live, index, acc):
     """acc[i] += table[k, i] T_k(B) p0 [index] for each step k in order,
-    i < live[k]: the times still summing at step k.
+    i < live[k]: the times still summing at step k; B is _step_matrix(g,
+    sub), built only when there is a step to take.
 
     The recurrence runs in a ring of ``size`` + 2 rows, filled newest first:
     T_0 and T_1 in rows 1 and 0, then T_k in row (1 - k) mod (size + 2),
@@ -303,9 +337,8 @@ def _sum_series(q_mat, lam, p0, table, live, index, acc):
     buf = np.zeros((ring,) + p0.shape)
     rows = list(buf)
     buf[1] = p0
-    b_t = (sparse.eye(n, format="csr") + q_mat.T * (1.0 / lam)).tocsr()
-    _csr_call((b_t.indptr, b_t.indices, b_t.data), n, rows[1], rows[0])(
-        rows[1], rows[0])
+    b_t = _step_matrix(g, sub)
+    _csr_call(b_t, n, rows[1], rows[0])(rows[1], rows[0])
     add(1, buf[:1])
     down = _csr_call(_stacked(b_t), 2 * n, buf[:2], rows[0])
     wrap = _csr_call(_stacked(b_t, ring, ring - 1, 0), ring * n, buf, rows[0])
@@ -344,19 +377,18 @@ def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     idx = np.array([g.index(x) for x in sources], dtype=np.intp)
     if domain is None:
-        sub, q_sub = np.arange(g.n), rate_matrix(g)
+        sub = np.arange(g.n)
     else:
         sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
         outside = np.setdiff1d(idx, sub)
         if len(outside):
             raise ValueError(f"origin {g.vertex_ids[outside[0]]!r} not in "
                              "the killed domain")
-        q_sub = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
     at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
     p0 = np.zeros((len(sub), len(idx)))
     p0[at, cols] = 1.0
-    values, err = _chebyshev(q_sub, g.rates[sub].max(), g.nu[sub], p0, times,
-                             tol, (at, cols) if diagonal else None)
+    values, err = _chebyshev(g, sub, p0, times, tol,
+                             (at, cols) if diagonal else None)
     if diagonal:
         return values.T, err
     rows = np.zeros((len(idx), len(times), g.n))

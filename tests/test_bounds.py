@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -530,3 +530,60 @@ class TestReference:
                         r, log_bound=log_b, log_ratio=ratio,
                         provenance="empirical-fit", passed=ratio <= LOG_TOL))
                 assert list(emp_rows) == moved
+
+
+# a graph whose ids need CSV quoting: a comma, a quote, a percent sign, a
+# digit and a bare carriage return
+QUOTED_IDS = hb.WeightedGraph(
+    ["a,b", 'q"x', "50%", "7", "c\rd"], [2.0] * 5,
+    [("a,b", 'q"x'), ('q"x', "50%"), ("50%", "7"), ("7", "a,b"),
+     ("7", "c\rd")], [1.0] * 5)
+
+
+def object_list_rows(rows):
+    """Each row of a BoundTable as a tuple of BoundRow's fields, from the
+    per-row object lists the table held before its string columns became
+    codes: formula, x1 and x2 gathered from object arrays of the labels and
+    ids, one list each."""
+    labels = np.array(rows.labels, dtype=object)
+    ids = np.array(rows.ids, dtype=object)
+    return list(zip(
+        labels[rows.label].tolist(), ids[rows.i1].tolist(),
+        ids[rows.i2].tolist(), rows.t.tolist(), rows.d_nu.tolist(),
+        rows.p_computed.tolist(), rows.log_bound.tolist(),
+        rows.log_ratio.tolist(), [rows.provenance] * len(rows.label),
+        rows.passed.tolist(), rows.in_domain.tolist()))
+
+
+class TestCodedStringColumns:
+    """A BoundTable holds its formula, x1 and x2 columns as codes; its rows
+    must be those of the object lists, with str fields, and the rows of the
+    cell-by-cell reference on ids that need quoting."""
+
+    GRAPHS = [hb.random_connected_graph(7, seed=41, csrw=True), QUOTED_IDS]
+
+    @pytest.mark.parametrize("formula", list(FORMULAS))
+    def test_rows_equal_object_lists(self, formula, ledger):
+        for g in self.GRAPHS:
+            m = hb.shortest_path_metric(g)
+            pairs = all_pairs(g) + [(g.vertex_ids[-1], g.vertex_ids[0])]
+            times = [0.5, 2.0, 6.0]
+            setup = None
+            if FORMULAS[formula].theorem:
+                setup = fit_sweep_setup(g, pairs, times, epsilon=0.5,
+                                        T1=0.01, T2=1.5)
+            rows = bound_sweep(g, m, formula, times, pairs=pairs,
+                               ledger=ledger, setup=setup)
+            tables = [rows]
+            if setup is not None:
+                tables.append(empirical_sweep(g, m, formula, times,
+                                              pairs=pairs, setup=setup)[1])
+            for table in tables:
+                ref = object_list_rows(table)
+                assert len(table) == len(ref) > 0
+                assert [astuple(r) for r in table] == ref
+                assert {type(v) for r in table
+                        for v in (r.formula, r.x1, r.x2)} == {str}
+            if g is QUOTED_IDS:
+                assert list(rows) == reference_rows(g, m, formula, times,
+                                                    pairs, setup, ledger)

@@ -22,7 +22,8 @@ from heatbound import cli as cli_mod
 from heatbound import kernel as kernel_mod
 from heatbound import regularity as reg_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
-from heatbound.cli import _csv_lines, _fmt_floats, build_parser, main
+from heatbound.cli import (Categorical, _csv_lines, _fmt_floats, build_parser,
+                           main)
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
 
@@ -558,6 +559,39 @@ def _tables(draw):
     return header, columns, list(zip(*values))
 
 
+# strings a CSV field must quote, or must not
+_NEEDS_QUOTING = ["a,b", 'q"x', "50%", "c\rd"]
+
+
+@st.composite
+def _categorical_tables(draw):
+    """(header, columns, expanded): float64 columns and Categorical ones,
+    whose levels (some unused) need quoting or not and whose codes are intp,
+    int32 or uint8; and the same table with each Categorical expanded to
+    the list of its rows' strings."""
+    n = draw(st.integers(0, 25))
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(_QUOTING_TEXT, min_size=width, max_size=width))
+    columns, expanded = [], []
+    for _ in range(width):
+        if draw(st.booleans()):
+            elements, make = _COLUMN_KINDS["float"]
+            columns.append(make(draw(st.lists(elements, min_size=n,
+                                              max_size=n))))
+            expanded.append(columns[-1])
+            continue
+        levels = draw(st.lists(st.sampled_from(_NEEDS_QUOTING)
+                               | _QUOTING_TEXT, min_size=1, max_size=6,
+                               unique=True))
+        codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n,
+                              max_size=n))
+        dtype = draw(st.sampled_from([np.intp, np.int32, np.uint8]))
+        columns.append(Categorical(tuple(levels),
+                                   np.array(codes, dtype=dtype)))
+        expanded.append([levels[k] for k in codes])
+    return header, columns, expanded
+
+
 class TestCsvWriter:
     @given(_tables())
     @settings(max_examples=100, deadline=None)
@@ -594,6 +628,29 @@ class TestCsvWriter:
             chunks = list(_csv_lines(header, columns))
         assert "".join(chunks) == "".join(reference_csv_lines(header, columns))
         assert len(chunks) == -(-(len(rows) + 1) // chunk_rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @given(_categorical_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_categorical_equals_its_strings(self, chunk_rows, table):
+        # a Categorical column writes what the list of its rows' strings
+        # writes in the row-by-row reference
+        header, columns, expanded = table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "CHUNK_ROWS", chunk_rows)
+            chunks = list(_csv_lines(header, columns))
+        assert "".join(chunks) == "".join(reference_csv_lines(header,
+                                                              expanded))
+        assert len(chunks) == -(-(len(expanded[0]) + 1) // chunk_rows)
+
+    @pytest.mark.parametrize("levels", [(), tuple(_NEEDS_QUOTING)],
+                             ids=["no-levels", "unused-levels"])
+    def test_zero_row_categorical(self, levels):
+        header = ("x", "t")
+        for dtype in (np.intp, np.uint8):
+            columns = (Categorical(levels, np.array([], dtype=dtype)),
+                       np.array([]))
+            assert list(_csv_lines(header, columns)) == ["x,t\n"]
 
     @pytest.mark.parametrize("n", [0, 2 * cli_mod.CHUNK_ROWS + 5])
     def test_default_chunks_join_to_the_reference(self, n):

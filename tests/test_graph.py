@@ -176,7 +176,7 @@ class TestOperatorProperties:
         assert hb.inner_product(g, lf, f) <= 1e-10
 
     def test_rate_matrix_rows_vanish(self):
-        from heatbound.kernel import rate_matrix
+        from heatbound.graph import rate_matrix
         g = hb.random_connected_graph(10, seed=5)
         q = rate_matrix(g).toarray()
         off_diag = q.sum(axis=1) - np.diag(q)

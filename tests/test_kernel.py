@@ -10,8 +10,9 @@ from scipy.linalg import expm
 import heatbound as hb
 from heatbound import kernel as kernel_mod
 from heatbound.bounds import all_pairs, fit_sweep_setup
+from heatbound.graph import rate_matrix
 from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _chebyshev,
-                              _chebyshev_cut, point_mass_values, rate_matrix)
+                              _chebyshev_cut, point_mass_values)
 
 from conftest import ENGINE_SUITE, STIFF, random_suite
 
@@ -224,8 +225,8 @@ class TestEngine:
     def test_block_of_sources_over_a_grid(self, p5_csrw):
         g = p5_csrw
         times = [2.5, 0.0, 0.4, 2.5]
-        values, err = _chebyshev(rate_matrix(g), g.rates.max(), g.nu,
-                                 np.eye(g.n), times, DEFAULT_TOL)
+        values, err = _chebyshev(g, np.arange(g.n), np.eye(g.n), times,
+                                 DEFAULT_TOL)
         assert values.shape == (len(times), g.n, g.n)
         assert err.shape == (len(times),)
         for t, block, tail in zip(times, values, err):
@@ -296,12 +297,14 @@ class TestEngine:
                                                                   outside)
 
 
-def reference_chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
-    """_chebyshev one step at a time: T_{k+1} = 2 (B @ T_k) - T_{k-1} by
-    scipy's `@` into a fresh array, and each step's products added into the
-    live accumulators before the next step.  The engine's chunked steps
-    must give its bits."""
-    lam = float(lam)
+def reference_chebyshev(g, sub, p0, times, tol, entries=None):
+    """_chebyshev one step at a time: B = I + Q^T/Lam by scipy's sparse
+    arithmetic, T_{k+1} = 2 (B @ T_k) - T_{k-1} by scipy's `@` into a fresh
+    array, and each step's products added into the live accumulators before
+    the next step.  The engine's chunked steps must give its bits."""
+    q_mat = (rate_matrix(g) if len(sub) == g.n
+             else rate_matrix(g)[np.ix_(sub, sub)].tocsr())
+    lam, nu = float(g.rates[sub].max()), g.nu[sub]
     readout = (lambda v: v) if entries is None else (lambda v: v[entries])
     coefs, err = _chebyshev_cut([lam * t for t in times], tol,
                                 math.sqrt(nu.max() / nu.min()))
@@ -334,18 +337,16 @@ def reference_chebyshev(q_mat, lam, nu, p0, times, tol, entries=None):
 
 
 def engine_args(g, sources, domain=None, diagonal=False):
-    """(q_mat, lam, nu, p0, entries) as kernel_rows passes them."""
+    """(g, sub, p0, entries) as kernel_rows passes them."""
     idx = np.array([g.index(x) for x in sources], dtype=np.intp)
     if domain is None:
-        sub, q = np.arange(g.n), rate_matrix(g)
+        sub = np.arange(g.n)
     else:
         sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
-        q = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
     at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
     p0 = np.zeros((len(sub), len(idx)))
     p0[at, cols] = 1.0
-    return (q, g.rates[sub].max(), g.nu[sub], p0,
-            (at, cols) if diagonal else None)
+    return g, sub, p0, (at, cols) if diagonal else None
 
 
 def lam_t_with_cut(cut, spread):
@@ -377,9 +378,9 @@ class TestChunkedSteps:
 
     @staticmethod
     def assert_reference_bits(args, times):
-        q, lam, nu, p0, entries = args
-        values, err = _chebyshev(q, lam, nu, p0, times, DEFAULT_TOL, entries)
-        ref, ref_err = reference_chebyshev(q, lam, nu, p0, times, DEFAULT_TOL,
+        g, sub, p0, entries = args
+        values, err = _chebyshev(g, sub, p0, times, DEFAULT_TOL, entries)
+        ref, ref_err = reference_chebyshev(g, sub, p0, times, DEFAULT_TOL,
                                            entries)
         assert values.shape == ref.shape and values.dtype == ref.dtype
         assert values.tobytes() == ref.tobytes()
@@ -405,7 +406,8 @@ class TestChunkedSteps:
         # the grid's other cuts move where times stop summing
         args = engine_args(STIFF, STIFF.vertex_ids[:3],
                            diagonal=mode == "diagonal")
-        q, lam, nu, p0, entries = args
+        g, sub, p0, entries = args
+        lam, nu = g.rates[sub].max(), g.nu[sub]
         spread = math.sqrt(nu.max() / nu.min())
         cut = {"below": rows - 1, "equal": rows, "one-past": rows + 1,
                "several": 4 * rows + 3}[longest]
@@ -679,6 +681,40 @@ class TestChebyshev:
                 for row in rows[:, j]:
                     assert abs(math.fsum(row) - mass) <= rounding
                     assert abs(math.fsum(row) - 1.0) <= err[j] + rounding
+
+
+class TestStepMatrix:
+    """_step_matrix builds B's CSR arrays from the graph's arrays; they must
+    be scipy's (I + Q^T/Lam) bit for bit, zeros dropped as its sum drops
+    them."""
+
+    @pytest.mark.parametrize("mode", ["full", "killed"])
+    def test_equals_sparse_arithmetic(self, mode):
+        graphs = ENGINE_SUITE + [hb.path_graph(4),
+                                 hb.load_graph("v a 1\nv b 1\ne a b 1\n")]
+        for g in graphs:
+            sub = (np.arange(g.n) if mode == "full"
+                   else np.arange(g.n // 2, g.n))
+            q = rate_matrix(g)[np.ix_(sub, sub)].tocsr()
+            lam = float(g.rates[sub].max())
+            ref = (sparse.eye(len(sub), format="csr")
+                   + q.T * (1.0 / lam)).tocsr()
+            b = kernel_mod._step_matrix(g, sub)
+            for got, want in zip(b, (ref.indptr, ref.indices, ref.data)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert 0.0 not in b.data
+
+    def test_diagonal_zeros_dropped(self):
+        # every CSRW rate is Lam, so B has no diagonal; a path's inner
+        # vertices have rate 2 = Lam, so its rows 1 and 2 have none
+        g = hb.csrw_normalized(hb.path_graph(5))
+        b = kernel_mod._step_matrix(g, np.arange(g.n))
+        rows = np.repeat(np.arange(g.n), np.diff(b.indptr))
+        assert not np.any(rows == b.indices)
+        b = kernel_mod._step_matrix(hb.path_graph(4), np.arange(4))
+        rows = np.repeat(np.arange(4), np.diff(b.indptr))
+        assert sorted(rows[rows == b.indices].tolist()) == [0, 3]
 
 
 class TestCsrStep:
