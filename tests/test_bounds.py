@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ import heatbound as hb
 from heatbound.bounds import (
     FORMULAS,
     LOG_TOL,
+    PROFILE_POINTS,
     BoundRow,
+    SweepSetup,
     _log_gaussian_bound,
     all_pairs,
     bound_sweep,
@@ -24,7 +26,7 @@ from heatbound.bounds import (
     summarize_rows,
 )
 from heatbound.kernel import KernelEvolution
-from heatbound.regularity import DecayProfile
+from heatbound.regularity import DecayProfile, alpha_constant, beta_constant
 
 from conftest import ENGINE_SUITE, random_suite
 
@@ -56,6 +58,19 @@ class TestConstantLedger:
         oracle = math.log(math.exp(4e6 * ledger.theta2 - ledger.log_C0)
                           + tail + 1.0) + ledger.log_C0
         assert ledger.log_C1 == pytest.approx(oracle, rel=1e-12)
+
+    def test_equals_scipy_logsumexp(self, ledger):
+        # the chain as scipy.special.logsumexp computes it, field for field
+        from scipy.special import logsumexp
+        theta1 = 1e-6
+        theta2 = theta1 / 5.0
+        log_c0 = float(logsumexp([theta1 + 0.01,
+                                  -theta1 - math.log(-math.expm1(-theta1)),
+                                  math.log(2.0) + 123.0]))
+        tail = float(logsumexp(-theta2 * 4.0 ** np.arange(0, 64)))
+        log_c1 = float(logsumexp([4e6 * theta2, log_c0 + tail, log_c0]))
+        assert astuple(ledger) == (theta1, theta2, theta2 / 2.0, log_c0,
+                                   log_c1, "paper-explicit")
 
     def test_provenance_switch(self, ledger):
         emp = ledger.with_empirical_C1(3.5)
@@ -587,3 +602,120 @@ class TestCodedStringColumns:
             if g is QUOTED_IDS:
                 assert list(rows) == reference_rows(g, m, formula, times,
                                                     pairs, setup, ledger)
+
+
+def reference_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
+                    T1=0.0, T2=math.inf):
+    """fit_sweep_setup as it was before it fitted every vertex at once: an
+    on-diagonal curve per vertex, then one from_on_diagonal and one
+    minimal_regularity_constant call per vertex."""
+    times = np.asarray(times, dtype=float)
+    verts = sorted({v for pair in pairs for v in pair})
+    if delta is None:
+        delta = max([1.0] + [g.rates[g.index(v)] for v in verts])
+    alpha = alpha_constant(gamma, delta)
+    grid = np.geomspace(alpha * times.min() * 0.5, times.max() * 1.05,
+                        PROFILE_POINTS)
+    curves = hb.on_diagonal_curves(g, verts, grid)
+    profiles = {v: DecayProfile.from_on_diagonal(curves[v]) for v in verts}
+    A = max([1.0] + [hb.minimal_regularity_constant(prof, gamma, prof.domain)
+                     for prof in profiles.values()])
+    return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
+                      beta=beta_constant(gamma), alpha=alpha, T1=T1, T2=T2,
+                      profiles=profiles)
+
+
+def setup_bytes(setup):
+    """A SweepSetup's fields, each profile as the bytes of its arrays."""
+    out = {f.name: getattr(setup, f.name) for f in fields(setup)}
+    out["profiles"] = {
+        v: (prof.kind, prof.params, prof.domain,
+            *(a.tobytes() for a in (prof.times, prof.values, prof._log_t,
+                                    prof._log_f)))
+        for v, prof in setup.profiles.items()}
+    return out
+
+
+def fit_outcome(fit, *args, **kwargs):
+    try:
+        return setup_bytes(fit(*args, **kwargs))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedFit:
+    """fit_sweep_setup fits every paired vertex from one (vertices, times)
+    array; A, every profile array and every field equal the per-vertex
+    fit's bit for bit, and its errors are the per-vertex fit's."""
+
+    GRAPHS = (random_suite(3, 9, seed0=900, csrw=True)
+              + random_suite(3, 9, seed0=910, nu_range=(1e-3, 10),
+                             mu_range=(0.1, 10)))
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("delta", [None, 3.0])
+    def test_equals_per_vertex_fit(self, gamma, delta):
+        for g in self.GRAPHS:
+            ids = g.vertex_ids
+            for pairs in (all_pairs(g), [(ids[-1], ids[-1])]):
+                times = [0.2, 1.0, 7.5]
+                kwargs = dict(gamma=gamma, delta=delta, epsilon=0.5, T1=0.01,
+                              T2=5.0)
+                got = setup_bytes(fit_sweep_setup(g, pairs, times, **kwargs))
+                ref = setup_bytes(reference_setup(g, pairs, times, **kwargs))
+                assert got == ref
+                assert sorted(got["profiles"]) == sorted(
+                    {v for pair in pairs for v in pair})
+
+    def test_no_pairs(self):
+        g = hb.load_graph("v a 1\n")
+        setup = fit_sweep_setup(g, all_pairs(g), [1.0, 2.0])
+        assert setup.A == 1.0 and setup.profiles == {}
+        assert setup_bytes(setup) == setup_bytes(
+            reference_setup(g, [], [1.0, 2.0]))
+
+    @pytest.mark.parametrize("rows", [
+        # a zero, a negative and a nan diagonal value, each in the second
+        # row; then a nan row ahead of a zero row, and the reverse
+        {1: 0.0}, {1: -1e-300}, {1: math.nan}, {1: math.nan, 2: 0.0},
+        {1: 0.0, 2: math.nan}])
+    def test_non_positive_diagonal_value(self, monkeypatch, rows):
+        # the engine's diagonal array, with one value of the given rows set
+        g = self.GRAPHS[0]
+        real = hb.kernel.kernel_rows
+
+        def doctored(*args, **kwargs):
+            diags, err = real(*args, **kwargs)
+            diags = diags.copy()
+            for k, value in rows.items():
+                diags[k, 50] = value
+            return diags, err
+
+        monkeypatch.setattr(hb.kernel, "kernel_rows", doctored)
+        monkeypatch.setattr(hb.bounds, "kernel_rows", doctored)
+        pairs = all_pairs(g)
+        got = fit_outcome(fit_sweep_setup, g, pairs, [0.5, 2.0])
+        assert got == fit_outcome(reference_setup, g, pairs, [0.5, 2.0])
+        assert got[0] is ValueError
+
+    def test_constant_past_float_range(self, monkeypatch):
+        # the diagonal of the second and third vertex falls by e^1382 at a
+        # grid time, the third's earlier: the error names the second
+        # vertex's witness pair, as the per-vertex fit does
+        g = self.GRAPHS[0]
+        real = hb.kernel.kernel_rows
+
+        def doctored(*args, **kwargs):
+            diags, err = real(*args, **kwargs)
+            diags = diags.copy()
+            for k, at in ((1, 120), (2, 100)):
+                diags[k] = np.where(np.arange(diags.shape[1]) < at, 1e300,
+                                    1e-300)
+            return diags, err
+
+        monkeypatch.setattr(hb.kernel, "kernel_rows", doctored)
+        monkeypatch.setattr(hb.bounds, "kernel_rows", doctored)
+        pairs = all_pairs(g)
+        got = fit_outcome(fit_sweep_setup, g, pairs, [0.5, 2.0])
+        assert got == fit_outcome(reference_setup, g, pairs, [0.5, 2.0])
+        assert got[0] is ValueError and "past float range" in got[1]

@@ -19,6 +19,7 @@ from heatbound.regularity import (
     ProfileDomainError,
     alpha_constant,
     beta_constant,
+    minimal_regularity_constants,
     regularity_report,
 )
 
@@ -453,3 +454,212 @@ class TestChecksEqualLoops:
                                    envelope_kind=kind, delta=1.0, eps=0.5)
         names = {"holds", *ENVELOPES[kind]} if kind != "none" else set()
         assert set(report["envelope"]) == {"kind"} | names
+
+
+# ---------------------------------------------------------------------------
+# stacked tables: one check and one least-ratio pass for many profiles
+
+def parent_table(times, values):
+    """(t, f) of the table branch of DecayProfile.__init__ as it was before
+    the check was shared with the stacked constructor."""
+    t = np.asarray(times, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
+        raise ValueError("table profile needs matching 1-d arrays, >= 2 points")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise ValueError("table times must be finite and strictly positive")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("table times must be strictly increasing")
+    if not np.all((f > 0) & np.isfinite(f)):
+        raise ValueError("profile values must be finite and strictly positive")
+    if np.any(np.diff(f) < -1e-12 * np.abs(f[:-1])):
+        raise ValueError("profile is non-monotone; a decay profile must be "
+                         "non-decreasing")
+    return t, np.maximum.accumulate(f)
+
+
+def parent_on_diagonal(curve):
+    """(t, f) of DecayProfile.from_on_diagonal as it was before it became a
+    call of from_on_diagonal_rows."""
+    pts = [(t, p) for t, p in curve if t > 0]
+    if len(pts) < 2:
+        raise ValueError("need at least two positive-time samples")
+    t = np.array([q[0] for q in pts])
+    p = np.array([q[1] for q in pts])
+    if np.any(p <= 0):
+        raise ValueError("on-diagonal probabilities must be positive")
+    return parent_table(t, np.maximum.accumulate(1.0 / p))
+
+
+def outcome(build):
+    """The bytes of the (t, f, log t, log f) arrays build() returns, or the
+    type and message of the ValueError it raises."""
+    try:
+        return tuple(a.tobytes() for a in build())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def arrays(prof):
+    return prof.times, prof.values, prof._log_t, prof._log_f
+
+
+def parent_arrays(parent):
+    """The arrays of a profile built from the parent's (t, f)."""
+    t, f = parent
+    return t, f, np.log(t), np.log(f)
+
+
+def reciprocal(values):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.asarray(values, dtype=float)
+
+
+# (times, values) of a table; the on-diagonal routes read p = 1 / values
+TABLE_CASES = {
+    "one point": ([1.0], [2.0]),
+    "no points": ([], []),
+    "lengths differ": ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    "zero time": ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    "negative time": ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    "infinite time": ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
+    "nan time": ([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+    "times not increasing": ([1.0, 3.0, 2.0], [1.0, 2.0, 3.0]),
+    "repeated time": ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    "zero value": ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+    "negative value": ([1.0, 2.0, 3.0], [-1.0, 1.0, 2.0]),
+    "infinite value": ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf]),
+    "nan value": ([1.0, 2.0, 3.0], [1.0, math.nan, 2.0]),
+    "non-monotone": ([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]),
+    "rounding dip": ([1.0, 2.0, 3.0], [1.0, 1.0 - 1e-14, 2.0]),
+    "valid": ([0.5, 1.0, 4.0], [1.0, 2.0, 8.0]),
+}
+
+
+class TestTableChecks:
+    """DecayProfile("table"), from_table, from_on_diagonal and
+    from_on_diagonal_rows share one table check; each raises the parent's
+    error, type and message, or builds the parent's arrays bit for bit."""
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_table_routes(self, case):
+        times, values = TABLE_CASES[case]
+        want = outcome(lambda: parent_arrays(parent_table(times, values)))
+        assert outcome(lambda: arrays(DecayProfile(
+            "table", times=times, values=values))) == want
+        assert outcome(lambda: arrays(
+            DecayProfile.from_table(times, values))) == want
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_on_diagonal_routes(self, case):
+        times, values = TABLE_CASES[case]
+        curve = list(zip(times, reciprocal(values).tolist()))
+        want = outcome(lambda: parent_arrays(parent_on_diagonal(curve)))
+        assert outcome(lambda: arrays(
+            DecayProfile.from_on_diagonal(curve))) == want
+        t = [q[0] for q in curve]
+        p = [q[1] for q in curve]
+        assert outcome(lambda: arrays(
+            DecayProfile.from_on_diagonal_rows(t, [p])[0])) == want
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_stacked_rows(self, case):
+        # a failing row raises its own error wherever it stands; a valid
+        # row beside it changes nothing
+        times, values = TABLE_CASES[case]
+        curve = list(zip(times, reciprocal(values).tolist()))
+        t = [q[0] for q in curve]
+        bad = [q[1] for q in curve]
+        good = [1.0 / (1.0 + k) for k in range(len(t))]
+        want = outcome(lambda: parent_arrays(parent_on_diagonal(curve)))
+        for rows, k in (([good, bad], 1), ([bad, good], 0),
+                        ([good, bad, good], 1)):
+            assert outcome(lambda: arrays(
+                DecayProfile.from_on_diagonal_rows(t, rows)[k])) == want
+
+    def test_first_failing_row_names_its_first_failing_check(self):
+        # row 0 has a nan value (the table check), row 1 a zero value (the
+        # on-diagonal check, which comes first within a row): row 0's
+        # error is raised, and row 1's when the rows swap
+        t = [1.0, 2.0, 3.0]
+        nan_row, zero_row = [1.0, math.nan, 0.5], [1.0, 0.0, 0.5]
+        for rows in ([nan_row, zero_row], [zero_row, nan_row]):
+            want = outcome(lambda: parent_arrays(
+                parent_on_diagonal(list(zip(t, rows[0])))))
+            assert outcome(lambda: arrays(
+                DecayProfile.from_on_diagonal_rows(t, rows)[0])) == want
+        with pytest.raises(ValueError, match="one row of probabilities"):
+            DecayProfile.from_on_diagonal_rows(t, [1.0, 0.5, 0.25])
+
+    @given(st.lists(st.lists(st.floats(1e-300, 1e300), min_size=12,
+                             max_size=12), min_size=1, max_size=5),
+           st.floats(1.1, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_fit_equals_one_profile_fits(self, rows, gamma):
+        # profiles, constants and witnesses equal the one-profile functions'
+        # bit for bit, or both raise the same error (p spans 1381 e-folds,
+        # so some least constants are past e^709)
+        t = np.geomspace(0.01, 100.0, 12)
+        profiles = DecayProfile.from_on_diagonal_rows(t, rows)
+        assert len(profiles) == len(rows)
+        single = []
+        for prof, p in zip(profiles, rows):
+            one = DecayProfile.from_on_diagonal(zip(t.tolist(), p))
+            assert outcome(lambda: arrays(prof)) == outcome(
+                lambda: arrays(one))
+            single.append(outcome_of_constant(one, gamma, one.domain))
+        stacked = outcome_of_constants(profiles, gamma, profiles[0].domain)
+        errors = [s for s in single if isinstance(s[0], type)]
+        if errors:
+            assert stacked == errors[0]
+        else:
+            assert stacked == [a for a, _ in single]
+
+
+def outcome_of_constant(prof, gamma, interval):
+    try:
+        return hb.minimal_regularity_constant(prof, gamma, interval,
+                                              return_witness=True)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def outcome_of_constants(profiles, gamma, interval):
+    try:
+        return minimal_regularity_constants(profiles, gamma, interval)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedConstants:
+    def test_past_float_range_first_such_row(self):
+        # f jumps from 1e-300 to 1e300 at t = 3 in row 1 and at t = 4 in row
+        # 2; row 0 is regular.  Both functions raise row 1's error, and row
+        # 2's without row 1
+        t = np.arange(1.0, 11.0)
+        rows = [1.0 / t, np.where(t < 3, 1e300, 1e-300),
+                np.where(t < 4, 1e300, 1e-300)]
+        profiles = DecayProfile.from_on_diagonal_rows(t, rows)
+        with pytest.raises(ValueError) as one:
+            hb.minimal_regularity_constant(profiles[1], 2.0,
+                                           profiles[1].domain)
+        assert "past float range, at s = 2, t = 3" in str(one.value)
+        with pytest.raises(ValueError) as stacked:
+            minimal_regularity_constants(profiles, 2.0, profiles[0].domain)
+        assert type(stacked.value) is type(one.value)
+        assert str(stacked.value) == str(one.value)
+        with pytest.raises(ValueError, match="at s = 2, t = 4"):
+            minimal_regularity_constants(profiles[::2], 2.0,
+                                         profiles[0].domain)
+
+    def test_tables_on_different_times_rejected(self):
+        a = DecayProfile.from_table([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
+        b = DecayProfile.from_table([1.0, 2.0, 5.0], [1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="one grid of times"):
+            minimal_regularity_constants([a, b], 2.0, a.domain)
+        with pytest.raises(ValueError, match="one grid of times"):
+            minimal_regularity_constants([DecayProfile.power(1.0)], 2.0,
+                                            (1.0, 4.0))
+        assert minimal_regularity_constants([], 2.0, (1.0, 4.0)) == []
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            minimal_regularity_constants([], 1.0, (1.0, 4.0))
