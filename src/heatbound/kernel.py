@@ -22,17 +22,22 @@ the diagonal, one number per source and time for the on-diagonal curves.
 
 In the engine, one three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on a
 block of start vectors, one unit column per source, serves every time of the
-call.  After T_1 = B T_0, each step is one call of the compiled CSR kernel
-that scipy's `@` ends in, on the stacked matrix [2B | -I] and the contiguous
-pair [T_k; T_{k-1}] of rows of a ring buffer.  Doubling is exact and commutes
-with rounding, except for a product below 2^-1022, so the call gives the bits
-of `2 (b_t @ T_k) - T_{k-1}`.  The coefficient products c_k T_k of a chunk of
-steps are one broadcast multiply, added into each time's accumulator one step
-at a time in k order.  So a value's bits do not depend on the chunk, on the
-other times or sources of a call, or on the entry point.  A chunk holds at
-most CHUNK_BYTES of rows and products; the ring adds two rows of the block to
-it, and a block larger than CHUNK_BYTES steps one row and one product at a
-time.
+call.  It runs in a ring of rows.  After T_1 = B T_0, each chunk of steps is
+one call of the compiled CSR kernel that scipy's `@` ends in, on a ring
+matrix holding [2B | -I] once per ring row: that kernel computes its output
+rows in order, and the output rows are a slice of the same buffer as its
+operand, so a row reads the two rows before it even when the same call wrote
+them.  Doubling is exact and commutes with rounding, except for a product
+below 2^-1022, so each row gets the bits of `2 (b_t @ T_k) - T_{k-1}`.  A
+second compiled call, csr_matvecs on a dense matrix of the chunk's
+coefficients, adds c_k T_k into each time's accumulator one step at a time
+in k order.  So a value's bits do not depend on the chunk, on the other
+times or sources of a call, or on the entry point.  The ring, its matrix and
+a chunk's coefficients fit in CHUNK_BYTES; a block larger than that steps
+one row at a time in a ring of three rows.  tests/test_kernel.py
+(TestCsrStep) pins both properties of scipy's private kernels that this
+relies on: rows in order, with no copy of an aliased operand, and each
+output sum taken in the matrix's entry order.
 
 Results keep the method name METHOD, "series-uniformization": the expansion
 is still a series in the uniformized matrix B.  There is no second backend:
@@ -42,7 +47,6 @@ spectral oracle, the benchmark against the 40-digit oracle too.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -63,8 +67,8 @@ METHOD = "series-uniformization"
 # the most Bessel coefficients one call may need over all its times: finding
 # the cuts peaks at 7 float64 or intp arrays of that length, about 560 MB
 MAX_COEFFICIENTS = 10_000_000
-# bytes of one chunk of Chebyshev steps: its rows of the recurrence buffer
-# and their coefficient products; a larger block steps one row at a time
+# bytes of the ring of Chebyshev steps: its rows, its step matrix and a
+# chunk's coefficients; a larger block steps one row at a time
 CHUNK_BYTES = 1 << 18
 
 
@@ -126,20 +130,28 @@ class SimulationResult:
 # the engine and its entry points
 
 def _csr_call(csr, cols, x, out):
-    """call(x, out): out += A @ x, bit for bit, for operands shaped and laid
-    out like x and out, A the CSR matrix csr = (indptr, indices, data) with
+    """call(x, out, start=0): out += A[start:start + m] @ x, bit for bit,
+    for operands shaped and laid out like x and out, m the rows of the
+    call's out and A the CSR matrix csr = (indptr, indices, data) with
     ``cols`` columns: one call into the compiled kernel that ``@`` ends in,
     csr_matvec for one column and csr_matvecs for a block, whose column
-    count is that of out's rows.  x may stack several operands, as
-    [T_k; T_{k-1}] does for _stacked's matrix.  The kernel checks no shape
-    and quietly copies an operand of another dtype or layout, so the
-    operands are checked here, once, and the call is the kernel itself."""
+    count is that of out's rows.  The kernel computes out's rows in order
+    and copies no operand that is already C-contiguous float64, so out may
+    be a slice of x that later rows read (the ring of _sum_series).  It
+    checks neither the operands' shapes nor A's indices, and quietly copies
+    an operand of another dtype or layout, so both are checked here, once,
+    with out all of A's rows, and the call is the kernel itself."""
     indptr, indices, data = csr
     rows = len(indptr) - 1
     if (data.dtype != np.float64 or indptr.dtype not in (np.int32, np.int64)
             or indices.dtype != indptr.dtype):
         raise ValueError("the step needs a float64 CSR matrix with int32 or "
                          "int64 indices")
+    if (len(indices) != len(data) or indptr[0] < 0
+            or indptr[-1] > len(data) or np.any(indptr[1:] < indptr[:-1])
+            or len(data) and not 0 <= indices.min() <= indices.max() < cols):
+        raise ValueError(f"the step's CSR arrays do not index {rows} rows "
+                         f"and {cols} columns")
     width = math.prod(out.shape[1:])
     for v, count in ((x, cols), (out, rows)):
         if (v.dtype != np.float64 or not v.flags.c_contiguous or v.ndim == 0
@@ -148,30 +160,68 @@ def _csr_call(csr, cols, x, out):
                              f"of {cols} and {rows} rows of {width}, got "
                              f"{x.dtype} {x.shape} and {out.dtype} "
                              f"{out.shape}")
-    if width == 1:
-        return functools.partial(csr_matvec, rows, cols, *csr)
-    return functools.partial(csr_matvecs, rows, cols, width, *csr)
+    kernel, block = ((csr_matvec, ()) if width == 1
+                     else (csr_matvecs, (width,)))
+
+    def call(x, out, start=0):
+        stop = start + out.size // width
+        kernel(stop - start, cols, *block, indptr[start:stop + 1], indices,
+               data, x, out)
+    return call
 
 
-def _stacked(b_t, blocks=2, at=0, back=1):
-    """The CSR arrays (indptr, indices, data) of [2 b_t | -I] by default: an
-    n x (blocks n) matrix whose row i holds 2 b_t's row i in b_t's CSR order
-    at columns at n + j, then -1 at column back n + i.  A call on an operand
-    of ``blocks`` blocks of n rows, u in block ``at`` and w in block
-    ``back``, sums row i as b_t @ u does, each product doubled, then adds
-    -w_i: it gives 2 (b_t @ u) - w bit for bit (see _sum_series).  b_t is
-    a CSR matrix or the _Csr of one."""
-    n = len(b_t.indptr) - 1
-    indptr = b_t.indptr + np.arange(n + 1, dtype=np.int64)
-    last = indptr[1:] - 1
-    theirs = np.ones(indptr[-1], dtype=bool)
-    theirs[last] = False
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[theirs] = b_t.indices + np.int64(at * n)
-    indices[last] = np.arange(back * n, (back + 1) * n)
-    data = np.empty(indptr[-1])
-    data[theirs], data[last] = 2.0 * b_t.data, -1.0
-    return indptr, indices, data
+def _ring_matrix(b_t, ring):
+    """The CSR arrays (indptr, indices, data) of the step matrix of a ring
+    of ``ring`` blocks of n rows: row block p holds 2 b_t's rows in b_t's
+    CSR order at column block (p - 1) mod ring, each row followed by -1 at
+    its own column of block (p - 2) mod ring.  A call of its row block p on
+    the ring gives 2 (b_t @ u) - w bit for bit, u and w the blocks before p
+    (see _sum_series).  Indices are int32 where they fit.  b_t is a CSR
+    matrix or the _Csr of one."""
+    n, ends = len(b_t.indptr) - 1, b_t.indptr[1:]
+    # one row block's entries: each row of 2 b_t at column block 0, then
+    # its -1 a block before; row block p is that shifted by (p - 1) mod ring
+    # blocks, and only row block 1's -1 entries then wrap round
+    cols = np.insert(b_t.indices, ends, np.arange(-n, 0))
+    vals = np.insert(2.0 * b_t.data, ends, -1.0)
+    per = len(vals)
+    dtype = np.int32 if ring * per <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty((ring, per), dtype=dtype)
+    indices[:] = cols
+    indices += ((np.arange(ring, dtype=dtype) - 1) % ring * n)[:, None]
+    indices[1, ends + np.arange(n)] += ring * n
+    data = np.empty((ring, per))
+    data[:] = vals
+    indptr = np.empty(ring * n + 1, dtype=dtype)
+    blocks = indptr[:-1].reshape(ring, n)
+    blocks[:] = b_t.indptr[:-1] + np.arange(n)  # each row's start
+    blocks += (np.arange(ring, dtype=dtype) * per)[:, None]
+    indptr[-1] = ring * per
+    return indptr, indices.ravel(), data.ravel()
+
+
+def _product_sums(acc):
+    """add(coefs, rows): acc[i] += coefs[i, k] rows[k] for each k in order,
+    i < len(coefs), with one csr_matvecs call of coefs as a dense CSR
+    matrix, its entries in k order: the kernel does y += c x per entry, so
+    each acc[i] gets the bits of a multiply and an in-place add per step.
+    rows is C-contiguous float64, count rows of acc's row width, count =
+    coefs.shape[1]; acc, the output, is checked here, once."""
+    width = math.prod(acc.shape[1:])
+    if acc.dtype != np.float64 or not acc.flags.c_contiguous or not width:
+        raise ValueError("the sums need a C-contiguous float64 accumulator "
+                         "with nonempty rows")
+    dense = {}  # count: indptr, indices of len(acc) rows of count entries
+
+    def add(coefs, rows):
+        summing, count = coefs.shape
+        if count not in dense:
+            dense[count] = (
+                np.arange(0, len(acc) * count + 1, count, dtype=np.int32),
+                np.tile(np.arange(count, dtype=np.int32), len(acc)))
+        csr_matvecs(summing, count, width, *dense[count], coefs.ravel(), rows,
+                    acc)
+    return add
 
 
 def _chebyshev_cut(taus, tol, spread):
@@ -274,12 +324,12 @@ def _chebyshev(g, sub, p0, times, tol, entries=None):
     # the readout of a stack of rows: all of each, or its [entries]
     index = (slice(None),) + (() if entries is None else tuple(entries))
     acc = np.zeros((len(times),) + p0[None][index].shape[1:])
-    # table[k, i]: c_k of the i-th longest time, 0 past its cut
-    table = np.zeros((lengths[0] if len(lengths) else 0, len(times)))
+    # table[i, k]: c_k of the i-th longest time, 0 past its cut
+    table = np.zeros((len(times), lengths[0] if len(lengths) else 0))
     for i, j in enumerate(order):
-        table[:lengths[i], i] = coefs[j]
-    table = table.reshape(table.shape + (1,) * (acc.ndim - 1))
-    live = len(lengths) - np.searchsorted(lengths[::-1], np.arange(len(table)),
+        table[i, :lengths[i]] = coefs[j]
+    live = len(lengths) - np.searchsorted(lengths[::-1],
+                                          np.arange(table.shape[1]),
                                           side="right")
     _sum_series(g, sub, p0, table, live.tolist(), index, acc)
     values = np.empty_like(acc)
@@ -289,73 +339,68 @@ def _chebyshev(g, sub, p0, times, tol, entries=None):
 
 
 def _sum_series(g, sub, p0, table, live, index, acc):
-    """acc[i] += table[k, i] T_k(B) p0 [index] for each step k in order,
+    """acc[i] += table[i, k] T_k(B) p0 [index] for each step k in order,
     i < live[k]: the times still summing at step k; B is _step_matrix(g,
     sub), built only when there is a step to take.
 
-    The recurrence runs in a ring of ``size`` + 2 rows, filled newest first:
-    T_0 and T_1 in rows 1 and 0, then T_k in row (1 - k) mod (size + 2),
-    from the last row down.  T_1 = B T_0 is the one plain step.  Every later
-    step is one compiled call of [2B | -I] (_stacked) on the contiguous pair
-    [T_{k-1}; T_{k-2}] of rows below it, or, for the one row whose pair
-    wraps round (T_{k-1} in the last row, T_{k-2} in the first), of the
-    same entries placed for the whole ring; so no row is ever copied.  The
-    call gives 2 (B T_{k-1}) - T_{k-2} bit for bit: doubling is exact, and
-    it commutes with rounding except where a product falls below 2^-1022
-    and loses bits, so each row's sum is twice B T_{k-1}'s, and the -1
-    entry comes last.
+    The recurrence runs in a ring of ``size`` + 2 blocks of rows, filled
+    forward: T_k in block k mod (size + 2).  T_1 = B T_0 is the one plain
+    step.  The later steps go in chunks of at most ``size`` blocks that end
+    at the ring's end or before it; a chunk zeroes its blocks once, as the
+    compiled kernel adds into its output.  Its steps are one call of the
+    ring matrix (_ring_matrix) on its row blocks, with the whole ring as
+    operand and the chunk's blocks as output: the kernel computes its rows
+    in order, so each block reads the two blocks before it, wrapping round
+    the ring through the matrix's columns, even when the same call wrote
+    them, and no row is ever copied.  Each block gets 2 (B T_{k-1}) -
+    T_{k-2} bit for bit: doubling is exact, and it commutes with rounding
+    except where a product falls below 2^-1022 and loses bits, so each
+    row's sum is twice B T_{k-1}'s, and the -1 entry comes last.
 
-    The steps go in chunks of at most ``size`` rows that do not wrap round.
-    A chunk zeroes its rows once, as the compiled kernel adds into its
-    output.  After its steps, the products for the times summing at its
-    first step are one broadcast multiply, and each step adds its products
-    into those times' accumulators, one in-place add per step in k order.
-    A time whose cut falls inside the chunk has coefficient 0 past it, and
-    adding 0 times a finite T_k, +-0, to its accumulator, which is never -0,
-    changes no bit; so every accumulator gets the bits of one step at a
-    time.  A chunk holds
-    at most CHUNK_BYTES of rows and products, and at least one row: the
-    memory added is the ring's two carried rows and a product per time for
-    each row of a chunk, one block and one product at a time for a block
-    past CHUNK_BYTES.
+    After its steps, a chunk's coefficient products go into the
+    accumulators of the times summing at its first step in one more
+    compiled call (_product_sums): a product and an in-place add per entry,
+    in k order.  A time whose cut falls inside the chunk has coefficient 0
+    past it, and adding 0 times a finite T_k, +-0, to its accumulator,
+    which is never -0, changes no bit; so every accumulator gets the bits
+    of one multiply and one add per step.  These are the bits of stepping
+    into a fresh array and adding each step's products before the next
+    step, as tests/test_kernel.py's reference_chebyshev does.
+
+    The ring's blocks, its matrix (int32 indices where they fit) and a
+    chunk's coefficients with their column indices fit in CHUNK_BYTES, and
+    a chunk has at least one block: a block past CHUNK_BYTES steps one row
+    at a time in a ring of three.
     """
-    steps = len(table)
-    size = max(1, min(steps, CHUNK_BYTES // max(1, p0.nbytes + acc.nbytes)))
-    prods = np.empty((size,) + acc.shape)
-
-    def add(k0, stack):  # stack: T_k0, T_k0+1, ...
-        summing = acc[:live[k0]]
-        chunk = prods[:len(stack), :len(summing)]
-        np.multiply(table[k0:k0 + len(stack), :len(summing)],
-                    stack[index][:, None], out=chunk)
-        for p in chunk:
-            summing += p
-
-    if steps:
-        add(0, p0[None])
-    if steps < 2:  # no step, and Lam may be 0
+    steps = table.shape[1]
+    if not (steps and acc.size):  # no time, or no source
         return
-    n, ring = len(p0), size + 2
-    buf = np.zeros((ring,) + p0.shape)
-    rows = list(buf)
-    buf[1] = p0
+    add = _product_sums(acc)
+    if steps < 2:  # no step, and Lam may be 0
+        add(table[:live[0], :1], p0[None][index])
+        return
+    n = len(p0)
     b_t = _step_matrix(g, sub)
-    _csr_call(b_t, n, rows[1], rows[0])(rows[1], rows[0])
-    add(1, buf[:1])
-    down = _csr_call(_stacked(b_t), 2 * n, buf[:2], rows[0])
-    wrap = _csr_call(_stacked(b_t, ring, ring - 1, 0), ring * n, buf, rows[0])
-    # the step that writes row r
-    plan = [(down, buf[r + 1:r + 3], rows[r]) for r in range(ring - 2)]
-    plan += [(wrap, buf, rows[-2]), (down, buf[:2], rows[-1])]
-    k, top = 2, ring - 1  # the next step and its row
+    # a step's block, its row block of the ring matrix and its coefficients
+    step_bytes = (p0.nbytes + 12 * (len(b_t.data) + n) + 4 * n
+                  + 12 * len(acc))
+    size = max(1, min(steps - 2, CHUNK_BYTES // step_bytes - 2))
+    ring = size + 2
+    buf = np.zeros((ring,) + p0.shape)
+    buf[0] = p0
+    first = _csr_call(b_t, n, buf[0], buf[1])
+    step = _csr_call(_ring_matrix(b_t, ring), ring * n, buf,
+                     buf.reshape((ring * n,) + p0.shape[1:]))
+    first(buf[0], buf[1])
+    add(table[:live[0], :2], buf[:2][index])
+    k, pos = 2, 2  # the next step and its block
     while k < steps:
-        count = min(size, top + 1, steps - k)
-        low = top + 1 - count
-        buf[low:top + 1] = 0.0
-        for call, x, out in plan[low:top + 1][::-1]:
-            call(x, out)
-        add(k, buf[low:top + 1][::-1])
-        k, top = k + count, (low - 1) % ring
+        count = min(size, ring - pos, steps - k)
+        chunk = buf[pos:pos + count]
+        chunk.fill(0.0)
+        step(buf, chunk, pos * n)
+        add(table[:live[k], k:k + count], chunk[index])
+        k, pos = k + count, (pos + count) % ring
 
 
 def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 import heatbound as hb
 from heatbound import kernel as kernel_mod
@@ -398,27 +399,30 @@ class TestChunkedSteps:
                 engine_args(g, sources, domain, mode == "diagonal"), self.GRID)
 
     @pytest.mark.parametrize("longest", ["below", "equal", "one-past",
-                                         "several"])
+                                         "several", "rings"])
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_chunk_boundaries(self, monkeypatch, mode, rows, longest):
-        # a budget of ``rows`` rows of the block and products per chunk;
-        # the grid's other cuts move where times stop summing
+        # a budget of ``rows`` rows per chunk, in a ring of rows + 2; with
+        # "rings" the last chunk ends at the ring's end after the ring has
+        # wrapped round twice; the grid's other cuts move where times stop
+        # summing
         args = engine_args(STIFF, STIFF.vertex_ids[:3],
                            diagonal=mode == "diagonal")
         g, sub, p0, entries = args
         lam, nu = g.rates[sub].max(), g.nu[sub]
         spread = math.sqrt(nu.max() / nu.min())
         cut = {"below": rows - 1, "equal": rows, "one-past": rows + 1,
-               "several": 4 * rows + 3}[longest]
+               "several": 4 * rows + 3, "rings": 3 * (rows + 2) - 1}[longest]
         cuts = [cut, max(cut - 1, 0), cut, cut // 2, 0]
         times = [lam_t_with_cut(k, spread) / lam if k else 0.0 for k in cuts]
         coefs, _ = _chebyshev_cut([lam * t for t in times], DEFAULT_TOL,
                                   spread)
         assert max(len(c) for c in coefs) == cut + 1
-        readout = p0 if entries is None else p0[entries]
-        monkeypatch.setattr(kernel_mod, "CHUNK_BYTES",
-                            rows * (p0.nbytes + len(times) * readout.nbytes))
+        b_t = kernel_mod._step_matrix(g, sub)
+        monkeypatch.setattr(kernel_mod, "CHUNK_BYTES", (rows + 2) * (
+            p0.nbytes + 12 * (len(b_t.data) + len(sub)) + 4 * len(sub)
+            + 12 * len(times)))
         self.assert_reference_bits(args, times)
 
     def test_one_vertex_graph(self):
@@ -453,6 +457,23 @@ class TestChunkedSteps:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * block
+
+    def test_memory_of_the_ring_matrix(self):
+        # one source on K60: the ring matrix holds [2B | -I] once per ring
+        # row, 43 KB each, so it is most of what a chunk holds; with it
+        # counted the peak stays within CHUNK_BYTES and two copies of B,
+        # where leaving it out of the budget peaked at 4.5 MB
+        g = hb.complete_graph(60)
+        b_t = kernel_mod._step_matrix(g, np.arange(g.n))
+        matrix = sum(a.nbytes for a in b_t)
+        t = 50.0 / float(g.rates.max())
+        tracemalloc.start()
+        try:
+            hb.kernel_rows(g, ["0"], [t])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kernel_mod.CHUNK_BYTES + 2 * matrix
 
 
 class TestOneEngineCall:
@@ -720,7 +741,9 @@ class TestStepMatrix:
 class TestCsrStep:
     """The engine's steps call the compiled CSR kernels that scipy's `@` ends
     in, which are private to scipy: on pi_t they must give `pi_t @ v` bit
-    for bit, and on the stacked [2 pi_t | -I], `2 (pi_t @ u) - w`."""
+    for bit, on the ring matrix `2 (pi_t @ u) - w` for every block of a
+    ring, also when the same call wrote u and w, and on a dense matrix of
+    coefficients the bits of a multiply and an add per step."""
 
     @staticmethod
     def pi_t(q):
@@ -764,34 +787,73 @@ class TestCsrStep:
             self.assert_steps_equal(pi_t, np.random.default_rng(3).random(
                 (STIFF.n,) + shape))
 
-    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
-    def test_stacked_equals_twice_matmul_minus(self, shape):
-        # signed operands, as T_k(B) p0 is; u and w one contiguous [u; w]
-        rng = np.random.default_rng(4)
-        for g in ENGINE_SUITE:
-            pi_t = self.pi_t(rate_matrix(g))
-            stacked = kernel_mod._stacked(pi_t)
-            assert len(stacked[0]) == g.n + 1
-            uw = 2.0 * rng.random((2, g.n) + shape) - 1.0
-            out = np.zeros((g.n,) + shape)
-            kernel_mod._csr_call(stacked, 2 * g.n, uw, out)(uw, out)
-            u, w = uw
-            ref = 2.0 * (pi_t @ u) - w
-            assert out.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("kernel", ["matvec", "matvecs"])
+    def test_rows_read_rows_written_in_the_same_call(self, kernel):
+        # a chain matrix, row i of out = 2 x[i], on out = buf[1:] and x =
+        # buf: the ring relies on the kernel computing its rows in order
+        # and not copying an aliased operand, so a release that reorders
+        # rows or copies must fail here, not give wrong kernels
+        size = 8
+        chain = (np.arange(size, dtype=np.int32),
+                 np.arange(size - 1, dtype=np.int32), np.full(size - 1, 2.0))
+        first = np.array([1.0]) if kernel == "matvec" else np.array([1.0, -3.0])
+        buf = np.zeros((size, len(first)))
+        buf[0] = first
+        if kernel == "matvec":
+            csr_matvec(size - 1, size, *chain, buf, buf[1:])
+        else:
+            csr_matvecs(size - 1, size, len(first), *chain, buf, buf[1:])
+        assert buf.tolist() == [(2.0 ** i * first).tolist()
+                                for i in range(size)]
 
-    def test_wrapped_pair_equals_stacked(self):
-        # the ring's wrapped step: w in the first block, u in the last, and
-        # a block between that the call never reads
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+    def test_ring_matrix_equals_twice_matmul_minus(self, shape):
+        # row block p alone at every position of a ring of five, the two
+        # that wrap round included, on signed operands (as T_k(B) p0 is) in
+        # the two blocks before it; the blocks it must not read are NaN
+        rng = np.random.default_rng(4)
+        ring = 5
         for g in ENGINE_SUITE:
             pi_t = self.pi_t(rate_matrix(g))
-            wrap = kernel_mod._stacked(pi_t, 3, 2, 0)
-            ring = 2.0 * rng.random((3, g.n, 2)) - 1.0
-            ring[1] = np.nan
-            out = np.zeros((g.n, 2))
-            kernel_mod._csr_call(wrap, 3 * g.n, ring, out)(ring, out)
-            ref = 2.0 * (pi_t @ ring[2]) - ring[0]
-            assert out.tobytes() == ref.tobytes()
+            matrix = kernel_mod._ring_matrix(pi_t, ring)
+            assert matrix[0].dtype == matrix[1].dtype == np.int32
+            assert len(matrix[0]) == ring * g.n + 1
+            buf = np.zeros((ring, g.n) + shape)
+            call = kernel_mod._csr_call(matrix, ring * g.n, buf,
+                                        buf.reshape((-1,) + shape))
+            for p in range(ring):
+                buf[:] = np.nan
+                u, w = (p - 1) % ring, (p - 2) % ring
+                buf[u] = 2.0 * rng.random((g.n,) + shape) - 1.0
+                buf[w] = 2.0 * rng.random((g.n,) + shape) - 1.0
+                buf[p] = 0.0
+                ref = 2.0 * (pi_t @ buf[u]) - buf[w]
+                call(buf, buf[p:p + 1], p * g.n)
+                assert buf[p].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)],
+                             ids=["vector", "column", "block", "stacked"])
+    def test_product_sums_equal_multiply_then_add(self, shape):
+        # signed rows, and coefficients 0 past each time's cut; the sums
+        # must be the bits of a multiply and an in-place add per step
+        rng = np.random.default_rng(7)
+        times, steps = 5, 9
+        coefs = rng.random((times, steps))
+        for i, cut in enumerate([8, 6, 6, 2, 0]):
+            coefs[i, cut + 1:] = 0.0
+        rows = 2.0 * rng.random((steps,) + shape) - 1.0
+        acc = 2.0 * rng.random((times,) + shape) - 1.0
+        ref = acc.copy()
+        add = kernel_mod._product_sums(acc)
+        for summing, lo, hi in [(5, 0, 2), (4, 2, 7), (3, 7, 8), (2, 8, 9)]:
+            add(coefs[:summing, lo:hi], rows[lo:hi])
+            products = np.empty((hi - lo, summing) + shape)
+            np.multiply(coefs[:summing, lo:hi].T.reshape(
+                products.shape[:2] + (1,) * len(shape)), rows[lo:hi, None],
+                out=products)
+            for p in products:
+                ref[:summing] += p
+            assert acc.tobytes() == ref.tobytes()
 
     def test_operands_checked_once(self):
         pi_t = self.pi_t(rate_matrix(STIFF))
@@ -811,10 +873,22 @@ class TestCsrStep:
         for bad in (pi_t.astype(np.float32), mixed, pi_t[:-1]):
             with pytest.raises(ValueError):
                 kernel_mod._csr_call(self.csr(bad), n, np.ones(n), np.zeros(n))
-        # a stacked operand of the wrong length
+        # arrays the kernel would index out of bounds with
+        indptr, indices, data = self.csr(pi_t)
+        for bad in ((indptr, indices - 1, data), (indptr, indices + 1, data),
+                    (indptr, indices[:-1], data[:-1]),
+                    (indptr[::-1].copy(), indices, data)):
+            with pytest.raises(ValueError):
+                kernel_mod._csr_call(bad, n, np.ones(n), np.zeros(n))
+        # a ring operand of the wrong length
         with pytest.raises(ValueError):
-            kernel_mod._csr_call(kernel_mod._stacked(pi_t), 2 * n,
-                                 np.ones((3, n)), np.zeros(n))
+            kernel_mod._csr_call(kernel_mod._ring_matrix(pi_t, 3), 3 * n,
+                                 np.ones((4, n)), np.zeros(3 * n))
+        # an accumulator the sums cannot write in place
+        for acc in (np.zeros((2, n), dtype=np.float32), np.zeros((n, 2)).T,
+                    np.zeros((2, 0))):
+            with pytest.raises(ValueError):
+                kernel_mod._product_sums(acc)
 
 
 class TestSimulate:
