@@ -742,8 +742,9 @@ class TestCsrStep:
     """The engine's steps call the compiled CSR kernels that scipy's `@` ends
     in, which are private to scipy: on pi_t they must give `pi_t @ v` bit
     for bit, on the ring matrix `2 (pi_t @ u) - w` for every block of a
-    ring, also when the same call wrote u and w, and on a dense matrix of
-    coefficients the bits of a multiply and an add per step."""
+    ring (the two that wrap round included), also when the same call wrote
+    u and w, and on a dense matrix of coefficients the bits of a multiply
+    and an add per step."""
 
     @staticmethod
     def pi_t(q):
@@ -806,13 +807,14 @@ class TestCsrStep:
         assert buf.tolist() == [(2.0 ** i * first).tolist()
                                 for i in range(size)]
 
-    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
-    def test_ring_matrix_equals_twice_matmul_minus(self, shape):
-        # row block p alone at every position of a ring of five, the two
-        # that wrap round included, on signed operands (as T_k(B) p0 is) in
-        # the two blocks before it; the blocks it must not read are NaN
-        rng = np.random.default_rng(4)
-        ring = 5
+    RING = 5
+
+    def assert_ring_positions(self, shape, positions, seed):
+        # row block p alone at each position, on signed operands (as
+        # T_k(B) p0 is) in the two blocks before it mod the ring; the blocks
+        # it must not read are NaN
+        rng = np.random.default_rng(seed)
+        ring = self.RING
         for g in ENGINE_SUITE:
             pi_t = self.pi_t(rate_matrix(g))
             matrix = kernel_mod._ring_matrix(pi_t, ring)
@@ -821,7 +823,7 @@ class TestCsrStep:
             buf = np.zeros((ring, g.n) + shape)
             call = kernel_mod._csr_call(matrix, ring * g.n, buf,
                                         buf.reshape((-1,) + shape))
-            for p in range(ring):
+            for p in positions:
                 buf[:] = np.nan
                 u, w = (p - 1) % ring, (p - 2) % ring
                 buf[u] = 2.0 * rng.random((g.n,) + shape) - 1.0
@@ -830,6 +832,18 @@ class TestCsrStep:
                 ref = 2.0 * (pi_t @ buf[u]) - buf[w]
                 call(buf, buf[p:p + 1], p * g.n)
                 assert buf[p].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+    def test_stacked_equals_twice_matmul_minus(self, shape):
+        # the ring matrix's positions whose [2B | -I] reads a contiguous
+        # [w; u] just before them
+        self.assert_ring_positions(shape, range(2, self.RING), 4)
+
+    def test_wrapped_pair_equals_stacked(self):
+        # the two positions that wrap round: block 0 reads u and w from the
+        # ring's end, block 1 reads u in block 0 and w in the last block
+        for shape in [(), (2,)]:
+            self.assert_ring_positions(shape, [0, 1], 5)
 
     @pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)],
                              ids=["vector", "column", "block", "stacked"])
