@@ -4,7 +4,7 @@ Every kernel comes from one Chebyshev-Bessel expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 1984).  With Lam = max_x mu_x/nu_x, B = I + Q^T/Lam and
 tau = Lam*t, the distribution at time t from p0 is
 
-    exp(t Q^T) p0 = sum_k c_k T_k(B) p0,   c_k = 2 ive(k, tau), c_0 halved,
+    exp(t Q^T) p0 = sum_k c_k T_k(B) p0,   c_k = 2 e^-tau I_k(tau), c_0 halved,
 
 with T_k the Chebyshev polynomials.  Each time sums k = 0..K, K the least
 cut whose certified tail bound (Amos's ratio bound for I_{k+1}/I_k) times
@@ -12,6 +12,13 @@ sqrt(max nu / min nu) is at most tol; that product is err_bound.  K is about
 sqrt(2 tau ln(1/tol)), and depends only on t, tol and the graph (or killed
 domain), never on the rest of a call.  Values are clamped at 0.  Rounding,
 of order Lam*t times the unit roundoff, is not in err_bound.
+
+The coefficients of all of a call's times come from one ive call, at the
+two ends of each time's window of k, and one tridiagonal solve of the Bessel
+recurrence between them (Olver's method).  The solve's entries that would
+couple two times are 0, so a time's coefficients are the bits of its own
+system, whatever else the call holds: tests/test_kernel.py
+(TestTridiagonalSolve) pins the property of LAPACK's dgtsv this relies on.
 
 Every kernel entry point calls kernel_rows(g, sources, times, tol, domain),
 which makes one engine call and returns (rows, err): rows[k, j] is the
@@ -55,6 +62,8 @@ import numpy as np
 # scipy.special ahead of scipy.sparse: in the other order `import heatbound`
 # takes about 50 ms longer (scipy 1.17)
 from scipy.special import ive
+# already imported by scipy.sparse.csgraph, so it costs no import time
+from scipy.linalg.lapack import dgtsv
 # private to scipy: the compiled kernels that `@` on a CSR matrix and a dense
 # vector or block ends in.  Called directly they skip the ~5 us of Python
 # dispatch around each step; tests/test_kernel.py checks them against `@`.
@@ -64,8 +73,9 @@ from .graph import WeightedGraph
 
 DEFAULT_TOL = 1e-10
 METHOD = "series-uniformization"
-# the most Bessel coefficients one call may need over all its times: finding
-# the cuts peaks at 7 float64 or intp arrays of that length, about 560 MB
+# the most Bessel coefficients one call may need over all its times: the
+# tridiagonal solve holds 5 float64 arrays of that length and a bool one, and
+# finding the cuts after it peaks at 7 float64 or intp arrays, about 560 MB
 MAX_COEFFICIENTS = 10_000_000
 # bytes of the ring of Chebyshev steps: its rows, its step matrix and a
 # chunk's coefficients; a larger block steps one row at a time
@@ -224,22 +234,72 @@ def _product_sums(acc):
     return add
 
 
+def _bessel_windows(taus, size, starts):
+    """c_k = 2 e^-tau I_k(tau) for k = 0..m of each tau, m = size - 1 >= 2
+    (tol < 1 <= spread makes it so), one window after another from
+    ``starts``.
+
+    ive gives the window ends, k = 0 and m; the rest solve the three-term
+    recurrence I_{k-1} - I_{k+1} = (2k / tau) I_k as a boundary-value
+    problem (Olver, J. Res. NBS 71B, 1967), one tridiagonal system for all
+    the windows: row k of a window reads tau c_{k-1} - 2k c_k - tau c_{k+1}
+    = 0, its ends moved to the right side, so tau = 0 needs no branch.  The
+    entries that would couple two windows are 0, and LAPACK's dgtsv never
+    swaps a row whose sub-diagonal entry is 0 with the row above and adds
+    its zero fill as 0 * x, so each window gets the bits it gets solved
+    alone (tests/test_kernel.py, TestTridiagonalSolve, pins this).
+    """
+    c = np.empty(size.sum())
+    if not len(c):
+        return c
+    ends = starts + size - 1
+    edges = np.concatenate([starts, ends])
+    c[edges] = 2.0 * ive(np.concatenate([np.zeros_like(size), size - 1]),
+                         np.tile(taus, 2))
+    if not np.isfinite(c[edges]).all():  # ive is nan from Lam t about 1.1e9
+        raise ValueError(f"times up to Lam*t = {taus.max():.6g} are past the "
+                         "range of scipy's ive")
+    interior = np.ones(len(c), dtype=bool)
+    interior[starts] = interior[ends] = False
+    inner = size - 2
+    first = np.cumsum(inner) - inner  # each window's row k = 1
+    last = first + inner - 1
+    tau_r = np.repeat(taus, inner)
+    d = -2.0 * (np.arange(len(tau_r)) - np.repeat(first - 1, inner))
+    du, dl = -tau_r[:-1], tau_r[1:]  # dgtsv may overwrite tau_r
+    du[last[:-1]] = dl[last[:-1]] = 0.0
+    b = np.zeros((len(d), 1))
+    b[first, 0] = -taus * c[starts]
+    b[last, 0] += taus * c[ends]
+    if len(d) == 1:  # scipy's dgtsv takes no empty dl and du; LAPACK's n = 1
+        x = b / d
+    else:
+        *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+        if info:
+            raise ValueError(f"the Bessel recurrence is singular at row "
+                             f"{info}")
+    x += 0.0  # turns the -0.0 of tau = 0 into 0 and changes no other bit
+    c[interior] = x[:, 0]
+    return c
+
+
 def _chebyshev_cut(taus, tol, spread):
     """(coefs, err): for each tau = Lam t, coefs[j] holds c_0..c_K, where
-    c_k = 2 ive(k, tau) with c_0 halved, and err[j] is ``spread`` times a
+    c_k = 2 e^-tau I_k(tau) with c_0 halved, and err[j] is ``spread`` times a
     bound on the tail sum_{k > K} c_k, for the least K with err[j] <= tol.
 
     Amos's ratio bound (Math. Comp. 28, 1974), I_{v+1}(tau) / I_v(tau) <=
     r_v = tau / (v + 1/2 + sqrt((v + 1/2)^2 + tau^2)), decreases in v, so the
     tail from k on is at most c_k / (1 - r_k).
 
-    One ive call serves every time, over k = 0..m with the cut certain to lie
-    below m: e^-tau I_k(tau) is the Skellam law of X - Y, X and Y
-    Poisson(tau/2), so Bennett's inequality gives c_m <= 2 exp(-m^2 / (2 (tau
-    + m/3))), and 1 / (1 - r_m) <= 2 + tau for m >= 1.  Both together are at
-    most tol / spread once m^2 >= 2 L (tau + m/3), L = ln(2 spread (2 + tau)
-    / tol).  A call whose m, summed over its times, is past MAX_COEFFICIENTS
-    (or inf: Lam t may overflow) raises ValueError before any is allocated.
+    One _bessel_windows call serves every time, over k = 0..m with the cut
+    certain to lie below m: e^-tau I_k(tau) is the Skellam law of X - Y, X
+    and Y Poisson(tau/2), so Bennett's inequality gives c_m <= 2 exp(-m^2 /
+    (2 (tau + m/3))), and 1 / (1 - r_m) <= 2 + tau for m >= 1.  Both
+    together are at most tol / spread once m^2 >= 2 L (tau + m/3), L = ln(2
+    spread (2 + tau) / tol).  A call whose m, summed over its times, is past
+    MAX_COEFFICIENTS (or inf: Lam t may overflow) raises ValueError before
+    any is allocated; a Lam t past the range of scipy's ive raises it too.
     """
     taus = np.asarray(taus, dtype=float)
     budget = math.log(2.0 * spread) - math.log(tol) + np.log(2.0 + taus)
@@ -252,10 +312,10 @@ def _chebyshev_cut(taus, tol, spread):
                          f"the {MAX_COEFFICIENTS:.6g} one kernel call may hold")
     size = size.astype(np.intp)
     starts = np.cumsum(size) - size
-    ks = np.arange(size.sum()) - np.repeat(starts, size)
-    tau_k = np.repeat(taus, size)
-    c = 2.0 * ive(ks, tau_k)
+    c = _bessel_windows(taus, size, starts)
     c[starts] *= 0.5
+    ks = np.arange(len(c)) - np.repeat(starts, size)
+    tau_k = np.repeat(taus, size)
     a = ks + 0.5
     tail = spread * c / (1.0 - tau_k / (a + np.hypot(a, tau_k)))
     met = np.flatnonzero((tail <= tol) & (ks > 0))

@@ -92,6 +92,22 @@ class TestKernelCommand:
                 assert cols[:2] == ["a", target]
                 assert cols[3] == "%.12g" % res.prob(target)
 
+    def test_time_zero_rows_print_zero_error(self, tmp_path, capsys):
+        # Lam = 2000: the grid's Lam t runs from 0 to 2e6
+        path = tmp_path / "stiff.graph"
+        path.write_text("v a 1\nv b 0.001\nv c 1000\ne a b 1\ne b c 1\n")
+        code, out, _ = run_cli(capsys, "kernel", "--graph", str(path),
+                               "--tmin", "0", "--tmax", "1000",
+                               "--tcount", "5", "--tscale", "linear")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 15
+        zero = [(r["target"], r["prob"], r["err_bound"]) for r in rows
+                if r["t"] == "0"]
+        assert zero == [("a", "1", "0"), ("b", "0", "0"), ("c", "0", "0")]
+        assert all(0.0 < float(r["err_bound"]) <= 1e-10 for r in rows
+                   if r["t"] != "0")
+
 
 class TestBoundsCommand:
     def test_cor27_all_rows_pass(self, random_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.special import ive
 
 import heatbound as hb
 from heatbound import kernel as kernel_mod
@@ -702,6 +705,195 @@ class TestChebyshev:
                 for row in rows[:, j]:
                     assert abs(math.fsum(row) - mass) <= rounding
                     assert abs(math.fsum(row) - 1.0) <= err[j] + rounding
+
+
+def bessel_windows_of(taus, tol=DEFAULT_TOL, spread=1.0):
+    """(coefs, err, window): _chebyshev_cut's result for the taus, and the
+    whole window of c_k it cut them from, c_0 halved there too."""
+    seen = []
+    real = kernel_mod._bessel_windows
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+    kernel_mod._bessel_windows = spy
+    try:
+        coefs, err = _chebyshev_cut(taus, tol, spread)
+    finally:
+        kernel_mod._bessel_windows = real
+    return coefs, err, seen[0]
+
+
+# Lam t from 0 to the far end of the Bessel range: the exact zero, values
+# that underflow a coefficient at k = 1 or 2, and 400 log-spaced ones
+CUT_GRID = np.concatenate([[0.0, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-8],
+                           np.geomspace(1e-6, 2e6, 400)])
+
+
+class TestTridiagonalSolve:
+    """The Bessel coefficients of all of a call's times come from one call
+    of LAPACK's dgtsv, the entries that would couple two times' systems set
+    to 0.  A time's coefficients are the bits of its own system only because
+    dgtsv never swaps a row whose sub-diagonal entry is 0 with the row above
+    it and adds the zero fill of such a row as 0 * x.  If a LAPACK update
+    breaks that, these tests fail, rather than kernels that depend on the
+    rest of their call."""
+
+    @staticmethod
+    def solve(dl, d, du, b):
+        """dgtsv's solution, and whether it swapped any rows (its second
+        super-diagonal, returned in dl's storage, is zero fill otherwise).
+        scipy's wrapper takes no empty dl and du: one row is b / d, as in
+        LAPACK."""
+        if len(d) == 1:
+            return b / d, False
+        du2, *_, x, info = dgtsv(dl, d, du, b[:, None])
+        assert info == 0
+        return x[:, 0], bool(np.any(du2 != 0.0))
+
+    def test_zero_couplings_solve_each_block_alone(self):
+        rng = np.random.default_rng(25)
+        blocks = []
+        for n in (1, 2, 3, 2, 5, 8, 1, 13, 40, 3, 64):
+            # sub-diagonal entries up to 4 times the diagonal: pivoting swaps
+            d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            blocks.append((rng.uniform(-4.0, 4.0, n - 1), d,
+                           rng.uniform(-4.0, 4.0, n - 1),
+                           rng.standard_normal(n)))
+        alone = [self.solve(*block) for block in blocks]
+        assert sum(swapped for _, swapped in alone) >= 5
+        for _ in range(6):
+            order = rng.permutation(len(blocks))
+            zero = np.zeros(1)
+            dl = np.concatenate([np.concatenate([zero, blocks[i][0]])
+                                 for i in order])[1:]
+            du = np.concatenate([np.concatenate([blocks[i][2], zero])
+                                 for i in order])[:-1]
+            d = np.concatenate([blocks[i][1] for i in order])
+            b = np.concatenate([blocks[i][3] for i in order])
+            x, _ = self.solve(dl, d, du, b)
+            start = 0
+            for i in order:
+                n = len(blocks[i][1])
+                assert x[start:start + n].tobytes() == alone[i][0].tobytes()
+                start += n
+
+    def test_cut_bits_alone_and_in_mixed_grids(self):
+        taus = [0.0, 1e-300, 0.5, 1e5, 2e6]
+        for spread in (1.0, 1e6):
+            alone = [_chebyshev_cut([tau], DEFAULT_TOL, spread)
+                     for tau in taus]
+            for grid in itertools.permutations(range(len(taus))):
+                coefs, err = _chebyshev_cut([taus[j] for j in grid],
+                                            DEFAULT_TOL, spread)
+                for i, j in enumerate(grid):
+                    assert coefs[i].tobytes() == alone[j][0][0].tobytes()
+                    assert err[i:i + 1].tobytes() == alone[j][1].tobytes()
+
+    def test_empty_grid_and_one_row_systems_take_no_solve(self,
+                                                          monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return dgtsv(*args)
+        monkeypatch.setattr(kernel_mod, "dgtsv", counted)
+        coefs, err = _chebyshev_cut([], DEFAULT_TOL, 1.0)
+        assert coefs == [] and err.shape == (0,)
+        hb.kernel_rows(STIFF, ["0"], [])
+        assert calls == []
+        # at tol = 0.9 the window of tau = 1e-3 ends at m = 2: one row, which
+        # scipy's dgtsv does not take, solved as LAPACK solves it, b / d
+        tau, tol = 1e-3, 0.9
+        alone, alone_err, window = bessel_windows_of([tau], tol)
+        assert len(window) == 3 and calls == []
+        coefs, err = _chebyshev_cut([0.3, tau, 5.0], tol, 1.0)
+        assert len(calls) == 1
+        assert coefs[1].tobytes() == alone[0].tobytes()
+        assert err[1:2].tobytes() == alone_err.tobytes()
+
+
+class TestBesselCoefficients:
+    """The coefficients c_k = 2 e^-tau I_k(tau) of the solve: against 40
+    digits, against two identities of a whole window, and at the edges."""
+
+    U = math.ldexp(1.0, -53)
+
+    @pytest.mark.parametrize("tau", [1e-5, 0.01, 5.0, 40.0, 1e3, 1e4])
+    def test_match_mpmath_at_least_as_well_as_ive(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        coefs, _, window = bessel_windows_of([tau])
+        c = window.copy()
+        c[0] *= 2.0
+        m, cut = len(c) - 1, len(coefs[0]) - 1
+        rng = np.random.default_rng(int(tau * 1e5))
+        ks = sorted({0, 1, cut, m, *rng.integers(0, m + 1, 6).tolist()})
+        with mpmath.workdps(40):
+            exact = [2 * mpmath.exp(-tau) * mpmath.besseli(k, tau) for k in ks]
+        solve = [float(abs(mpmath.mpf(c[k]) / e - 1))
+                 for k, e in zip(ks, exact)]
+        amos = [float(abs(mpmath.mpf(2.0 * ive(k, tau)) / e - 1))
+                for k, e in zip(ks, exact)]
+        assert max(solve) <= 2e-13
+        assert max(solve) <= max(amos)
+
+    @pytest.mark.parametrize("tau", [1e5, 2e6])
+    def test_window_identities(self, tau):
+        # the Skellam law e^-tau I_k(tau), k in Z, has mass 1 and variance
+        # tau: over a window, c_0 halved, sum c_k = 1 - tail and
+        # sum k^2 c_k = tau less the tail's part, within a rounding of each
+        # coefficient per row of the solve; measured 4e-15 tau at 1e5 and
+        # 8e-16 tau at 2e6 for the second
+        _, _, c = bessel_windows_of([tau])
+        k = np.arange(len(c), dtype=float)
+        tail = bessel_tail(tau, len(c) - 1)
+        assert abs(math.fsum(c) - (1.0 - tail)) <= len(c) * self.U
+        assert abs(math.fsum(k * k * c) - tau) <= tau * len(c) * self.U
+
+    def test_time_zero_is_the_point_mass(self):
+        lam = float(STIFF.rates.max())
+        for times in ([0.0], [0.0, 1e5 / lam, 0.0, 2e6 / lam]):
+            rows, err = hb.kernel_rows(STIFF, STIFF.vertex_ids, times)
+            for j in np.flatnonzero(np.array(times) == 0.0):
+                assert np.array_equal(rows[:, j], np.eye(STIFF.n))
+                assert err[j] == 0.0 and math.copysign(1.0, err[j]) == 1.0
+        coefs, err = _chebyshev_cut([0.0], DEFAULT_TOL, 1.0)
+        assert coefs[0].tolist() == [1.0] and err[0].tobytes() == bytes(8)
+
+    @pytest.mark.parametrize("spread", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    def test_cuts_positive_and_as_with_ive(self, tol, spread, monkeypatch):
+        coefs, err = _chebyshev_cut(CUT_GRID, tol, spread)
+        assert all(np.all(c > 0.0) for c in coefs)
+
+        def ive_windows(taus, size, starts):
+            ks = np.arange(size.sum()) - np.repeat(starts, size)
+            return 2.0 * ive(ks, np.repeat(taus, size))
+        monkeypatch.setattr(kernel_mod, "_bessel_windows", ive_windows)
+        ref, ref_err = _chebyshev_cut(CUT_GRID, tol, spread)
+        assert [len(c) for c in coefs] == [len(c) for c in ref]
+        assert np.all(np.abs(err - ref_err) <= 1e-11 * ref_err)
+
+    def test_memory_of_the_cut(self):
+        # the solve holds 5 float64 arrays of the window's length and a bool
+        # one; finding the cuts after it peaks at 7, the budget that
+        # MAX_COEFFICIENTS is set by (1e7 coefficients, about 560 MB)
+        taus = [1e8] * 16  # about 1.5e6 coefficients
+        _, _, window = bessel_windows_of(taus)
+        tracemalloc.start()
+        try:
+            _chebyshev_cut(taus, DEFAULT_TOL, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * window.nbytes + (1 << 16)
+
+    def test_past_the_range_of_ive(self):
+        # scipy's ive gives nan from Lam t about 1.1e9, far below the
+        # MAX_COEFFICIENTS budget; the error is a ValueError, as for the budget
+        lam = float(STIFF.rates.max())
+        with pytest.raises(ValueError, match="range of scipy's ive"):
+            hb.kernel_rows(STIFF, ["0"], [1.0, 2e9 / lam])
 
 
 class TestStepMatrix:
