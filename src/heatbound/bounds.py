@@ -92,8 +92,8 @@ def _logs(values):
     math.log in the last bit on a few values, and the rows of a sweep must
     equal the formulas at single cells bit for bit."""
     values = np.asarray(values, dtype=float)
-    return np.reshape([math.log(v) for v in values.ravel().tolist()],
-                      values.shape)
+    return np.fromiter(map(math.log, values.ravel().tolist()), float,
+                       values.size).reshape(values.shape)
 
 
 def _log_sqrt_ratio(nu1, nu2):

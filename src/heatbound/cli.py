@@ -9,12 +9,15 @@ file and the summary to stdout; without it stdout gets the summary for
 CSV comes from one writer, ``_csv_lines``: what Python 3.13's
 ``csv.writer`` writes, byte for byte.  A subcommand hands it float64
 columns and string columns as ``Categorical`` codes: each column's distinct
-strings and one integer code per row.  The writer formats each distinct
-float of a column once, all of them in one ``%`` call, and quotes the header
-and each column's distinct strings once, then gathers each string column's
-fields by its codes; it streams the rows, each one ``",".join`` of its
-fields, in strings of ``CHUNK_ROWS`` lines, so one chunk of joined lines is
-held at a time.  The summary of a subcommand whose report is its CSV holds
+strings and one integer code per row.  The writer quotes the header and
+each column's distinct strings once, and formats a float column at most
+half of whose rows are distinct once per distinct value; it checks every
+column's row count and codes before it returns, so a bad table raises
+before ``main`` opens --out or writes a byte.  Then it streams the rows in
+strings of ``CHUNK_ROWS`` lines: each gathers its rows' fields, formats its
+slice of every other float column in one ``%`` call and joins each row
+with ``",".join``, so one chunk's fields and lines are held at a time, never
+a column's.  The summary of a subcommand whose report is its CSV holds
 ``timings``: the seconds spent loading the graph, in the subcommand, and
 formatting and writing the CSV.  Exit codes: 0 all checks passed, 1 verification failures present, 2
 input error (machine-readable JSON on stderr, nothing on stdout).
@@ -52,13 +55,23 @@ Categorical = namedtuple("Categorical", "levels codes")
 
 
 def _fmt_floats(values):
-    """Each value of a float array to 12 significant digits (``%.12g``),
-    formatting each distinct value (bit pattern) once, all of them in one
-    ``%`` call: its one string, split at the "\\n" ending each value, has
-    an empty last item that no index reaches."""
+    """Each value of a float array to 12 significant digits (``%.12g``), a
+    list of strings, all of them from one ``%`` call whose one string is
+    split at the "\\n" ending each value."""
+    fields = ("%.12g\n" * len(values) % tuple(values.tolist())).split("\n")
+    fields.pop()  # the empty string past the last "\n"
+    return fields
+
+
+def _float_column(values):
+    """(levels, codes) of a float64 column when at most half its rows are
+    distinct (by bit pattern): each distinct value formatted once and the
+    index of each row's among them; else (values, None), the values to
+    format a chunk at a time."""
     u, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = ("%.12g\n" * len(u) % tuple(u.view(np.float64).tolist())).split("\n")
-    return np.array(text, dtype=object)[inverse].tolist()
+    if 2 * len(u) > len(values):
+        return values, None
+    return np.array(_fmt_floats(u.view(np.float64)), dtype=object), inverse
 
 
 def _categorical(column):
@@ -80,31 +93,62 @@ def _repeated(text, count):
 def _csv_lines(header, columns):
     """The text csv.writer(lineterminator="\\n") writes from the header and
     the rows of the columns, two or more, in strings of CHUNK_ROWS lines:
-    float64 arrays by _fmt_floats, every other column as a Categorical
-    (_categorical), its fields its quoted levels gathered by its codes.  The
-    header and the levels are quoted once each, by csv itself, as Python
-    3.13 quotes them: a writer ending lines in "\\r\\n" also quotes a bare
-    \\r, which one ending them in "\\n" does only from 3.13 on.  Every field
-    is ready before the first string is read; each string is one ",".join
-    per row and one "\\n".join of them, made as it is read, so one chunk of
-    lines is held at a time."""
+    float64 arrays as ``%.12g`` (_fmt_floats), every other column as a
+    Categorical (_categorical), its fields its quoted levels gathered by
+    its codes.  The header and the levels are quoted once each, by csv
+    itself, as Python 3.13 quotes them: a writer ending lines in "\\r\\n"
+    also quotes a bare \\r, which one ending them in "\\n" does only from
+    3.13 on.  A float64 column at most half of whose rows are distinct is
+    formatted once per distinct value and kept as levels and codes
+    (_float_column); any other is formatted a chunk at a time.
+
+    Every check that can fail runs here, before the first string is made:
+    the columns must have one row count and every code must index its
+    levels, else ValueError.  What is left, formatting float64 values and
+    gathering checked codes, cannot fail, so a caller that opens its output
+    after this returns writes nothing for a failed table.  Each string
+    gathers its rows' fields from the columns, then is one ",".join per row
+    and one "\\n".join of them, made as it is read: no column-length list
+    of strings is ever held, only one chunk's."""
     columns = [c if isinstance(c, np.ndarray) and c.dtype == np.float64 else
                _categorical(c) for c in columns]
+    sizes = {len(c.codes if isinstance(c, Categorical) else c)
+             for c in columns}
+    if len(sizes) != 1:
+        raise ValueError(f"a CSV's columns must have one row count, got "
+                         f"{sorted(sizes)}")
     strings = itertools.chain(header, *(c.levels for c in columns
                                         if isinstance(c, Categorical)))
     lines = []
     csv.writer(types.SimpleNamespace(write=lines.append),
                lineterminator="\r\n").writerows((s, "") for s in strings)
     quoted = (line[:-3] for line in lines)  # each field, less ",\r\n"
-    head = list(itertools.islice(quoted, len(header)))
-    fields = [np.array(list(itertools.islice(quoted, len(c.levels))),
-                       dtype=object)[c.codes].tolist()
-              if isinstance(c, Categorical) else _fmt_floats(c)
-              for c in columns]
-    rows = itertools.chain([head], zip(*fields))
-    # a row has a comma, so only the chunk past the last row is [""]
-    return map("\n".join, iter(lambda: [
-        *map(",".join, itertools.islice(rows, CHUNK_ROWS)), ""], [""]))
+    head = ",".join(itertools.islice(quoted, len(header)))
+    state = []  # (levels, codes) or (float values, None) per column
+    for c in columns:
+        if not isinstance(c, Categorical):
+            state.append(_float_column(c))
+            continue
+        codes = (c.codes if isinstance(c.codes, np.ndarray) else
+                 np.array(c.codes, dtype=np.intp))
+        if codes.dtype.kind not in "iu" or len(codes) and (
+                codes.min() < 0 or codes.max() >= len(c.levels)):
+            raise ValueError(f"a CSV column's codes must be integers "
+                             f"indexing its {len(c.levels)} levels")
+        state.append((np.array(list(itertools.islice(quoted, len(c.levels))),
+                               dtype=object), codes))
+    [rows] = sizes
+    # the first string holds the header and CHUNK_ROWS - 1 rows
+    cuts = [0, *range(CHUNK_ROWS - 1, rows, CHUNK_ROWS), rows]
+
+    def chunks():
+        first = [head]
+        for a, b in zip(cuts, cuts[1:]):
+            fields = [_fmt_floats(levels[a:b]) if codes is None else
+                      levels[codes[a:b]].tolist() for levels, codes in state]
+            yield "\n".join([*first, *map(",".join, zip(*fields)), ""])
+            first = []
+    return chunks()
 
 
 def _strict_json(x):
@@ -437,7 +481,9 @@ def main(argv=None):
         header, columns, summary, status = args.func(g, args)
         done = time.perf_counter()
         if args.out or args.command not in _SUMMARY_ON_STDOUT:
-            # every field is ready before any output: a failed row writes none
+            # _csv_lines checks the table before any output, and what it
+            # does after, formatting floats and gathering checked codes,
+            # cannot fail: a failed row writes none
             lines = _csv_lines(header, columns)
             if not args.out:
                 sys.stdout.writelines(lines)

@@ -10,6 +10,7 @@ all numerics run on the dense index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +260,7 @@ def _parse_positive(token, what, line):
         value = float(token)
     except ValueError:
         raise GraphFormatError(f"bad {what} value {token!r}", line=line) from None
-    if not value > 0 or not np.isfinite(value):
+    if not value > 0 or not math.isfinite(value):
         raise GraphFormatError(f"{what} must be strictly positive, got {token!r}",
                                line=line)
     return value

@@ -404,18 +404,23 @@ def _sum_series(g, sub, p0, table, live, index, acc):
     sub), built only when there is a step to take.
 
     The recurrence runs in a ring of ``size`` + 2 blocks of rows, filled
-    forward: T_k in block k mod (size + 2).  T_1 = B T_0 is the one plain
-    step.  The later steps go in chunks of at most ``size`` blocks that end
-    at the ring's end or before it; a chunk zeroes its blocks once, as the
-    compiled kernel adds into its output.  Its steps are one call of the
-    ring matrix (_ring_matrix) on its row blocks, with the whole ring as
-    operand and the chunk's blocks as output: the kernel computes its rows
-    in order, so each block reads the two blocks before it, wrapping round
-    the ring through the matrix's columns, even when the same call wrote
-    them, and no row is ever copied.  Each block gets 2 (B T_{k-1}) -
-    T_{k-2} bit for bit: doubling is exact, and it commutes with rounding
-    except where a product falls below 2^-1022 and loses bits, so each
-    row's sum is twice B T_{k-1}'s, and the -1 entry comes last.
+    forward.  T_1 = B T_0 is the one plain step.  The later steps go in
+    chunks of ``size`` blocks (the last one the rest), each ending at the
+    ring's end or before it: when fewer than ``size`` blocks are left from
+    the next one to the ring's end, the two newest blocks are copied to
+    blocks 0 and 1 and the chunk starts at block 2, so ceil((steps - 2) /
+    size) chunks take the steps.  The copy is exact, and it is needed only
+    when ``size`` >= 3, so a ring of large blocks (``size`` 1 or 2) never
+    copies.  A chunk zeroes its blocks once, as the compiled kernel adds
+    into its output.  Its steps are one call of the ring matrix
+    (_ring_matrix) on its row blocks, with the whole ring as operand and
+    the chunk's blocks as output: the kernel computes its rows in order, so
+    each block reads the two blocks before it, wrapping round the ring
+    through the matrix's columns, even when the same call wrote them, and
+    the kernel copies no row.  Each block gets 2 (B T_{k-1}) - T_{k-2} bit
+    for bit: doubling is exact, and it commutes with rounding except where
+    a product falls below 2^-1022 and loses bits, so each row's sum is
+    twice B T_{k-1}'s, and the -1 entry comes last.
 
     After its steps, a chunk's coefficient products go into the
     accumulators of the times summing at its first step in one more
@@ -455,7 +460,10 @@ def _sum_series(g, sub, p0, table, live, index, acc):
     add(table[:live[0], :2], buf[:2][index])
     k, pos = 2, 2  # the next step and its block
     while k < steps:
-        count = min(size, ring - pos, steps - k)
+        if ring - pos < size:  # only when size >= 3: restart at block 2
+            buf[:2] = buf[pos - 2:pos]
+            pos = 2
+        count = min(size, steps - k)
         chunk = buf[pos:pos + count]
         chunk.fill(0.0)
         step(buf, chunk, pos * n)

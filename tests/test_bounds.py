@@ -14,6 +14,7 @@ from heatbound.bounds import (
     BoundRow,
     SweepSetup,
     _log_gaussian_bound,
+    _logs,
     all_pairs,
     bound_sweep,
     empirical_sweep,
@@ -79,6 +80,20 @@ class TestConstantLedger:
         assert ledger.provenance == "paper-explicit"
         with pytest.raises(ValueError):
             ledger.with_empirical_C1(0.0)
+
+
+class TestLogs:
+    @pytest.mark.parametrize("values", [
+        np.float64(0.3), np.array([]), np.zeros((0, 3)),
+        np.array([[5e-324, 0.1, 1.0], [2.0, 1e300, math.inf]]),
+        np.random.default_rng(4).random((7, 11)) * 1e3],
+        ids=["0-d", "empty", "empty-2d", "special", "random"])
+    def test_each_value_is_math_log(self, values):
+        # the bits of math.log, value by value, in the shape of values
+        logs = _logs(values)
+        assert logs.shape == np.shape(values) and logs.dtype == np.float64
+        expected = [math.log(v) for v in np.ravel(values).tolist()]
+        assert np.array(expected).tobytes() == logs.ravel().tobytes()
 
 
 class TestBoundFormulas:

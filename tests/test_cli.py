@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -676,6 +677,55 @@ class TestCsvWriter:
         assert text == "".join(reference_csv_lines(header, columns))
         assert len(chunks) == -(-(n + 1) // cli_mod.CHUNK_ROWS)
         assert len(list(csv.reader(io.StringIO(text, newline="")))) == n + 1
+
+    @pytest.mark.parametrize("columns", [
+        (np.zeros(3), Categorical(("a", "b"), np.array([0, 2, 1]))),
+        (np.zeros(3), Categorical(("a", "b"), np.array([0, -1, 1]))),
+        (np.zeros(2), Categorical(("a",), np.array([0.0, 0.0]))),
+        (np.zeros(2), Categorical((), [0, 0])),
+        (np.zeros(3), Categorical(("a",), np.zeros(2, dtype=np.intp))),
+        (np.zeros(3), ["x", "y"]),
+        (np.zeros(3), np.zeros(3), np.zeros(4)),
+    ], ids=["code-past-levels", "negative-code", "float-codes", "no-levels",
+            "short-codes", "short-list", "long-float"])
+    def test_bad_columns_raise_before_the_first_string(self, columns):
+        # the call itself raises, before any string is read from it
+        with pytest.raises(ValueError, match="CSV's columns|codes must"):
+            _csv_lines(("t",) + ("x",) * (len(columns) - 1), columns)
+
+    def test_memory_of_distinct_floats(self):
+        # two all-distinct float columns stay raw and are formatted a chunk
+        # at a time: the peak is np.unique's few int64 arrays of the rows,
+        # not a list of strings per column (about 70 bytes per row each)
+        n = 100_000
+        rng = np.random.default_rng(3)
+        columns = (rng.random(n), rng.random(n),
+                   Categorical(("a", "b,c"), rng.integers(0, 2, n)))
+        tracemalloc.start()
+        try:
+            for _ in _csv_lines(("p", "q", "x"), columns):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * n
+
+    def test_bad_columns_leave_no_file(self, two_state_file, tmp_path,
+                                       monkeypatch, capsys):
+        # kernel rows one target longer than the graph: a target column
+        # shorter than the prob column fails before --out opens
+        real = kernel_mod.kernel_rows
+
+        def long_rows(*args, **kwargs):
+            rows, err = real(*args, **kwargs)
+            return np.concatenate([rows, rows[..., :1]], axis=-1), err
+        monkeypatch.setattr(kernel_mod, "kernel_rows", long_rows)
+        out_file = tmp_path / "k.csv"
+        code, out, err = run_cli(capsys, "kernel", "--graph", two_state_file,
+                                 "--tcount", "2", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert "one row count" in json.loads(err)["message"]
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("argv", [
         ("kernel", "--tcount", "2"),

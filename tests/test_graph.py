@@ -67,6 +67,12 @@ class TestLoadGraph:
         ("w a 1\n", "unknown record"),
         ("v a 1 extra\n", "expected"),
         ("v a inf\nv b 1\ne a b 1\n", "line 1: nu must be strictly positive"),
+        ("v a 1\nv b nan\ne a b 1\n",
+         "line 2: nu must be strictly positive, got 'nan'"),
+        ("v a 1\nv b 1\ne a b inf\n",
+         "line 3: mu must be strictly positive, got 'inf'"),
+        ("v a 1\nv b 1\ne a b NaN\n",
+         "line 3: mu must be strictly positive, got 'NaN'"),
     ])
     def test_format_errors(self, text, msg):
         with pytest.raises(GraphFormatError, match=msg):

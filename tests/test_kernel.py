@@ -428,6 +428,36 @@ class TestChunkedSteps:
             + 12 * len(times)))
         self.assert_reference_bits(args, times)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 70])
+    def test_every_chunk_but_the_last_is_full(self, monkeypatch, rows):
+        # a budget of ``rows`` steps per chunk: the steps past T_1 take
+        # ceil((steps - 2) / rows) ring-matrix calls, however often the
+        # ring's end would cut a chunk short, and the values keep the bits
+        # of one step at a time
+        args = engine_args(STIFF, STIFF.vertex_ids[:1])
+        g, sub, p0, _ = args
+        lam, nu = g.rates[sub].max(), g.nu[sub]
+        spread = math.sqrt(nu.max() / nu.min())
+        cut = 7 * rows + 5
+        times = [lam_t_with_cut(cut, spread) / lam, 1.0 / lam]
+        n, b_t = len(sub), kernel_mod._step_matrix(g, sub)
+        monkeypatch.setattr(kernel_mod, "CHUNK_BYTES", (rows + 2) * (
+            p0.nbytes + 12 * (len(b_t.data) + n) + 4 * n + 12 * len(times)))
+        real, ring_calls = kernel_mod._csr_call, []
+
+        def counting(csr, cols, x, out):
+            call = real(csr, cols, x, out)
+            if cols != (rows + 2) * n:  # T_1's, not the ring matrix's
+                return call
+
+            def counted(*args):
+                ring_calls.append(args)
+                call(*args)
+            return counted
+        monkeypatch.setattr(kernel_mod, "_csr_call", counting)
+        self.assert_reference_bits(args, times)
+        assert len(ring_calls) == -(-(cut + 1 - 2) // rows)
+
     def test_one_vertex_graph(self):
         # Lam = 0: every time has one coefficient, and no step is taken
         g = hb.load_graph("v a 2\n")
