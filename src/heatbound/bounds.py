@@ -22,7 +22,9 @@ display is written once, as a function that takes numbers or arrays alike
 (_log_gaussian_bound, _short_long_logs, log_tail_bound_short_time), and an
 entry calls it once on the whole (pair x time) grid.  bound_sweep takes the
 kernels of every pair and time from one engine call and returns the rows
-as columns (a BoundTable).
+as columns (a BoundTable): a sub-table of their strings and one of their
+numbers, a cell per distinct set of numbers the formula works out, which
+rows share where they depend on less than the pair (prop2.6 on x1, d, t).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -296,28 +298,23 @@ def _log_ratio(p, log_bound):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BoundTable(Sequence):
-    """The rows of a sweep as columns, in grid order: pairs outer, times
-    inner, and a cell's labels innermost.  The string columns are codes: a
-    row's formula is ``labels[label]`` (the formula's row labels), its x1
-    and x2 are ``ids[i1]`` and ``ids[i2]`` (the graph's vertex ids); label,
-    i1, i2 and the other columns are numpy arrays, one entry per row, and
-    ``log_ratio`` and ``passed`` follow from the others.  Indexing and
-    iteration give BoundRow, whose formula, x1 and x2 are strings.
-    """
+# the strings of a sweep's rows, as codes: a key's formula is
+# ``labels[label]`` (the formula's row labels), its x1 and x2 are ``ids[i1]``
+# and ``ids[i2]`` (the graph's vertex ids); numpy arrays, one entry per key
+BoundKeys = namedtuple("BoundKeys", "label i1 i2")
 
-    labels: tuple
-    label: np.ndarray
-    ids: tuple
-    i1: np.ndarray
-    i2: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class BoundCells:
+    """The numbers of a sweep's rows, one entry per cell: numpy arrays, of
+    which ``log_ratio`` and ``passed`` follow from the others, worked out
+    once per cell however many rows share it."""
+
     t: np.ndarray
     d_nu: np.ndarray
     p_computed: np.ndarray
     log_bound: np.ndarray
     in_domain: np.ndarray
-    provenance: str
     log_ratio: np.ndarray = field(init=False)
     passed: np.ndarray = field(init=False)
 
@@ -326,19 +323,56 @@ class BoundTable(Sequence):
         object.__setattr__(self, "log_ratio", log_ratio)
         object.__setattr__(self, "passed", log_ratio <= LOG_TOL)
 
+
+def _per_row(table, name):
+    """The column ``name`` of a BoundTable's sub-table ``table`` ("keys" or
+    "cells"), one entry per row, gathered by the rows' codes into it."""
+    codes = table[:-1]
+    return property(
+        lambda self: getattr(getattr(self, table), name)[getattr(self, codes)],
+        doc=f"{name} of each row's {codes}")
+
+
+@dataclass(frozen=True, eq=False)
+class BoundTable(Sequence):
+    """The rows of a sweep in grid order, pairs outer, times inner and a
+    cell's labels innermost, as two sub-tables and two codes per row: the
+    row's strings are those of ``keys[key]`` (a BoundKeys: its formula
+    label and pair), its numbers those of ``cells[cell]`` (a BoundCells:
+    t, d_nu, the left side, the log bound and the domain flag).  A theorem's
+    or cor2.7's rows have a cell each; the prop2.6 rows of one x1, d and t
+    share theirs, the one tail mass outside that ball.  Each column of
+    BoundRow but provenance is also a per-row attribute (label, i1, i2, t,
+    ..., passed), a numpy array gathered from its sub-table.  Indexing and
+    iteration give BoundRow, whose formula, x1 and x2 are strings.
+    """
+
+    labels: tuple
+    ids: tuple
+    keys: BoundKeys
+    key: np.ndarray
+    cells: BoundCells
+    cell: np.ndarray
+    provenance: str
+
+    label, i1, i2 = (_per_row("keys", f) for f in BoundKeys._fields)
+    t, d_nu, p_computed, log_bound, in_domain, log_ratio, passed = (
+        _per_row("cells", f.name) for f in fields(BoundCells))
+
     def __len__(self):
-        return len(self.label)
+        return len(self.cell)
 
     def __getitem__(self, k):
-        return BoundRow(formula=self.labels[self.label[k]],
-                        x1=self.ids[self.i1[k]], x2=self.ids[self.i2[k]],
-                        t=float(self.t[k]), d_nu=float(self.d_nu[k]),
-                        p_computed=float(self.p_computed[k]),
-                        log_bound=float(self.log_bound[k]),
-                        log_ratio=float(self.log_ratio[k]),
+        keys, cells, j, c = self.keys, self.cells, self.key[k], self.cell[k]
+        return BoundRow(formula=self.labels[keys.label[j]],
+                        x1=self.ids[keys.i1[j]], x2=self.ids[keys.i2[j]],
+                        t=float(cells.t[c]), d_nu=float(cells.d_nu[c]),
+                        p_computed=float(cells.p_computed[c]),
+                        log_bound=float(cells.log_bound[c]),
+                        log_ratio=float(cells.log_ratio[c]),
                         provenance=self.provenance,
-                        passed=bool(self.passed[k]),
-                        in_domain=bool(self.in_domain[k]))
+                        passed=bool(cells.passed[c]),
+                        in_domain=bool(cells.in_domain[c]))
 
 
 @dataclass(frozen=True)
@@ -411,22 +445,27 @@ def all_pairs(g, pairs=None):
 # ---------------------------------------------------------------------------
 # the formula table
 
-# One bound formula of bound_sweep.  cells(sweep) returns the rows of every
-# (pair, time) cell of the grid at once: for each label, in the order of
-# ``labels`` (suffixes of the formula's name), a tuple (has, left side, log
-# bound, in domain) of arrays that broadcast to (pairs, times); has marks
-# the cells at which that label has a row.  The bounds come from the
-# formulas above, each called once on the whole grid.  theorem marks the
-# displays that carry C1 and need a SweepSetup; options names the
-# fit_sweep_setup parameters the formula reads.
+# One bound formula of bound_sweep.  cells(sweep) returns (group, parts),
+# the cells of the whole grid at once, in groups of one row of times each:
+# group[k] is the group of the k-th pair, whose rows are that group's cells,
+# and parts holds, for each label, in the order of ``labels`` (suffixes of
+# the formula's name), a tuple (has, left side, log bound, in domain) of
+# arrays that broadcast to (groups, times); has marks the cells at which
+# that label has a row.  A theorem's or cor2.7's groups are its pairs;
+# prop2.6's pairs of one x1 and d share a group.  The pairs of a group
+# share their distance.  The bounds come from the formulas above, each
+# called once on the whole grid.  theorem marks the displays that carry C1
+# and need a SweepSetup; options names the fit_sweep_setup parameters the
+# formula reads.
 Formula = namedtuple("Formula", "theorem options labels cells")
 
 # a sweep's grid, pairs by times.  For the k-th pair (x1, x2): i1[k] and
 # i2[k] index x1 and x2 in g, d[k, 0], nu1[k, 0] and nu2[k, 0] are its
 # distance and measures (columns of shape (pairs, 1)), kernels[col[k], j]
-# is P_{x1}(X_t = .) at the j-th grid time t and p[k, j] = P_{x1}(X_t = x2).
-_Sweep = namedtuple("_Sweep",
-                    "g metric ledger setup times i1 i2 d nu1 nu2 col kernels p")
+# is P_{x1}(X_t = .) at the j-th grid time t, from the vertex
+# sources[col[k]] = i1[k], and p[k, j] = P_{x1}(X_t = x2).
+_Sweep = namedtuple("_Sweep", "g metric ledger setup times i1 i2 d nu1 nu2 "
+                              "sources col kernels p")
 
 
 def _log_profiles(sw, s):
@@ -459,7 +498,8 @@ def _theorem(window, window_options=(), growth=False):
         log_b = _log_gaussian_bound(
             log_f1, log_f2, sw.nu1, sw.nu2, sw.d, t, led.log_C1,
             0.0 if growth else su.beta * math.log(su.A), led.theta)
-        return ((True, sw.p, log_b, (start <= t) & (t < end)),)
+        return np.arange(len(sw.i1)), ((True, sw.p, log_b,
+                                        (start <= t) & (t < end)),)
     return Formula(theorem=True, options=("gamma", "delta") + window_options,
                    labels=("",), cells=cells)
 
@@ -474,26 +514,33 @@ def _short_long_cells(sw):
     log_short = np.zeros(log_long.shape)
     log_long[far], log_short[far] = _short_long_logs(
         sw.nu1[far], sw.nu2[far], sw.d[far], sw.times)
-    return ((sw.times >= sw.d, sw.p, log_long, far[:, None]),
-            (far[:, None] & (sw.times <= sw.d), sw.p, log_short, True))
+    return np.arange(len(sw.i1)), (
+        (sw.times >= sw.d, sw.p, log_long, far[:, None]),
+        (far[:, None] & (sw.times <= sw.d), sw.p, log_short, True))
 
 
 def _tail_cells(sw):
     """Proposition 2.6: the mass of P_{x1}(X_t = .) outside B(x1, d) against
-    log_tail_bound_short_time(d, t), a tail per distinct (x1, d) and a bound
-    per distinct d."""
+    log_tail_bound_short_time(d, t), a group of cells per distinct (x1, d),
+    which every pair of that x1 and d shares: a tail per cell and a bound
+    per distinct d and t.  weighted_tail_mass takes each source's kernel
+    rows once, with the outside masks of all its keys, and sums each key's
+    own vertices, so a tail has the bits of its own call."""
     radii, at_radius = np.unique(sw.d[:, 0], return_inverse=True)
     log_b = log_tail_bound_short_time(radii[:, None], sw.times)
-    # first: a pair of each distinct (x1, d); at_key: each pair's (x1, d)
+    # first: a pair of each distinct (x1, d), in order of x1; at_key: each
+    # pair's (x1, d)
     _, first, at_key = np.unique(np.column_stack([sw.i1, sw.d[:, 0]]), axis=0,
                                  return_index=True, return_inverse=True)
-    tails = np.reshape(
-        [weighted_tail_mass(sw.g, point_mass_values(sw.g, sw.i1[k],
-                                                    sw.kernels[sw.col[k]]),
-                            ~sw.metric.ball(sw.g.vertex_ids[sw.i1[k]],
-                                            sw.d[k, 0]))
-         for k in first.tolist()], (len(first), len(sw.times)))
-    return ((True, tails[at_key.ravel()], log_b[at_radius], True),)
+    x1, col = sw.i1[first], sw.col[first]
+    outside = ~(sw.metric.dist[x1] < sw.d[first])  # ~metric.ball(x1, d)
+    tails = np.empty((len(first), len(sw.times)))
+    for c in np.unique(col).tolist():
+        mine = col == c
+        tails[mine] = weighted_tail_mass(
+            sw.g, point_mass_values(sw.g, sw.sources[c], sw.kernels[c]),
+            outside[mine])
+    return at_key.ravel(), ((True, tails, log_b[at_radius[first]], True),)
 
 
 # every formula bound_sweep evaluates, by name
@@ -518,12 +565,14 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 setup=None, tol=DEFAULT_TOL, **setup_kwargs):
     """Evaluate one bound formula over (pair, t) cells against exact kernels.
 
-    Returns a BoundTable in grid order (pairs outer, times inner).  The
-    kernels come from one engine call, with a start column for each
-    distinct x1 and every grid time, and each formula is evaluated
-    once on the whole grid.  ``setup`` (a SweepSetup) is required for the
-    theorem formulas and ignored by "cor2.7" / "prop2.6"; when omitted it
-    is fitted via fit_sweep_setup.
+    Returns a BoundTable in grid order (pairs outer, times inner), whose
+    cells are the formula's groups by times and labels (a group per pair,
+    or per distinct x1 and d for prop2.6), with log_ratio worked out once
+    per cell.  The kernels come from one engine call, with a start column
+    for each distinct x1 and every grid time, and each formula is
+    evaluated once on the whole grid.  ``setup`` (a SweepSetup) is required
+    for the theorem formulas and ignored by "cor2.7" / "prop2.6"; when
+    omitted it is fitted via fit_sweep_setup.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; "
@@ -542,33 +591,45 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                              times, tol=tol)
     sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
                    i1, i2, metric.dist[i1, i2][:, None], g.nu[i1][:, None],
-                   g.nu[i2][:, None], col, kernels, kernels[col, :, i2])
-    grid = (len(pair_list), len(times))
+                   g.nu[i2][:, None], sources, col, kernels,
+                   kernels[col, :, i2])
+    group, parts = spec.cells(sweep)
+    grid = (int(group.max()) + 1 if len(group) else 0, len(times))
+    # indexed (group, time, label)
     has, lhs, log_b, in_domain = (
-        np.stack([np.broadcast_to(v, grid) for v in part], axis=1)
-        for part in zip(*spec.cells(sweep)))
-    # the rows, in C order of (pair, time, label); has and the others are
-    # indexed (pair, label, time)
-    at_pair, at_time, at_label = np.nonzero(has.transpose(0, 2, 1))
+        np.stack([np.broadcast_to(v, grid) for v in part], axis=2)
+        for part in zip(*parts))
+    # the cells, in C order of (group, time, label)
+    at_group, at_time, at_label = np.nonzero(has)
+    d = np.zeros(grid[0])
+    d[group] = sweep.d[:, 0]
+    cells = BoundCells(t=sweep.times[at_time], d_nu=d[at_group],
+                       p_computed=lhs[has], log_bound=log_b[has],
+                       in_domain=in_domain[has])
+    # the rows: the cells of each pair's group in order, which are
+    # consecutive; size[k] is the k-th pair's count of rows
+    size = has.sum(axis=(1, 2))[group]
+    at_pair = np.repeat(np.arange(len(group)), size)
+    cell = np.arange(len(at_pair)) + np.repeat(
+        np.searchsorted(at_group, group) - (np.cumsum(size) - size), size)
+    labels = len(spec.labels)
     return BoundTable(
-        labels=tuple(formula + s for s in spec.labels), label=at_label,
-        ids=g.vertex_ids, i1=i1[at_pair], i2=i2[at_pair],
-        t=sweep.times[at_time], d_nu=sweep.d[at_pair, 0],
-        p_computed=lhs[at_pair, at_label, at_time],
-        log_bound=log_b[at_pair, at_label, at_time],
-        in_domain=in_domain[at_pair, at_label, at_time],
+        labels=tuple(formula + s for s in spec.labels), ids=g.vertex_ids,
+        keys=BoundKeys(label=np.arange(len(group) * labels) % labels,
+                       i1=np.repeat(i1, labels), i2=np.repeat(i2, labels)),
+        key=at_pair * labels + at_label[cell], cells=cells, cell=cell,
         provenance=ledger.provenance)
 
 
 def summarize_rows(rows):
     """Aggregate counts of a BoundTable for the JSON side of a bounds report."""
-    inside = rows.log_ratio[rows.in_domain]
+    in_domain = rows.in_domain
+    inside = rows.log_ratio[in_domain]
     return {
         "rows": len(rows),
         "in_domain": len(inside),
         "out_of_domain": len(rows) - len(inside),
-        "failures_in_domain": int(np.count_nonzero(
-            ~rows.passed[rows.in_domain])),
+        "failures_in_domain": int(np.count_nonzero(~rows.passed[in_domain])),
         "worst_log_ratio": float(inside.max()) if len(inside) else -math.inf,
         "provenance": rows.provenance if len(rows) else None,
     }
@@ -605,8 +666,8 @@ def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
     if c1 == 0.0:
         raise ValueError("no row has p > 0 to fit the empirical C1 from")
     ledger = unit.with_empirical_C1(c1)
-    return ledger, replace(rows, log_bound=rows.log_bound + ledger.log_C1,
-                           provenance=ledger.provenance)
+    cells = replace(rows.cells, log_bound=rows.cells.log_bound + ledger.log_C1)
+    return ledger, replace(rows, cells=cells, provenance=ledger.provenance)
 
 
 def fit_empirical_constant(g, metric, x1, x2, times, formula="thm1.1",

@@ -9,15 +9,19 @@ file and the summary to stdout; without it stdout gets the summary for
 CSV comes from one writer, ``_csv_lines``: what Python 3.13's
 ``csv.writer`` writes, byte for byte.  A subcommand hands it float64
 columns and string columns as ``Categorical`` codes: each column's distinct
-strings and one integer code per row.  The writer quotes the header and
-each column's distinct strings once, and formats a float column at most
-half of whose rows are distinct once per distinct value; it checks every
-column's row count and codes before it returns, so a bad table raises
-before ``main`` opens --out or writes a byte.  Then it streams the rows in
-strings of ``CHUNK_ROWS`` lines: each gathers its rows' fields, formats its
-slice of every other float column in one ``%`` call and joins each row
-with ``",".join``, so one chunk's fields and lines are held at a time, never
-a column's.  The summary of a subcommand whose report is its CSV holds
+strings and one integer code per row; and a block of columns as a
+``SubTable``: the block's own rows and one code per row into them
+(``bounds`` passes its keys and its cells so).  The writer quotes the
+header and each column's distinct strings once, formats a float column at
+most half of whose rows are distinct once per distinct value, and writes
+each row of a SubTable with at most half as many rows as the table once
+(``prop2.6``'s cells, which its rows of one ball and time share); it
+checks every column's row count and codes before it returns, so a bad
+table raises before ``main`` opens --out or writes a byte.  Then it
+streams the rows in strings of ``CHUNK_ROWS`` lines: each gathers its rows'
+fields, formats its slice of every other float column in one ``%`` call
+and joins each row with ``",".join``, so one chunk's fields and lines are
+held at a time, never a column's.  The summary of a subcommand whose report is its CSV holds
 ``timings``: the seconds spent loading the graph, in the subcommand, and
 formatting and writing the CSV.  Exit codes: 0 all checks passed, 1 verification failures present, 2
 input error (machine-readable JSON on stderr, nothing on stdout).
@@ -28,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import sys
@@ -53,6 +56,11 @@ CHUNK_ROWS = 1024
 # the index of its string among them (codes, a sequence of ints)
 Categorical = namedtuple("Categorical", "levels codes")
 
+# a block of adjacent columns of a CSV: its own columns, of any kind
+# _csv_lines takes, and, for each row, the index of its row among theirs
+# (codes, a sequence of ints)
+SubTable = namedtuple("SubTable", "columns codes")
+
 
 def _fmt_floats(values):
     """Each value of a float array to 12 significant digits (``%.12g``), a
@@ -67,11 +75,19 @@ def _float_column(values):
     """(levels, codes) of a float64 column when at most half its rows are
     distinct (by bit pattern): each distinct value formatted once and the
     index of each row's among them; else (values, None), the values to
-    format a chunk at a time."""
-    u, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(u) > len(values):
+    format a chunk at a time.  The distinct values come from one sort, and
+    only a column that keeps them as levels looks its rows up among them
+    (a binary search per row)."""
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    if 2 * len(distinct) > len(values):
         return values, None
-    return np.array(_fmt_floats(u.view(np.float64)), dtype=object), inverse
+    return (np.array(_fmt_floats(distinct.view(np.float64)), dtype=object),
+            np.searchsorted(distinct, bits))
 
 
 def _categorical(column):
@@ -90,63 +106,124 @@ def _repeated(text, count):
     return Categorical((text,), np.zeros(count, dtype=np.intp))
 
 
+def _quoted(strings):
+    """Each string as a field of csv.writer(lineterminator="\\r\\n"), one
+    writerows call for them all."""
+    lines = []
+    csv.writer(types.SimpleNamespace(write=lines.append),
+               lineterminator="\r\n").writerows((s, "") for s in strings)
+    return [line[:-3] for line in lines]  # each field, less ",\r\n"
+
+
+def _checked_codes(codes, count):
+    """codes as an integer array, each in [0, count), else ValueError."""
+    codes = (codes if isinstance(codes, np.ndarray) else
+             np.array(codes, dtype=np.intp))
+    if codes.dtype.kind not in "iu" or len(codes) and (
+            codes.min() < 0 or codes.max() >= count):
+        raise ValueError(f"a CSV column's codes must be integers indexing "
+                         f"its {count} levels")
+    return codes
+
+
+def _gathered(levels, codes):
+    """The fields of some rows (a slice or an index array): levels, quoted
+    fields or lines, gathered by the rows' codes."""
+    return lambda rows: levels[codes[rows]].tolist()
+
+
+def _formatted(values):
+    """The fields of some rows: their float64 values as ``%.12g``."""
+    return lambda rows: _fmt_floats(values[rows])
+
+
+def _through(fields, codes):
+    """The fields of some rows of one column of a SubTable: that column's
+    fields of the SubTable row each row's code names."""
+    return lambda rows: fields(codes[rows])
+
+
+def _column_fields(columns):
+    """(rows, fields) of the columns of a CSV or of a SubTable: their one
+    row count, else ValueError, and a function per field of a row, which
+    gives the fields of some rows; every check of _csv_lines."""
+    columns = [c if isinstance(c, SubTable) or (
+        isinstance(c, np.ndarray) and c.dtype == np.float64) else
+        _categorical(c) for c in columns]
+    sizes = {len(c) if isinstance(c, np.ndarray) else len(c.codes)
+             for c in columns}
+    if len(sizes) != 1:
+        raise ValueError(f"a CSV's columns must have one row count, got "
+                         f"{sorted(sizes)}")
+    [rows] = sizes
+    fields = []
+    for c in columns:
+        if isinstance(c, np.ndarray):
+            levels, codes = _float_column(c)
+            fields.append(_formatted(c) if codes is None else
+                          _gathered(levels, codes))
+        elif isinstance(c, SubTable):
+            count, sub = _column_fields(c.columns)
+            codes = _checked_codes(c.codes, count)
+            if 2 * count <= rows:
+                lines = _lines(sub, slice(0, count))
+                fields.append(_gathered(np.array(lines, dtype=object), codes))
+            else:
+                fields.extend(_through(f, codes) for f in sub)
+        else:
+            codes = _checked_codes(c.codes, len(c.levels))
+            fields.append(_gathered(np.array(_quoted(c.levels), dtype=object),
+                                    codes))
+    return rows, fields
+
+
+def _lines(fields, rows):
+    """The lines, less their "\\n", of some rows (a slice or an index
+    array): each field's strings, then one ",".join per row."""
+    return list(map(",".join, zip(*(f(rows) for f in fields))))
+
+
 def _csv_lines(header, columns):
     """The text csv.writer(lineterminator="\\n") writes from the header and
     the rows of the columns, two or more, in strings of CHUNK_ROWS lines:
-    float64 arrays as ``%.12g`` (_fmt_floats), every other column as a
+    float64 arrays as ``%.12g`` (_fmt_floats), a SubTable as the fields of
+    its own row whose index is the row's code, and every other column as a
     Categorical (_categorical), its fields its quoted levels gathered by
     its codes.  The header and the levels are quoted once each, by csv
     itself, as Python 3.13 quotes them: a writer ending lines in "\\r\\n"
     also quotes a bare \\r, which one ending them in "\\n" does only from
     3.13 on.  A float64 column at most half of whose rows are distinct is
     formatted once per distinct value and kept as levels and codes
-    (_float_column); any other is formatted a chunk at a time.
+    (_float_column); any other is formatted a chunk at a time.  A
+    SubTable's own columns may be of any of these kinds, quoted and
+    formatted alike.  One with at most half as many rows as the table is
+    written once, a line per row of its own, and those lines are gathered
+    verbatim by its codes, several header fields' worth each: rows that
+    share a block of fields (the x1, d and t of prop2.6 rows) format and
+    join it once.  Any other is gathered field by field, each of its
+    columns through its codes, a chunk at a time, as if it were that many
+    columns of the table.
 
-    Every check that can fail runs here, before the first string is made:
-    the columns must have one row count and every code must index its
-    levels, else ValueError.  What is left, formatting float64 values and
-    gathering checked codes, cannot fail, so a caller that opens its output
-    after this returns writes nothing for a failed table.  Each string
-    gathers its rows' fields from the columns, then is one ",".join per row
-    and one "\\n".join of them, made as it is read: no column-length list
-    of strings is ever held, only one chunk's."""
-    columns = [c if isinstance(c, np.ndarray) and c.dtype == np.float64 else
-               _categorical(c) for c in columns]
-    sizes = {len(c.codes if isinstance(c, Categorical) else c)
-             for c in columns}
-    if len(sizes) != 1:
-        raise ValueError(f"a CSV's columns must have one row count, got "
-                         f"{sorted(sizes)}")
-    strings = itertools.chain(header, *(c.levels for c in columns
-                                        if isinstance(c, Categorical)))
-    lines = []
-    csv.writer(types.SimpleNamespace(write=lines.append),
-               lineterminator="\r\n").writerows((s, "") for s in strings)
-    quoted = (line[:-3] for line in lines)  # each field, less ",\r\n"
-    head = ",".join(itertools.islice(quoted, len(header)))
-    state = []  # (levels, codes) or (float values, None) per column
-    for c in columns:
-        if not isinstance(c, Categorical):
-            state.append(_float_column(c))
-            continue
-        codes = (c.codes if isinstance(c.codes, np.ndarray) else
-                 np.array(c.codes, dtype=np.intp))
-        if codes.dtype.kind not in "iu" or len(codes) and (
-                codes.min() < 0 or codes.max() >= len(c.levels)):
-            raise ValueError(f"a CSV column's codes must be integers "
-                             f"indexing its {len(c.levels)} levels")
-        state.append((np.array(list(itertools.islice(quoted, len(c.levels))),
-                               dtype=object), codes))
-    [rows] = sizes
+    Every check that can fail runs in this call, before it returns the
+    first string: the columns, and a SubTable's columns, must have one row
+    count and every code must index its levels or its SubTable's rows, else
+    ValueError.  What is left, formatting float64 values and gathering
+    checked codes, cannot fail, so a caller that opens its output after
+    this returns writes nothing for a failed table.  Each string gathers
+    its rows' fields from the columns, then is one ",".join per row and one
+    "\\n".join of them, made as it is read: no column-length list of
+    strings is ever held, nor a row-length copy of a SubTable's columns,
+    only one chunk's strings and the lines of a SubTable of at most half
+    the rows."""
+    rows, fields = _column_fields(columns)
+    head = ",".join(_quoted(header))
     # the first string holds the header and CHUNK_ROWS - 1 rows
     cuts = [0, *range(CHUNK_ROWS - 1, rows, CHUNK_ROWS), rows]
 
     def chunks():
         first = [head]
         for a, b in zip(cuts, cuts[1:]):
-            fields = [_fmt_floats(levels[a:b]) if codes is None else
-                      levels[codes[a:b]].tolist() for levels, codes in state]
-            yield "\n".join([*first, *map(",".join, zip(*fields)), ""])
+            yield "\n".join([*first, *_lines(fields, slice(a, b)), ""])
             first = []
     return chunks()
 
@@ -341,14 +418,23 @@ def _cmd_bounds(g, args):
     if setup is not None:
         summary.update(A=setup.A, beta=setup.beta, alpha=setup.alpha,
                        gamma=setup.gamma, delta=setup.delta)
+    keys, cells = rows.keys, rows.cells
+    # a row's fields: its key's formula, x1 and x2, then its cell's; the
+    # writer writes each prop2.6 cell's line once, and a theorem's or
+    # cor2.7's cells, one per row, field by field
     return (("formula", "x1", "x2", "t", "d_nu", "p_computed", "log_bound",
              "log_ratio", "constants_provenance", "pass", "domain_flag"),
-            (Categorical(rows.labels, rows.label),
-             Categorical(rows.ids, rows.i1), Categorical(rows.ids, rows.i2),
-             rows.t, rows.d_nu, rows.p_computed, rows.log_bound,
-             rows.log_ratio, _repeated(rows.provenance, len(rows)),
-             Categorical(("False", "True"), rows.passed.view(np.uint8)),
-             Categorical(("out", "in"), rows.in_domain.view(np.uint8))),
+            (SubTable((Categorical(rows.labels, keys.label),
+                       Categorical(rows.ids, keys.i1),
+                       Categorical(rows.ids, keys.i2)), rows.key),
+             SubTable((cells.t, cells.d_nu, cells.p_computed, cells.log_bound,
+                       cells.log_ratio,
+                       _repeated(rows.provenance, len(cells.t)),
+                       Categorical(("False", "True"),
+                                   cells.passed.view(np.uint8)),
+                       Categorical(("out", "in"),
+                                   cells.in_domain.view(np.uint8))),
+                      rows.cell)),
             summary, 1 if summary["failures_in_domain"] else 0)
 
 

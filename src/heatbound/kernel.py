@@ -650,12 +650,16 @@ def point_mass_values(g, origin_index, probs):
 
 def weighted_tail_mass(g, u, outside_mask):
     """<u^2, 1 - 1_B> for B given by the complementary mask; for u with one
-    row per time, an array of one mass per row.  Each mass sums a
-    contiguous run of vertices (compress keeps the vertex axis contiguous,
-    where sq[..., mask] would not), so it is the same whatever the other
-    rows are."""
+    row per time, an array of one mass per row, and for a stack of masks
+    one such mass or array per mask (masks outer), from one u^2 nu.  Each
+    mass sums a contiguous run of vertices (compress keeps the vertex axis
+    contiguous, where sq[..., mask] would not), so it is the same whatever
+    the other rows and masks are."""
     sq = u * u * g.nu
-    mass = np.compress(outside_mask, sq, axis=-1).sum(axis=-1)
+    masks = np.asarray(outside_mask)
+    mass = np.reshape([np.compress(m, sq, axis=-1).sum(axis=-1)
+                       for m in masks.reshape(-1, masks.shape[-1])],
+                      masks.shape[:-1] + sq.shape[:-1])
     return float(mass) if mass.ndim == 0 else mass
 
 

@@ -513,9 +513,42 @@ def reference_rows(g, m, formula, times, pairs, setup, ledger):
     return rows
 
 
+def reference_summary(rows):
+    """summarize_rows of a list of BoundRow, a row at a time."""
+    inside = [r for r in rows if r.in_domain]
+    return {"rows": len(rows), "in_domain": len(inside),
+            "out_of_domain": len(rows) - len(inside),
+            "failures_in_domain": sum(not r.passed for r in inside),
+            "worst_log_ratio": max((r.log_ratio for r in inside),
+                                   default=-math.inf),
+            "provenance": rows[0].provenance if rows else None}
+
+
+def assert_per_row_columns(table, rows):
+    """Each per-row column of a BoundTable holds, bit for bit, the field of
+    BoundRow it stands for in the list rows."""
+    strings = {"label": (table.labels, "formula"), "i1": (table.ids, "x1"),
+               "i2": (table.ids, "x2")}
+    for name, (names, field) in strings.items():
+        column = getattr(table, name)
+        assert column.dtype.kind in "iu"
+        assert [names[k] for k in column.tolist()] == [getattr(r, field)
+                                                       for r in rows]
+    for f in fields(BoundRow):
+        if f.name in ("formula", "x1", "x2", "provenance"):
+            continue
+        column = getattr(table, f.name)
+        want = np.array([getattr(r, f.name) for r in rows],
+                        dtype=column.dtype)
+        assert column.shape == want.shape
+        assert column.tobytes() == want.tobytes(), f.name
+
+
 class TestReference:
-    """bound_sweep computes each formula on whole columns; its rows must
-    equal, bit for bit, the cell-by-cell reference."""
+    """bound_sweep computes each formula on whole columns; its rows, its
+    per-row columns and its summary must equal, bit for bit, the
+    cell-by-cell reference.  A prop2.6 table holds a cell per x1, d and t,
+    the others one per row."""
 
     @pytest.mark.parametrize("formula", list(FORMULAS))
     def test_rows_equal_cell_by_cell(self, formula, ledger):
@@ -539,6 +572,14 @@ class TestReference:
                                ledger=ledger, setup=setup)
             ref = reference_rows(g, m, formula, times, pairs, setup, ledger)
             assert list(rows) == ref
+            assert_per_row_columns(rows, ref)
+            assert summarize_rows(rows) == reference_summary(ref)
+            cells = len(rows.cells.t)
+            if formula == "prop2.6":
+                balls = {(r.x1, r.d_nu) for r in ref}
+                assert cells == len(balls) * len(times) < len(ref)
+            else:
+                assert cells == len(ref)
             if formula == "cor2.7":
                 both = [r.formula for r in rows
                         if (r.x1, r.x2, r.t) == (ids[0], ids[1], d)]
@@ -560,6 +601,8 @@ class TestReference:
                         r, log_bound=log_b, log_ratio=ratio,
                         provenance="empirical-fit", passed=ratio <= LOG_TOL))
                 assert list(emp_rows) == moved
+                assert_per_row_columns(emp_rows, moved)
+                assert summarize_rows(emp_rows) == reference_summary(moved)
 
 
 # a graph whose ids need CSV quoting: a comma, a quote, a percent sign, a

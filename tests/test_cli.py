@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from heatbound import cli as cli_mod
 from heatbound import kernel as kernel_mod
 from heatbound import regularity as reg_mod
 from heatbound.bounds import LOG_TOL, all_pairs, fit_sweep_setup
-from heatbound.cli import (Categorical, _csv_lines, _fmt_floats, build_parser,
-                           main)
+from heatbound.cli import (Categorical, SubTable, _csv_lines, _fmt_floats,
+                           build_parser, main)
 
 TWO_STATE = "v a 1\nv b 1\ne a b 1\n"
 
@@ -609,7 +610,55 @@ def _categorical_tables(draw):
     return header, columns, expanded
 
 
+@st.composite
+def _sub_tables(draw):
+    """(header, columns, expanded): a float64 column, then a SubTable of a
+    float64 and a string column, whose own rows are fewer than half the
+    table's, or more, and whose codes are intp or uint8, then a
+    Categorical; and the same table with the SubTable's columns gathered
+    by its codes."""
+    n = draw(st.integers(0, 25))
+    count = draw(st.integers(1, 30))
+    header = draw(st.lists(_QUOTING_TEXT, min_size=5, max_size=5))
+    floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+    strings = st.sampled_from(_NEEDS_QUOTING) | _QUOTING_TEXT
+    own_floats = np.array(draw(st.lists(floats, min_size=count,
+                                        max_size=count)), dtype=float)
+    own_strings = draw(st.lists(strings, min_size=count, max_size=count))
+    codes = np.array(draw(st.lists(st.integers(0, count - 1), min_size=n,
+                                   max_size=n)),
+                     dtype=draw(st.sampled_from([np.intp, np.uint8])))
+    first = np.array(draw(st.lists(floats, min_size=n, max_size=n)),
+                     dtype=float)
+    levels = tuple(draw(st.lists(strings, min_size=1, max_size=3,
+                                 unique=True)))
+    last = Categorical(levels, np.array(draw(st.lists(
+        st.integers(0, len(levels) - 1), min_size=n, max_size=n)),
+        dtype=np.intp))
+    columns = (first, SubTable((own_floats, own_strings), codes), last)
+    expanded = (first, own_floats[codes],
+                [own_strings[k] for k in codes.tolist()],
+                [levels[k] for k in last.codes.tolist()])
+    return header[:4], columns, expanded
+
+
 class TestCsvWriter:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1024])
+    @given(_sub_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_sub_table_equals_its_gathered_columns(self, chunk_rows,
+                                                    table):
+        # a SubTable writes what its columns gathered by its codes write,
+        # whether it writes its own lines once (at most half as many rows
+        # as the table) or gathers its fields a chunk at a time
+        header, columns, expanded = table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "CHUNK_ROWS", chunk_rows)
+            chunks = list(_csv_lines(header, columns))
+        assert "".join(chunks) == "".join(reference_csv_lines(header,
+                                                              expanded))
+        assert len(chunks) == -(-(len(expanded[0]) + 1) // chunk_rows)
+
     @given(_tables())
     @settings(max_examples=100, deadline=None)
     def test_equals_csv_writer(self, table):
@@ -686,8 +735,17 @@ class TestCsvWriter:
         (np.zeros(3), Categorical(("a",), np.zeros(2, dtype=np.intp))),
         (np.zeros(3), ["x", "y"]),
         (np.zeros(3), np.zeros(3), np.zeros(4)),
+        (np.zeros(2), SubTable((np.zeros(2),), np.array([0, 2]))),
+        (np.zeros(2), SubTable((np.zeros(2),), np.array([-1, 0]))),
+        (np.zeros(2), SubTable((np.zeros(2),), np.array([0.0, 1.0]))),
+        (np.zeros(3), SubTable((np.zeros(2),), np.array([0, 1]))),
+        (np.zeros(2), SubTable((np.zeros(2), ["x"]), np.array([0, 1]))),
+        (np.zeros(2), SubTable((Categorical(("a",), [0, 1]),), [0, 0])),
+        (np.zeros(2), SubTable((), np.array([0, 0]))),
     ], ids=["code-past-levels", "negative-code", "float-codes", "no-levels",
-            "short-codes", "short-list", "long-float"])
+            "short-codes", "short-list", "long-float", "code-past-sub-rows",
+            "negative-sub-code", "float-sub-codes", "short-sub-codes",
+            "short-sub-column", "sub-code-past-levels", "no-sub-columns"])
     def test_bad_columns_raise_before_the_first_string(self, columns):
         # the call itself raises, before any string is read from it
         with pytest.raises(ValueError, match="CSV's columns|codes must"):
@@ -695,8 +753,9 @@ class TestCsvWriter:
 
     def test_memory_of_distinct_floats(self):
         # two all-distinct float columns stay raw and are formatted a chunk
-        # at a time: the peak is np.unique's few int64 arrays of the rows,
-        # not a list of strings per column (about 70 bytes per row each)
+        # at a time: the peak is the few int64 arrays of the rows that
+        # decide raw or levels, not a list of strings per column (about 70
+        # bytes per row each)
         n = 100_000
         rng = np.random.default_rng(3)
         columns = (rng.random(n), rng.random(n),
@@ -751,6 +810,213 @@ class TestCsvWriter:
         names = ("source", "target") if argv[0] == "kernel" else ("x1", "x2")
         assert {row[name] for row in rows for name in names} == \
             {str(v) for v in ids}
+
+
+BOUNDS_HEADER = ("formula", "x1", "x2", "t", "d_nu", "p_computed",
+                 "log_bound", "log_ratio", "constants_provenance", "pass",
+                 "domain_flag")
+
+
+def flat_bounds_columns(rows):
+    """A BoundTable's bounds CSV columns, one entry per row each, as the
+    writer took them before a table held its distinct cells once."""
+    return (Categorical(rows.labels, rows.label),
+            Categorical(rows.ids, rows.i1), Categorical(rows.ids, rows.i2),
+            rows.t, rows.d_nu, rows.p_computed, rows.log_bound,
+            rows.log_ratio, cli_mod._repeated(rows.provenance, len(rows)),
+            Categorical(("False", "True"), rows.passed.view(np.uint8)),
+            Categorical(("out", "in"), rows.in_domain.view(np.uint8)))
+
+
+# a star whose ids need CSV quoting: the five pairs of the centre share one
+# ball, and each leaf's pairs with the later leaves another
+QUOTED_STAR = {
+    "vertices": [{"id": "a,b", "nu": 5}] + [
+        {"id": v, "nu": 2} for v in ('q"x', "50%", 7, "c\rd", 'x"y,z')],
+    "edges": [{"a": "a,b", "b": v, "mu": 1}
+              for v in ('q"x', "50%", 7, "c\rd", 'x"y,z')]}
+
+
+def _pairs_from_two_sources(count):
+    """--pairs of count pairs from sources 0 and 1 of random_file, in a
+    cycle: few balls (x1, d), so the prop2.6 table has few cells."""
+    pool = [(0, b) for b in range(1, 8)] + [(1, b) for b in range(2, 8)]
+    return ",".join(f"{a}:{b}" for a, b in itertools.islice(
+        itertools.cycle(pool), count))
+
+
+class TestCellPath:
+    """A bounds table is written from two SubTables, its keys (formula, x1,
+    x2) and its cells (the other eight fields).  A prop2.6 table, whose
+    rows of one x1, d and t share a cell, writes a line per cell once.  The
+    CSV must be, byte for byte, the flat per-row columns through the same
+    writer, on stdout and with --out alike."""
+
+    def run_prop26(self, monkeypatch, capsys, tmp_path, graph, *argv):
+        tables, written = [], []
+        sweep, lines = bounds_mod.bound_sweep, cli_mod._csv_lines
+
+        def recording_sweep(*args, **kwargs):
+            tables.append(sweep(*args, **kwargs))
+            return tables[-1]
+
+        def recording_lines(header, columns):
+            written.append(columns)
+            return lines(header, columns)
+        monkeypatch.setattr(bounds_mod, "bound_sweep", recording_sweep)
+        monkeypatch.setattr(cli_mod, "_csv_lines", recording_lines)
+        out_file = tmp_path / "rows.csv"
+        argv = ("bounds", "--graph", graph, "--formula", "prop2.6", *argv)
+        code, summary, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        code_stdout, stdout, _ = run_cli(capsys, *argv)
+        with open(out_file, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert code == code_stdout == 0 and stdout == text
+        assert [type(c) for w in written for c in w] == [SubTable] * 4
+        table = tables[-1]
+        assert text == "".join(lines(BOUNDS_HEADER,
+                                     flat_bounds_columns(table)))
+        assert 2 * len(table.cells.t) <= len(table)
+        return table, text
+
+    @pytest.mark.parametrize("formula", ["thm1.1", "cor2.7", "thm5.2"])
+    def test_a_cell_per_row(self, formula, monkeypatch, capsys, tmp_path,
+                            random_file):
+        # theorem and cor2.7 tables have a cell per row, which the writer
+        # gathers field by field; their keys' lines are written once
+        tables = []
+        sweep = bounds_mod.bound_sweep
+
+        def recording_sweep(*args, **kwargs):
+            tables.append(sweep(*args, **kwargs))
+            return tables[-1]
+        monkeypatch.setattr(bounds_mod, "bound_sweep", recording_sweep)
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "bounds", "--graph", random_file,
+                             "--formula", formula, "--tcount", "6",
+                             "--out", str(out_file))
+        assert code in (0, 1)
+        with open(out_file, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        table = tables[-1]
+        assert len(table.cells.t) == len(table) > 0
+        assert text == "".join(_csv_lines(BOUNDS_HEADER,
+                                          flat_bounds_columns(table)))
+
+    def test_ids_that_need_quoting(self, monkeypatch, capsys, tmp_path):
+        graph = tmp_path / "star.json"
+        graph.write_text(json.dumps(QUOTED_STAR))
+        table, text = self.run_prop26(monkeypatch, capsys, tmp_path,
+                                      str(graph), "--tcount", "3")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) == 1 + 15 * 3 == 1 + len(table)
+        assert len(table.cells.t) == 5 * 3
+        assert {v for r in rows[1:] for v in r[1:3]} == {
+            "a,b", 'q"x', "50%", "7", "c\rd", 'x"y,z'}
+
+    def test_pairs_subset(self, monkeypatch, capsys, tmp_path, random_file):
+        pairs = "0:3,0:5,2:2,0:3,1:4,1:4,0:5,0:1"
+        table, text = self.run_prop26(monkeypatch, capsys, tmp_path,
+                                      random_file, "--pairs", pairs,
+                                      "--tcount", "4")
+        assert [(r.x1, r.x2) for r in table][::4] == [
+            tuple(p.split(":")) for p in pairs.split(",")]
+
+    def test_metric_override(self, monkeypatch, capsys, tmp_path,
+                             random_file):
+        # every edge at half its default length, which is adapted
+        g = hb.load_graph_file(random_file)
+        lengths = hb.default_edge_lengths(g)
+        override = tmp_path / "lengths.txt"
+        override.write_text("".join(
+            f"l {a} {b} {0.5 * float(d)!r}\n"
+            for (a, b), d in zip(g.edge_ids(), lengths)))
+        table, _ = self.run_prop26(monkeypatch, capsys, tmp_path,
+                                   random_file, "--metric", str(override),
+                                   "--pairs", _pairs_from_two_sources(20))
+        metric = hb.shortest_path_metric(
+            g, 0.5 * lengths)
+        assert table.d_nu.tolist() == np.repeat(
+            metric.dist[table.i1[::25], table.i2[::25]], 25).tolist()
+
+    def test_one_vertex_graph(self, monkeypatch, capsys, tmp_path):
+        graph = tmp_path / "one.graph"
+        graph.write_text("v a 1\n")
+        _, text = self.run_prop26(monkeypatch, capsys, tmp_path, str(graph))
+        assert text == ",".join(BOUNDS_HEADER) + "\n"
+
+    @pytest.mark.parametrize("pairs,tcount", [(33, 31), (32, 32), (41, 25)],
+                             ids=["chunk-less-one", "chunk", "chunk-plus-one"])
+    def test_rows_around_one_chunk(self, monkeypatch, capsys, tmp_path,
+                                   random_file, pairs, tcount):
+        table, text = self.run_prop26(
+            monkeypatch, capsys, tmp_path, random_file,
+            "--pairs", _pairs_from_two_sources(pairs), "--tcount", str(tcount))
+        assert len(table) == pairs * tcount
+        assert len(table) - cli_mod.CHUNK_ROWS in (-1, 0, 1)
+        assert text.count("\n") == len(table) + 1
+
+    # tables the summary reads whole, whose CSV columns are bad: a key code
+    # past the keys, one key code short, and a cell column one entry short
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: replace(t, key=t.key + len(t.keys.label)),
+        lambda t: replace(t, key=t.key[:-1]),
+        lambda t: replace(t, cells=replace(t.cells, t=t.cells.t[:-1])),
+    ], ids=["key-past-keys", "short-key-codes", "short-cell-column"])
+    def test_bad_sub_table_leaves_no_file(self, random_file, tmp_path,
+                                          monkeypatch, capsys, corrupt):
+        sweep = bounds_mod.bound_sweep
+        monkeypatch.setattr(bounds_mod, "bound_sweep",
+                            lambda *a, **k: corrupt(sweep(*a, **k)))
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "bounds", "--graph", random_file,
+                                 "--formula", "prop2.6", "--pairs",
+                                 _pairs_from_two_sources(20),
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith("a CSV")
+        assert not out_file.exists()
+
+    def test_each_shared_value_formatted_once(self, monkeypatch):
+        # a float column of 4 distinct values in 1,000 rows, and a SubTable
+        # of 100 rows (one all-distinct float column) that 1,000 rows share:
+        # 4 + 100 values formatted, not one per row
+        formatted = []
+        real = cli_mod._fmt_floats
+
+        def counting(values):
+            formatted.append(len(values))
+            return real(values)
+        monkeypatch.setattr(cli_mod, "_fmt_floats", counting)
+        rng = np.random.default_rng(6)
+        columns = (rng.choice(rng.random(4), 1000),
+                   SubTable((rng.random(100),), rng.integers(0, 100, 1000)))
+        text = "".join(_csv_lines(("x", "p"), columns))
+        assert sum(formatted) == 104
+        assert text.count("\n") == 1001
+
+    def test_memory_of_shared_cells(self):
+        # 200,000 rows from 2,000 cells and 500 keys: the peak is the two
+        # SubTables' own lines and one chunk's, under 8 bytes a row, which
+        # a list of one string per row would take for its pointers alone
+        n, cells, keys = 200_000, 2_000, 500
+        rng = np.random.default_rng(4)
+        columns = (
+            SubTable((Categorical(tuple(map(str, range(keys))),
+                                  np.arange(keys)),), rng.integers(0, keys, n)),
+            SubTable((rng.random(cells), np.repeat(rng.random(20), 100),
+                      rng.random(cells),
+                      Categorical(("a", "b,c"), rng.integers(0, 2, cells))),
+                     rng.integers(0, cells, n)))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, _csv_lines(("x", "t", "d", "p", "ok"),
+                                           columns)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 50 * n
+        assert peak <= 8 * n
 
 
 class TestFmtFloats:

@@ -16,7 +16,8 @@ from heatbound import kernel as kernel_mod
 from heatbound.bounds import all_pairs, fit_sweep_setup
 from heatbound.graph import rate_matrix
 from heatbound.kernel import (DEFAULT_TOL, KernelEvolution, _chebyshev,
-                              _chebyshev_cut, point_mass_values)
+                              _chebyshev_cut, point_mass_values,
+                              weighted_tail_mass)
 
 from conftest import ENGINE_SUITE, STIFF, random_suite
 
@@ -299,6 +300,24 @@ class TestEngine:
                 outside = ~m.ball(r.x1, r.d_nu)
                 assert r.p_computed == evolutions[r.x1].tail_mass(r.t,
                                                                   outside)
+
+    def test_stacked_masks_sum_each_masks_own_vertices(self):
+        # one u^2 nu for a stack of masks: each mass is the sum of the
+        # contiguous run of its own mask's vertices, as one call per mask
+        # gives it; a masked sum over every vertex would group the
+        # additions otherwise and change last bits
+        rng = np.random.default_rng(8)
+        g = hb.random_connected_graph(200, seed=8)
+        u = rng.random((3, g.n))
+        masks = rng.random((5, g.n)) < 0.6
+        stacked = weighted_tail_mass(g, u, masks)
+        assert stacked.shape == (5, 3)
+        sq = u * u * g.nu
+        for mass, mask in zip(stacked, masks):
+            own = np.array([row[np.flatnonzero(mask)].sum() for row in sq])
+            assert mass.tobytes() == own.tobytes()
+            assert mass.tobytes() == weighted_tail_mass(g, u, mask).tobytes()
+        assert weighted_tail_mass(g, u[1], masks[2]) == stacked[2, 1]
 
 
 def reference_chebyshev(g, sub, p0, times, tol, entries=None):
