@@ -21,10 +21,11 @@ branches of Corollary 2.7 and the tail mass of Proposition 2.6.  Each
 display is written once, as a function that takes numbers or arrays alike
 (_log_gaussian_bound, _short_long_logs, log_tail_bound_short_time), and an
 entry calls it once on the whole (pair x time) grid.  bound_sweep takes the
-kernels of every pair and time from one engine call and returns the rows
-as columns (a BoundTable): a sub-table of their strings and one of their
-numbers, a cell per distinct set of numbers the formula works out, which
-rows share where they depend on less than the pair (prop2.6 on x1, d, t).
+kernels of every pair and time from one engine call, which a theorem's
+profile fit shares, and returns the rows as columns (a BoundTable): a
+sub-table of their strings and one of their numbers, a cell per distinct
+set of numbers the formula works out, which rows share where they depend
+on less than the pair (prop2.6 on x1, d, t).
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.special import xlogy
 
 from .kernel import (DEFAULT_TOL, KernelEvolution, kernel_rows,
                      point_mass_values, weighted_tail_mass)
 from .regularity import (DecayProfile, alpha_constant, beta_constant,
-                         minimal_regularity_constants)
+                         minimal_regularity_constants, profile_values)
 
 LOG_TOL = 1e-9  # log-space comparison slack for pass/fail
 PROFILE_POINTS = 200  # times of each fitted on-diagonal profile
@@ -90,12 +92,16 @@ def paper_constants():
 # bound formulas (log-space); numbers and arrays alike, broadcasting
 
 def _logs(values):
-    """math.log of each value, in the shape of values.  np.log differs from
-    math.log in the last bit on a few values, and the rows of a sweep must
-    equal the formulas at single cells bit for bit."""
+    """math.log of each value, in the shape of values, as one xlogy(1, x)
+    call: that is the C library's log, the one math.log calls, where np.log
+    differs from it in the last bit on a few values, and the rows of a sweep
+    must equal the formulas at single cells bit for bit (tests/
+    test_bounds.py, TestLogs, pins this).  A value <= 0 raises math.log's
+    ValueError; nan passes through."""
     values = np.asarray(values, dtype=float)
-    return np.fromiter(map(math.log, values.ravel().tolist()), float,
-                       values.size).reshape(values.shape)
+    if np.any(values <= 0.0):
+        raise ValueError("math domain error")
+    return xlogy(1.0, values)
 
 
 def _log_sqrt_ratio(nu1, nu2):
@@ -341,10 +347,12 @@ class BoundTable(Sequence):
     label and pair), its numbers those of ``cells[cell]`` (a BoundCells:
     t, d_nu, the left side, the log bound and the domain flag).  A theorem's
     or cor2.7's rows have a cell each; the prop2.6 rows of one x1, d and t
-    share theirs, the one tail mass outside that ball.  Each column of
-    BoundRow but provenance is also a per-row attribute (label, i1, i2, t,
-    ..., passed), a numpy array gathered from its sub-table.  Indexing and
-    iteration give BoundRow, whose formula, x1 and x2 are strings.
+    share theirs, the one tail mass outside that ball.  A theorem's table
+    also holds the SweepSetup its bounds read, ``setup`` (None for the
+    other formulas).  Each column of BoundRow but provenance is also a
+    per-row attribute (label, i1, i2, t, ..., passed), a numpy array
+    gathered from its sub-table.  Indexing and iteration give BoundRow,
+    whose formula, x1 and x2 are strings.
     """
 
     labels: tuple
@@ -354,6 +362,7 @@ class BoundTable(Sequence):
     cells: BoundCells
     cell: np.ndarray
     provenance: str
+    setup: SweepSetup | None = None
 
     label, i1, i2 = (_per_row("keys", f) for f in BoundKeys._fields)
     t, d_nu, p_computed, log_bound, in_domain, log_ratio, passed = (
@@ -390,20 +399,13 @@ class SweepSetup:
     profiles: dict  # vertex id -> DecayProfile
 
 
-def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
-                    T1=0.0, T2=math.inf, tol=DEFAULT_TOL):
-    """Fit on-diagonal decay profiles, on PROFILE_POINTS log-spaced times, for
-    every vertex appearing in pairs.
-
-    The return probabilities of every such vertex come from one engine call
-    as a (vertices, times) array, which DecayProfile.from_on_diagonal_rows
-    checks and turns into profiles at once.  delta defaults to max(1,
-    holding rates of the paired vertices), which makes the exponential
-    envelope hold with A = 1; A is the largest minimal regularity constant
-    among the fitted profiles, all computed in one pass
-    (minimal_regularity_constants), and 1 when no vertex is paired.
-    Parameters outside the theorems' ranges raise ValueError.
-    """
+def _setup_fit(g, verts, times, gamma=2.0, delta=None, epsilon=None,
+               T1=0.0, T2=math.inf):
+    """(grid, fit) of the profile fit of the sorted vertex ids ``verts``:
+    the PROFILE_POINTS log-spaced times at which it reads their diagonals,
+    and fit(diags), the SweepSetup of those return probabilities as a
+    (verts, grid) array.  Parameters outside the theorems' ranges raise
+    ValueError here, before any kernel is asked for."""
     if not (math.isfinite(gamma) and gamma > 1):
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
     if delta is not None and not (math.isfinite(delta) and delta > 0):
@@ -417,21 +419,41 @@ def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("sweep times must be positive")
-    verts = sorted({v for pair in pairs for v in pair})
     if delta is None:
         delta = max([1.0] + [g.rates[g.index(v)] for v in verts])
     alpha = alpha_constant(gamma, delta)
-    lo = alpha * times.min() * 0.5
-    hi = times.max() * 1.05
-    grid = np.geomspace(lo, hi, PROFILE_POINTS)
-    diags, _ = kernel_rows(g, verts, grid, tol, diagonal=True)
-    fitted = DecayProfile.from_on_diagonal_rows(grid, diags)
-    A = max([1.0] + minimal_regularity_constants(
-        fitted, gamma, (float(grid[0]), float(grid[-1]))))
-    beta = beta_constant(gamma)
-    return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
-                      beta=beta, alpha=alpha, T1=T1, T2=T2,
-                      profiles=dict(zip(verts, fitted)))
+    grid = np.geomspace(alpha * times.min() * 0.5, times.max() * 1.05,
+                        PROFILE_POINTS)
+
+    def fit(diags):
+        fitted = DecayProfile.from_on_diagonal_rows(grid, diags)
+        A = max([1.0] + minimal_regularity_constants(
+            fitted, gamma, (float(grid[0]), float(grid[-1]))))
+        return SweepSetup(gamma=gamma, delta=delta, epsilon=epsilon, A=A,
+                          beta=beta_constant(gamma), alpha=alpha, T1=T1,
+                          T2=T2, profiles=dict(zip(verts, fitted)))
+    return grid, fit
+
+
+def fit_sweep_setup(g, pairs, times, gamma=2.0, delta=None, epsilon=None,
+                    T1=0.0, T2=math.inf, tol=DEFAULT_TOL):
+    """Fit on-diagonal decay profiles, on PROFILE_POINTS log-spaced times, for
+    every vertex appearing in pairs.
+
+    The return probabilities of every such vertex come from one engine call
+    as a (vertices, times) array, which DecayProfile.from_on_diagonal_rows
+    checks and turns into profiles at once.  delta defaults to max(1,
+    holding rates of the paired vertices), which makes the exponential
+    envelope hold with A = 1; A is the largest minimal regularity constant
+    among the fitted profiles, all computed in one pass
+    (minimal_regularity_constants), and 1 when no vertex is paired.
+    Parameters outside the theorems' ranges raise ValueError.  A theorem
+    bound_sweep given no setup fits the same one, bit for bit, in the
+    engine call of its rows (its table's ``setup``).
+    """
+    verts = sorted({v for pair in pairs for v in pair})
+    grid, fit = _setup_fit(g, verts, times, gamma, delta, epsilon, T1, T2)
+    return fit(kernel_rows(g, verts, grid, tol, diagonal=True)[0])
 
 
 def all_pairs(g, pairs=None):
@@ -470,10 +492,13 @@ _Sweep = namedtuple("_Sweep", "g metric ledger setup times i1 i2 d nu1 nu2 "
 
 def _log_profiles(sw, s):
     """log f1(s) and log f2(s) of each pair, (2, pairs, times), at the
-    profile times s of the grid times; one profile read per vertex."""
+    profile times s of the grid times: the profiles of every paired vertex
+    read at once (profile_values, one domain check for those of one fit),
+    then one _logs call, so each value has the bits of value(s) and
+    math.log."""
     verts, at = np.unique(np.stack([sw.i1, sw.i2]), return_inverse=True)
-    f = np.reshape([sw.setup.profiles[sw.g.vertex_ids[v]].value(s)
-                    for v in verts.tolist()], (len(verts), len(s)))
+    f = profile_values([sw.setup.profiles[sw.g.vertex_ids[v]]
+                        for v in verts.tolist()], s)
     if np.any(f <= 0):
         raise ValueError("profile values must be positive")
     return _logs(f)[at.reshape(2, -1)]
@@ -561,6 +586,36 @@ FORMULAS = {
 }
 
 
+def _pair_indices(g, pairs):
+    """(i1, i2): the vertex indices of the x1 and x2 of each pair of the
+    spec, by default (None) every unordered pair in all_pairs order."""
+    if pairs is None:
+        return np.triu_indices(g.n, 1)
+    ids = [g.index(v) for pair in all_pairs(g, pairs) for v in pair]
+    return np.array(ids, dtype=np.intp).reshape(-1, 2).T
+
+
+def _sweep_cells(spec, sw):
+    """(group, count, label, cells) of the formula ``spec`` on the sweep sw:
+    each pair's group, each group's count of cells, each cell's label, and
+    the cells of the grid in C order of (group, time, label), the columns
+    of a BoundCells but log_ratio and passed.  The (group, time, label)
+    grids are freed when it returns, ahead of the cells' log_ratio and the
+    rows' codes."""
+    group, parts = spec.cells(sw)
+    grid = (int(group.max()) + 1 if len(group) else 0, len(sw.times))
+    # indexed (group, time, label)
+    has, lhs, log_b, in_domain = (
+        np.stack([np.broadcast_to(v, grid) for v in part], axis=2)
+        for part in zip(*parts))
+    del parts
+    at_group, at_time, at_label = np.nonzero(has)
+    d = np.zeros(grid[0])
+    d[group] = sw.d[:, 0]
+    return group, has.sum(axis=(1, 2)), at_label, (
+        sw.times[at_time], d[at_group], lhs[has], log_b[has], in_domain[has])
+
+
 def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
                 setup=None, tol=DEFAULT_TOL, **setup_kwargs):
     """Evaluate one bound formula over (pair, t) cells against exact kernels.
@@ -570,9 +625,12 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     or per distinct x1 and d for prop2.6), with log_ratio worked out once
     per cell.  The kernels come from one engine call, with a start column
     for each distinct x1 and every grid time, and each formula is
-    evaluated once on the whole grid.  ``setup`` (a SweepSetup) is required
-    for the theorem formulas and ignored by "cor2.7" / "prop2.6"; when
-    omitted it is fitted via fit_sweep_setup.
+    evaluated once on the whole grid.  ``setup`` (a SweepSetup) is read by
+    the theorem formulas and ignored by "cor2.7" / "prop2.6".  A theorem
+    given none fits it in that same engine call: the call also reads out
+    the diagonal of every paired vertex on the profile grid, and the setup
+    has the bits of fit_sweep_setup's with setup_kwargs.  A theorem's table
+    holds its setup.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; "
@@ -580,45 +638,39 @@ def bound_sweep(g, metric, formula, times, pairs=None, ledger=None,
     spec = FORMULAS[formula]
     if ledger is None:
         ledger = paper_constants()
-    pair_list = all_pairs(g, pairs)
+    i1, i2 = _pair_indices(g, pairs)
     times = [float(t) for t in times]
-    if spec.theorem and setup is None:
-        setup = fit_sweep_setup(g, pair_list, times, tol=tol, **setup_kwargs)
-    i1 = np.array([g.index(x1) for x1, _ in pair_list], dtype=np.intp)
-    i2 = np.array([g.index(x2) for _, x2 in pair_list], dtype=np.intp)
     sources, col = np.unique(i1, return_inverse=True)
-    kernels, _ = kernel_rows(g, [g.vertex_ids[i] for i in sources.tolist()],
-                             times, tol=tol)
-    sweep = _Sweep(g, metric, ledger, setup, np.array(times, dtype=float),
-                   i1, i2, metric.dist[i1, i2][:, None], g.nu[i1][:, None],
-                   g.nu[i2][:, None], sources, col, kernels,
-                   kernels[col, :, i2])
-    group, parts = spec.cells(sweep)
-    grid = (int(group.max()) + 1 if len(group) else 0, len(times))
-    # indexed (group, time, label)
-    has, lhs, log_b, in_domain = (
-        np.stack([np.broadcast_to(v, grid) for v in part], axis=2)
-        for part in zip(*parts))
-    # the cells, in C order of (group, time, label)
-    at_group, at_time, at_label = np.nonzero(has)
-    d = np.zeros(grid[0])
-    d[group] = sweep.d[:, 0]
-    cells = BoundCells(t=sweep.times[at_time], d_nu=d[at_group],
-                       p_computed=lhs[has], log_bound=log_b[has],
-                       in_domain=in_domain[has])
+    x1 = [g.vertex_ids[i] for i in sources.tolist()]
+    if spec.theorem and setup is None:
+        verts = sorted(g.vertex_ids[v] for v in np.union1d(i1, i2).tolist())
+        grid, fit = _setup_fit(g, verts, times, **setup_kwargs)
+        (diags, _), (kernels, _) = kernel_rows(g, verts, grid, tol,
+                                               diagonal=True,
+                                               more=[(x1, times, False)])
+        setup = fit(diags)
+    else:
+        kernels, _ = kernel_rows(g, x1, times, tol=tol)
+    group, count, at_label, cells = _sweep_cells(spec, _Sweep(
+        g, metric, ledger, setup, np.array(times, dtype=float), i1, i2,
+        metric.dist[i1, i2][:, None], g.nu[i1][:, None], g.nu[i2][:, None],
+        sources, col, kernels, kernels[col, :, i2]))
+    del kernels
+    cells = BoundCells(*cells)
     # the rows: the cells of each pair's group in order, which are
     # consecutive; size[k] is the k-th pair's count of rows
-    size = has.sum(axis=(1, 2))[group]
+    size = count[group]
     at_pair = np.repeat(np.arange(len(group)), size)
     cell = np.arange(len(at_pair)) + np.repeat(
-        np.searchsorted(at_group, group) - (np.cumsum(size) - size), size)
+        (np.cumsum(count) - count)[group] - (np.cumsum(size) - size), size)
     labels = len(spec.labels)
     return BoundTable(
         labels=tuple(formula + s for s in spec.labels), ids=g.vertex_ids,
         keys=BoundKeys(label=np.arange(len(group) * labels) % labels,
                        i1=np.repeat(i1, labels), i2=np.repeat(i2, labels)),
         key=at_pair * labels + at_label[cell], cells=cells, cell=cell,
-        provenance=ledger.provenance)
+        provenance=ledger.provenance,
+        setup=setup if spec.theorem else None)
 
 
 def summarize_rows(rows):
@@ -655,13 +707,15 @@ def _unit_sweep(g, metric, formula, times, pairs, setup, tol, **setup_kwargs):
 
 
 def empirical_sweep(g, metric, formula, times, pairs=None, setup=None,
-                    tol=DEFAULT_TOL):
+                    tol=DEFAULT_TOL, **setup_kwargs):
     """(ledger, rows) of a theorem sweep at the least C1 holding on the grid.
 
-    The constant is read off one sweep at C1 = 1, whose rows then move to it
-    by adding log C1 to log_bound, with no further kernel work.
+    The constant is read off one sweep at C1 = 1 (bound_sweep, which fits
+    the setup with setup_kwargs when none is given), whose rows then move
+    to it by adding log C1 to log_bound, with no further kernel work.
     """
-    unit, rows = _unit_sweep(g, metric, formula, times, pairs, setup, tol)
+    unit, rows = _unit_sweep(g, metric, formula, times, pairs, setup, tol,
+                             **setup_kwargs)
     c1 = least_constant(rows)
     if c1 == 0.0:
         raise ValueError("no row has p > 0 to fit the empirical C1 from")

@@ -390,7 +390,6 @@ def _cmd_bounds(g, args):
     metric = _adapted_metric(g, args)
     times = _time_grid(args)
     pairs = _parse_pairs(args.pairs)
-    setup = None
     formula = args.formula
     spec = bounds_mod.FORMULAS[formula]
     given = {param: getattr(args, flag) for flag, param in _SETUP_FLAGS.items()
@@ -402,19 +401,17 @@ def _cmd_bounds(g, args):
                  if param in spec.options]
         raise ValueError(f"{formula} does not read {', '.join(unread)}; it "
                          f"reads {', '.join(reads) or 'none of these options'}")
-    if spec.theorem:
-        setup = bounds_mod.fit_sweep_setup(
-            g, bounds_mod.all_pairs(g, pairs), times, tol=args.tol, **given)
     if args.constants == "empirical":
         ledger, rows = bounds_mod.empirical_sweep(
-            g, metric, formula, times, pairs=pairs, setup=setup, tol=args.tol)
+            g, metric, formula, times, pairs=pairs, tol=args.tol, **given)
     else:
         ledger = bounds_mod.paper_constants()
         rows = bounds_mod.bound_sweep(g, metric, formula, times, pairs=pairs,
-                                      ledger=ledger, setup=setup, tol=args.tol)
+                                      ledger=ledger, tol=args.tol, **given)
     summary = bounds_mod.summarize_rows(rows)
     summary.update(formula=formula, log_C1=ledger.log_C1,
                    provenance=ledger.provenance)
+    setup = rows.setup
     if setup is not None:
         summary.update(A=setup.A, beta=setup.beta, alpha=setup.alpha,
                        gamma=setup.gamma, delta=setup.delta)

@@ -26,6 +26,11 @@ distribution from sources[k] at times[j], killed on first exit from
 ``domain`` when given (the generator restricted to the domain, absorption
 outside), and err[j] is the err_bound of times[j].  It may read out only
 the diagonal, one number per source and time for the on-diagonal curves.
+One call may also serve further readouts of the same recurrence, each its
+own sources and times read out as full rows or diagonals: a theorem sweep
+reads the diagonals of its profile fit and the rows of its pairs from one
+call.  A time's value does not depend on the rest of the call, so each
+readout has the bits of a call of its own.
 
 In the engine, one three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on a
 block of start vectors, one unit column per source, serves every time of the
@@ -73,9 +78,12 @@ from .graph import WeightedGraph
 
 DEFAULT_TOL = 1e-10
 METHOD = "series-uniformization"
-# the most Bessel coefficients one call may need over all its times: the
-# tridiagonal solve holds 5 float64 arrays of that length and a bool one, and
-# finding the cuts after it peaks at 7 float64 or intp arrays, about 560 MB
+# the most Bessel coefficients one call may need over all the times of all
+# its readouts: the tridiagonal solve holds 5 float64 arrays of that length
+# and a bool one, and finding the cuts after it peaks at 7 float64 or intp
+# arrays, about 560 MB.  A theorem sweep's fit and rows share one budget; no
+# row time is past the fit grid's last time, so each row time adds at most
+# one window no longer than the fit's longest
 MAX_COEFFICIENTS = 10_000_000
 # bytes of the ring of Chebyshev steps: its rows, its step matrix and a
 # chunk's coefficients; a larger block steps one row at a time
@@ -215,8 +223,9 @@ def _product_sums(acc):
     i < len(coefs), with one csr_matvecs call of coefs as a dense CSR
     matrix, its entries in k order: the kernel does y += c x per entry, so
     each acc[i] gets the bits of a multiply and an in-place add per step.
-    rows is C-contiguous float64, count rows of acc's row width, count =
-    coefs.shape[1]; acc, the output, is checked here, once."""
+    rows is float64, count rows of acc's row width, count = coefs.shape[1]
+    (the kernel reads a copy of rows that are not C-contiguous, such as a
+    gather of some columns); acc, the output, is checked here, once."""
     width = math.prod(acc.shape[1:])
     if acc.dtype != np.float64 or not acc.flags.c_contiguous or not width:
         raise ValueError("the sums need a C-contiguous float64 accumulator "
@@ -284,9 +293,10 @@ def _bessel_windows(taus, size, starts):
 
 
 def _chebyshev_cut(taus, tol, spread):
-    """(coefs, err): for each tau = Lam t, coefs[j] holds c_0..c_K, where
-    c_k = 2 e^-tau I_k(tau) with c_0 halved, and err[j] is ``spread`` times a
-    bound on the tail sum_{k > K} c_k, for the least K with err[j] <= tol.
+    """(c, starts, lengths, err): for each tau = Lam t, c[starts[j]:starts[j]
+    + lengths[j]] holds c_0..c_K, where c_k = 2 e^-tau I_k(tau) with c_0
+    halved, and err[j] is ``spread`` times a bound on the tail sum_{k > K}
+    c_k, for the least K with err[j] <= tol.
 
     Amos's ratio bound (Math. Comp. 28, 1974), I_{v+1}(tau) / I_v(tau) <=
     r_v = tau / (v + 1/2 + sqrt((v + 1/2)^2 + tau^2)), decreases in v, so the
@@ -321,7 +331,7 @@ def _chebyshev_cut(taus, tol, spread):
     met = np.flatnonzero((tail <= tol) & (ks > 0))
     # the first index past each start at which the tail meets tol
     cut = met[np.searchsorted(met, starts)]
-    return [c[s:e] for s, e in zip(starts, cut)], tail[cut]
+    return c, starts, cut - starts, tail[cut]
 
 
 # the arrays of a CSR matrix, named as scipy's matrices name them
@@ -355,12 +365,15 @@ def _step_matrix(g, sub):
                 cols[order].astype(w.indices.dtype), data[order])
 
 
-def _chebyshev(g, sub, p0, times, tol, entries=None):
+def _chebyshev(g, sub, p0, times, tol, entries=None, more=()):
     """(values, err): values[j] = exp(t_j Q^T) p0 for each start distribution
     (column) of p0, Q the generator of g restricted to the sorted vertex
     indices ``sub`` (p0 has a row for each), and err[j] the truncation bound
     of times[j].  With entries, an index such as (rows, cols), values[j] is
-    only the [entries] of that.
+    only the [entries] of that.  ``more`` holds further readouts of the same
+    recurrence, each a pair (times, entries) read out alike; with it the
+    call returns a list of (values, err), one per readout, (times, entries)
+    first.
 
     With B = I + Q^T/Lam and tau = Lam t, exp(t Q^T) = sum_k c_k T_k(B), c_k
     as in _chebyshev_cut.  Q is self-adjoint in L^2(nu) with spectrum in
@@ -369,39 +382,51 @@ def _chebyshev(g, sub, p0, times, tol, entries=None):
     min nu) for a unit p0: the ``spread`` that scales the Bessel tail.
 
     The recurrence T_0 = p0, T_1 = B p0, T_{k+1} = 2 B T_k - T_{k-1} (see
-    _sum_series) serves every time of the call, and time j adds c_k T_k into
-    its own accumulator for k <= K_j.  K_j depends on t_j, tol, Lam and nu
-    alone, so a time's value does not depend on the rest of the call.  Sorted
-    by K, longest first, the times still summing at step k are a prefix.
-    Values are clamped at 0: the true values are probabilities, so the clamp
-    can only shrink the error.
+    _sum_series) serves every time of every readout, and time j adds c_k
+    T_k into its own accumulator for k <= K_j.  K_j depends on t_j, tol, Lam
+    and nu alone, so a time's value does not depend on the rest of the
+    call.  Within a readout, sorted by K, longest first, the times still
+    summing at step k are a prefix.  Values are clamped at 0: the true
+    values are probabilities, so the clamp can only shrink the error.
     """
     lam, nu = float(g.rates[sub].max()), g.nu[sub]
-    coefs, err = _chebyshev_cut([lam * t for t in times], tol,
-                                math.sqrt(nu.max() / nu.min()))
-    order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
-    lengths = np.array([len(coefs[j]) for j in order], dtype=np.intp)
-    # the readout of a stack of rows: all of each, or its [entries]
-    index = (slice(None),) + (() if entries is None else tuple(entries))
-    acc = np.zeros((len(times),) + p0[None][index].shape[1:])
-    # table[i, k]: c_k of the i-th longest time, 0 past its cut
-    table = np.zeros((len(times), lengths[0] if len(lengths) else 0))
-    for i, j in enumerate(order):
-        table[i, :lengths[i]] = coefs[j]
-    live = len(lengths) - np.searchsorted(lengths[::-1],
-                                          np.arange(table.shape[1]),
-                                          side="right")
-    _sum_series(g, sub, p0, table, live.tolist(), index, acc)
-    values = np.empty_like(acc)
-    values[order] = acc
-    np.maximum(values, 0.0, out=values)
-    return values, err
+    readouts = [(times, entries), *more]
+    ends = np.cumsum([len(ts) for ts, _ in readouts])
+    c, starts, lengths, err = _chebyshev_cut(
+        [lam * t for ts, _ in readouts for t in ts], tol,
+        math.sqrt(nu.max() / nu.min()))
+    sums, out = [], []
+    for (ts, ent), end in zip(readouts, ends.tolist()):
+        mine = slice(end - len(ts), end)
+        order = np.argsort(-lengths[mine], kind="stable")
+        length = lengths[mine][order]
+        # the readout of a stack of rows: all of each, or its [entries]
+        index = (slice(None),) + (() if ent is None else tuple(ent))
+        acc = np.zeros((len(ts),) + p0[None][index].shape[1:])
+        # table[i, k]: c_k of the i-th longest time, 0 past its cut
+        ks = np.arange(length[0] if len(length) else 0)
+        table = np.zeros((len(ts), len(ks)))
+        table[ks < length[:, None]] = c[np.arange(length.sum()) + np.repeat(
+            starts[mine][order] - (np.cumsum(length) - length), length)]
+        live = len(ts) - np.searchsorted(length[::-1], ks, side="right")
+        sums.append((table, live.tolist(), index, acc))
+        out.append((order, acc, err[mine]))
+    _sum_series(g, sub, p0, sums)
+    results = []
+    for order, acc, e in out:
+        values = np.empty_like(acc)
+        values[order] = acc
+        np.maximum(values, 0.0, out=values)
+        results.append((values, e))
+    return results if more else results[0]
 
 
-def _sum_series(g, sub, p0, table, live, index, acc):
-    """acc[i] += table[i, k] T_k(B) p0 [index] for each step k in order,
-    i < live[k]: the times still summing at step k; B is _step_matrix(g,
-    sub), built only when there is a step to take.
+def _sum_series(g, sub, p0, sums):
+    """For each (table, live, index, acc) of sums: acc[i] += table[i, k]
+    T_k(B) p0 [index] for each step k of the table in order, i < live[k]:
+    the times still summing at step k.  One recurrence serves them all, as
+    far as the widest table; B is _step_matrix(g, sub), built only when
+    there is a step to take.
 
     The recurrence runs in a ring of ``size`` + 2 blocks of rows, filled
     forward.  T_1 = B T_0 is the one plain step.  The later steps go in
@@ -422,11 +447,12 @@ def _sum_series(g, sub, p0, table, live, index, acc):
     a product falls below 2^-1022 and loses bits, so each row's sum is
     twice B T_{k-1}'s, and the -1 entry comes last.
 
-    After its steps, a chunk's coefficient products go into the
+    After its steps, a chunk's coefficient products go into each readout's
     accumulators of the times summing at its first step in one more
-    compiled call (_product_sums): a product and an in-place add per entry,
-    in k order.  A time whose cut falls inside the chunk has coefficient 0
-    past it, and adding 0 times a finite T_k, +-0, to its accumulator,
+    compiled call per readout (_product_sums): a product and an in-place
+    add per entry, in k order, over the chunk's steps that the readout's
+    table reaches.  A time whose cut falls inside the chunk has coefficient
+    0 past it, and adding 0 times a finite T_k, +-0, to its accumulator,
     which is never -0, changes no bit; so every accumulator gets the bits
     of one multiply and one add per step.  These are the bits of stepping
     into a fresh array and adding each step's products before the next
@@ -437,18 +463,26 @@ def _sum_series(g, sub, p0, table, live, index, acc):
     a chunk has at least one block: a block past CHUNK_BYTES steps one row
     at a time in a ring of three.
     """
-    steps = table.shape[1]
-    if not (steps and acc.size):  # no time, or no source
+    sums = [(table, live, index, _product_sums(acc))
+            for table, live, index, acc in sums if table.size and acc.size]
+    if not sums:  # no time, or no source
         return
-    add = _product_sums(acc)
+    steps = max(table.shape[1] for table, *_ in sums)
+
+    def add(k, rows):  # the products of the blocks rows, of steps k, k + 1, ..
+        for table, live, index, add_products in sums:
+            m = min(len(rows), table.shape[1] - k)
+            if m > 0:
+                add_products(table[:live[k], k:k + m], rows[:m][index])
+
     if steps < 2:  # no step, and Lam may be 0
-        add(table[:live[0], :1], p0[None][index])
+        add(0, p0[None])
         return
     n = len(p0)
     b_t = _step_matrix(g, sub)
     # a step's block, its row block of the ring matrix and its coefficients
     step_bytes = (p0.nbytes + 12 * (len(b_t.data) + n) + 4 * n
-                  + 12 * len(acc))
+                  + 12 * sum(len(table) for table, *_ in sums))
     size = max(1, min(steps - 2, CHUNK_BYTES // step_bytes - 2))
     ring = size + 2
     buf = np.zeros((ring,) + p0.shape)
@@ -457,7 +491,7 @@ def _sum_series(g, sub, p0, table, live, index, acc):
     step = _csr_call(_ring_matrix(b_t, ring), ring * n, buf,
                      buf.reshape((ring * n,) + p0.shape[1:]))
     first(buf[0], buf[1])
-    add(table[:live[0], :2], buf[:2][index])
+    add(0, buf[:2])
     k, pos = 2, 2  # the next step and its block
     while k < steps:
         if ring - pos < size:  # only when size >= 3: restart at block 2
@@ -467,12 +501,12 @@ def _sum_series(g, sub, p0, table, live, index, acc):
         chunk = buf[pos:pos + count]
         chunk.fill(0.0)
         step(buf, chunk, pos * n)
-        add(table[:live[k], k:k + count], chunk[index])
+        add(k, chunk)
         k, pos = k + count, (pos + count) % ring
 
 
 def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
-                diagonal=False):
+                diagonal=False, more=()):
     """(rows, err) from one engine call with a unit start column per source.
 
     rows[k, j, z] = P_{sources[k]}(X_{times[j]} = z), over the whole graph;
@@ -484,31 +518,59 @@ def kernel_rows(g, sources, times, tol=DEFAULT_TOL, domain=None,
     on-diagonal curves keeps one number per source and time.  err[j] bounds
     the truncation error of time j (see heat_kernel); values are clamped at
     0, which can only shrink the error.
+
+    ``more`` holds further readouts of the same call, each a triple
+    (sources, times, diagonal) read out as above; with it the call returns
+    a list of (rows, err), one per readout, (sources, times, diagonal)
+    first.  The start block then has a unit column per source of the first
+    readout and one per further vertex of the others, and every value has
+    the bits it has in a call of its own readout.
     """
-    times = [float(t) for t in times]
-    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+    readouts = [(srcs, [float(t) for t in ts], diag)
+                for srcs, ts, diag in [(sources, times, diagonal), *more]]
+    if not all(math.isfinite(t) and t >= 0.0
+               for _, ts, _ in readouts for t in ts):
         raise ValueError("times must be finite and nonnegative")
     if not 0.0 < tol < 1.0:  # also rejects nan
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
-    idx = np.array([g.index(x) for x in sources], dtype=np.intp)
+    idx = [np.array([g.index(x) for x in srcs], dtype=np.intp)
+           for srcs, _, _ in readouts]
+    # the start block's vertices, and cols[r]: the column of each source of
+    # readout r
+    block, cols = idx[0], [np.arange(len(idx[0]))]
+    if more:
+        block = np.concatenate([block, np.setdiff1d(np.concatenate(idx[1:]),
+                                                    block)])
+        vertices, first = np.unique(block, return_index=True)
+        cols += [first[np.searchsorted(vertices, i)] for i in idx[1:]]
     if domain is None:
         sub = np.arange(g.n)
     else:
         sub = np.array(sorted({g.index(v) for v in domain}), dtype=np.intp)
-        outside = np.setdiff1d(idx, sub)
+        outside = np.setdiff1d(block, sub)
         if len(outside):
             raise ValueError(f"origin {g.vertex_ids[outside[0]]!r} not in "
                              "the killed domain")
-    at, cols = np.searchsorted(sub, idx), np.arange(len(idx))
-    p0 = np.zeros((len(sub), len(idx)))
-    p0[at, cols] = 1.0
-    values, err = _chebyshev(g, sub, p0, times, tol,
-                             (at, cols) if diagonal else None)
-    if diagonal:
-        return values.T, err
-    rows = np.zeros((len(idx), len(times), g.n))
-    rows[..., sub] = values.transpose(2, 0, 1)
-    return rows, err
+    at = np.searchsorted(sub, block)
+    p0 = np.zeros((len(sub), len(block)))
+    p0[at, np.arange(len(block))] = 1.0
+    entries = [(at[c], c) if diag
+               else None if np.array_equal(c, np.arange(len(block)))
+               else (slice(None), c)
+               for c, (_, _, diag) in zip(cols, readouts)]
+    results = _chebyshev(g, sub, p0, readouts[0][1], tol, entries[0],
+                         [(ts, e) for (_, ts, _), e in zip(readouts[1:],
+                                                            entries[1:])])
+    out = []
+    for (values, err), c, (_, ts, diag) in zip(
+            results if more else [results], cols, readouts):
+        if diag:
+            out.append((values.T, err))
+            continue
+        rows = np.zeros((len(c), len(ts), g.n))
+        rows[..., sub] = values.transpose(2, 0, 1)
+        out.append((rows, err))
+    return out if more else out[0]
 
 
 def heat_kernel(g, source, t, tol=DEFAULT_TOL, domain=None):

@@ -182,15 +182,18 @@ class DecayProfile:
         elif self.kind == "stretched-exp":
             out = self.params["delta"] * t ** self.params["eps"]
         else:
-            lo, hi = self.domain
             tt = np.atleast_1d(t)
-            if np.any(tt < lo * (1 - 1e-12)) or np.any(tt > hi * (1 + 1e-12)):
-                raise ProfileDomainError(
-                    f"t outside table domain [{lo:g}, {hi:g}]")
+            self._check_domain(tt)
             out = np.interp(np.log(tt), self._log_t, self._log_f)
             if np.ndim(t) == 0:
                 return float(out[0])
         return float(out) if np.ndim(t) == 0 else out
+
+    def _check_domain(self, t):
+        """ProfileDomainError unless every t lies in the table's domain."""
+        lo, hi = self.domain
+        if np.any(t < lo * (1 - 1e-12)) or np.any(t > hi * (1 + 1e-12)):
+            raise ProfileDomainError(f"t outside table domain [{lo:g}, {hi:g}]")
 
     def value(self, t):
         """f(t); inf where f(t) is past the largest float64."""
@@ -202,6 +205,26 @@ class DecayProfile:
             lo, hi = self.domain
             return f"DecayProfile(table, {len(self.times)} pts on [{lo:g}, {hi:g}])"
         return f"DecayProfile({self.kind}, {self.params})"
+
+
+def profile_values(profiles, t):
+    """f(t) of each profile at the 1-d times t, shaped (profiles, times),
+    each row with the bits of its profile's value(t).  The table profiles
+    that share one times array, as from_on_diagonal_rows makes them, take
+    one domain check and one log t between them, then an np.interp each."""
+    t = np.asarray(t, dtype=float)
+    log_f = np.empty((len(profiles), len(t)))
+    log_t = {}  # id of a shared times array: log t, once its domain passed
+    for row, prof in zip(log_f, profiles):
+        if prof.kind != "table":
+            row[:] = prof.log_value(t)
+            continue
+        if id(prof.times) not in log_t:
+            prof._check_domain(t)
+            log_t[id(prof.times)] = np.log(t)
+        row[:] = np.interp(log_t[id(prof.times)], prof._log_t, prof._log_f)
+    with np.errstate(over="ignore"):
+        return np.exp(log_f)
 
 
 # ---------------------------------------------------------------------------

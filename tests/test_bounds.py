@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 import heatbound as hb
 from heatbound.bounds import (
@@ -94,6 +96,33 @@ class TestLogs:
         assert logs.shape == np.shape(values) and logs.dtype == np.float64
         expected = [math.log(v) for v in np.ravel(values).tolist()]
         assert np.array(expected).tobytes() == logs.ravel().tobytes()
+
+    def test_xlogy_is_math_log(self):
+        # _logs is xlogy(1, x), whose log is the C library's, the one
+        # math.log calls; np.log differs from it in the last bit on some of
+        # these values.  Subnormals up to 1e308, the powers of two, values
+        # near 1, and inf and nan
+        rng = np.random.default_rng(28)
+        tiny = np.finfo(float).tiny
+        values = np.concatenate([
+            np.exp(rng.uniform(math.log(5e-324), math.log(1e308), 100_000)),
+            rng.uniform(0.0, tiny, 2_000) + 5e-324,
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            1.0 + rng.uniform(-1e-3, 1e-3, 5_000),
+            np.nextafter(1.0, 2.0) ** np.arange(-64, 65),
+            [1.0, tiny, np.finfo(float).max, math.inf, math.nan]])
+        expected = np.array([math.log(v) for v in values.tolist()])
+        assert xlogy(1.0, values).tobytes() == expected.tobytes()
+        assert _logs(values).tobytes() == expected.tobytes()
+        assert not np.array_equal(np.log(values), expected, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+    def test_non_positive_value_raises_as_math_log(self, bad):
+        with pytest.raises(ValueError):
+            math.log(bad)
+        for values in (bad, np.array([[2.0, math.nan], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="^math domain error$"):
+                _logs(values)
 
 
 class TestBoundFormulas:
@@ -732,6 +761,31 @@ class TestStackedFit:
         assert setup_bytes(setup) == setup_bytes(
             reference_setup(g, [], [1.0, 2.0]))
 
+    @staticmethod
+    def outcomes(monkeypatch, g, change):
+        """The outcome of fit_sweep_setup and of the reference fit, then of
+        a thm1.1 bound_sweep given no setup, with change(diags) applied to
+        the engine's array of diagonals: alone, or as the first readout of
+        the sweep's one call."""
+        real = hb.kernel.kernel_rows
+
+        def doctored(*args, **kwargs):
+            out = real(*args, **kwargs)
+            (diags, err), *rows = out if kwargs.get("more") else [out]
+            diags = change(diags.copy())
+            return [(diags, err), *rows] if rows else (diags, err)
+
+        monkeypatch.setattr(hb.kernel, "kernel_rows", doctored)
+        monkeypatch.setattr(hb.bounds, "kernel_rows", doctored)
+        pairs, times = all_pairs(g), [0.5, 2.0]
+        m = hb.shortest_path_metric(g)
+        try:
+            swept = setup_bytes(bound_sweep(g, m, "thm1.1", times).setup)
+        except ValueError as exc:
+            swept = type(exc), str(exc)
+        return (fit_outcome(fit_sweep_setup, g, pairs, times),
+                fit_outcome(reference_setup, g, pairs, times), swept)
+
     @pytest.mark.parametrize("rows", [
         # a zero, a negative and a nan diagonal value, each in the second
         # row; then a nan row ahead of a zero row, and the reverse
@@ -739,41 +793,118 @@ class TestStackedFit:
         {1: 0.0, 2: math.nan}])
     def test_non_positive_diagonal_value(self, monkeypatch, rows):
         # the engine's diagonal array, with one value of the given rows set
-        g = self.GRAPHS[0]
-        real = hb.kernel.kernel_rows
-
-        def doctored(*args, **kwargs):
-            diags, err = real(*args, **kwargs)
-            diags = diags.copy()
+        def change(diags):
             for k, value in rows.items():
                 diags[k, 50] = value
-            return diags, err
+            return diags
 
-        monkeypatch.setattr(hb.kernel, "kernel_rows", doctored)
-        monkeypatch.setattr(hb.bounds, "kernel_rows", doctored)
-        pairs = all_pairs(g)
-        got = fit_outcome(fit_sweep_setup, g, pairs, [0.5, 2.0])
-        assert got == fit_outcome(reference_setup, g, pairs, [0.5, 2.0])
+        got, ref, swept = self.outcomes(monkeypatch, self.GRAPHS[0], change)
+        assert got == ref == swept
         assert got[0] is ValueError
 
     def test_constant_past_float_range(self, monkeypatch):
         # the diagonal of the second and third vertex falls by e^1382 at a
         # grid time, the third's earlier: the error names the second
         # vertex's witness pair, as the per-vertex fit does
-        g = self.GRAPHS[0]
-        real = hb.kernel.kernel_rows
-
-        def doctored(*args, **kwargs):
-            diags, err = real(*args, **kwargs)
-            diags = diags.copy()
+        def change(diags):
             for k, at in ((1, 120), (2, 100)):
                 diags[k] = np.where(np.arange(diags.shape[1]) < at, 1e300,
                                     1e-300)
-            return diags, err
+            return diags
 
-        monkeypatch.setattr(hb.kernel, "kernel_rows", doctored)
-        monkeypatch.setattr(hb.bounds, "kernel_rows", doctored)
-        pairs = all_pairs(g)
-        got = fit_outcome(fit_sweep_setup, g, pairs, [0.5, 2.0])
-        assert got == fit_outcome(reference_setup, g, pairs, [0.5, 2.0])
+        got, ref, swept = self.outcomes(monkeypatch, self.GRAPHS[0], change)
+        assert got == ref == swept
         assert got[0] is ValueError and "past float range" in got[1]
+
+
+def sweep_columns(table):
+    """The bytes of each per-row column of a BoundTable."""
+    return {name: getattr(table, name).tobytes() for name in (
+        "label", "i1", "i2", "t", "d_nu", "p_computed", "log_bound",
+        "in_domain", "log_ratio", "passed")}
+
+
+class TestSharedFit:
+    """A theorem sweep given no setup makes one engine call, whose diagonals
+    on the profile grid fit the setup and whose full rows are the sweep's:
+    the setup (profiles, A and every field) is fit_sweep_setup's and the
+    rows are those of a sweep given it, bit for bit, and so is the
+    empirical sweep."""
+
+    GRAPHS = (random_suite(2, 9, seed0=940, csrw=True)
+              + random_suite(2, 9, seed0=950, nu_range=(1e-3, 10),
+                             mu_range=(0.1, 10))
+              + [hb.load_graph("v a 2\n")])
+
+    @pytest.mark.parametrize("formula", [f for f in FORMULAS
+                                         if FORMULAS[f].theorem])
+    def test_one_call_equals_fit_then_sweep(self, formula, monkeypatch):
+        calls = []
+        real = hb.kernel._chebyshev
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hb.kernel, "_chebyshev", counting)
+        kwargs = dict(gamma=3.0, epsilon=0.5, T1=0.01, T2=1.5)
+        times = [2.0, 0.3, 2.0, 0.05, 5.0]
+        for g in self.GRAPHS:
+            m = hb.shortest_path_metric(g)
+            ids = g.vertex_ids
+            # the default spec; no pair; a subset out of index order, with
+            # a pair at distance 0 and a vertex only ever an x2
+            for pairs in (None, [], [(ids[-1], ids[0]), (ids[0], ids[0])]
+                          + all_pairs(g)[1::3]):
+                calls.clear()
+                rows = bound_sweep(g, m, formula, times, pairs=pairs,
+                                   **kwargs)
+                assert len(calls) == 1
+                setup = fit_sweep_setup(g, all_pairs(g, pairs), times,
+                                        **kwargs)
+                assert setup_bytes(rows.setup) == setup_bytes(setup)
+                assert list(rows.setup.profiles) == list(setup.profiles)
+                ref = bound_sweep(g, m, formula, times, pairs=pairs,
+                                  setup=setup)
+                assert len(rows) == len(ref)
+                assert sweep_columns(rows) == sweep_columns(ref)
+                assert rows.cells.t.tobytes() == ref.cells.t.tobytes()
+                if not len(rows):
+                    continue
+                calls.clear()
+                ledger, emp = empirical_sweep(g, m, formula, times,
+                                              pairs=pairs, **kwargs)
+                assert len(calls) == 1
+                ref_ledger, emp_ref = empirical_sweep(
+                    g, m, formula, times, pairs=pairs, setup=setup)
+                assert ledger == ref_ledger
+                assert setup_bytes(emp.setup) == setup_bytes(setup)
+                assert sweep_columns(emp) == sweep_columns(emp_ref)
+
+
+class TestSweepMemory:
+    def test_lattice_cor27_peak_per_row(self):
+        # a 6 x 6 CSRW lattice's cor2.7 table, a cell per row (15,810): the
+        # (group, time, label) grids and their index arrays are freed before
+        # the rows' codes are built, and the kernels before the cells'
+        # log_ratio, so the sweep peaks at about 120 bytes a row (195 while
+        # they all stayed alive)
+        side = 6
+        ids = [f"{i}_{j}" for i in range(side) for j in range(side)]
+        edges = ([(f"{i}_{j}", f"{i + 1}_{j}") for i in range(side - 1)
+                  for j in range(side)]
+                 + [(f"{i}_{j}", f"{i}_{j + 1}") for i in range(side)
+                    for j in range(side - 1)])
+        g = hb.csrw_normalized(hb.WeightedGraph(ids, [1.0] * len(ids), edges,
+                                                [1.0] * len(edges)))
+        m = hb.shortest_path_metric(g)
+        times = np.geomspace(1.0, 20.0, 25)
+        bound_sweep(g, m, "cor2.7", times)
+        tracemalloc.start()
+        try:
+            rows = bound_sweep(g, m, "cor2.7", times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 15_810
+        assert peak <= 150 * len(rows)

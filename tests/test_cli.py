@@ -178,11 +178,11 @@ class TestBoundsCommand:
         assert abs(max(float(line.split(",")[7]) for line in lines)) <= LOG_TOL
 
     @pytest.mark.parametrize("argv,calls", [
-        pytest.param(("bounds", "--formula", "thm1.1", *EMPIRICAL_GRID), 2,
-                     id="thm1.1-paper-2"),
+        pytest.param(("bounds", "--formula", "thm1.1", *EMPIRICAL_GRID), 1,
+                     id="thm1.1-paper-1"),
         pytest.param(("bounds", "--formula", "thm1.1", "--constants",
-                      "empirical", *EMPIRICAL_GRID), 2,
-                     id="thm1.1-empirical-2"),
+                      "empirical", *EMPIRICAL_GRID), 1,
+                     id="thm1.1-empirical-1"),
         pytest.param(("bounds", "--formula", "cor2.7", *EMPIRICAL_GRID), 1,
                      id="cor2.7-paper-1"),
         pytest.param(("bounds", "--formula", "prop2.6", *EMPIRICAL_GRID), 1,
@@ -190,8 +190,9 @@ class TestBoundsCommand:
         pytest.param(("kernel", "--tcount", "4"), 1, id="kernel-1")])
     def test_one_engine_call_per_sweep(self, random_file, tmp_path, capsys,
                                        monkeypatch, argv, calls):
-        # a theorem's profile fit is one call and every sweep one more,
-        # however many pairs and times; a kernel grid is one call
+        # every sweep is one call, however many pairs and times, and a
+        # theorem's profile fit reads its diagonals from that call too; a
+        # kernel grid is one call
         engine = []
         real = kernel_mod._chebyshev
 
@@ -204,6 +205,33 @@ class TestBoundsCommand:
                              "--out", str(tmp_path / "rows.csv"))
         assert code == 0
         assert len(engine) == calls
+
+    @pytest.mark.parametrize("argv", [
+        ("--formula", "thm1.1"),
+        ("--formula", "thm1.1", "--constants", "empirical"),
+        ("--formula", "cor2.7"), ("--formula", "prop2.6")],
+        ids=["thm1.1-paper", "thm1.1-empirical", "cor2.7", "prop2.6"])
+    def test_default_pairs_equal_every_pair_named(self, random_file,
+                                                  tmp_path, capsys, argv):
+        # the default spec takes its pairs as index arrays, --pairs looks
+        # each id up: naming every pair in the same order gives the same
+        # bytes, on stdout and with --out, and the same summary
+        g = hb.load_graph_file(random_file)
+        named = ",".join(f"{a}:{b}" for a, b in all_pairs(g))
+        outs = []
+        for spec in ((), ("--pairs", named)):
+            argv_spec = ("bounds", "--graph", random_file, *argv,
+                         *self.EMPIRICAL_GRID, *spec)
+            code, out, err = run_cli(capsys, *argv_spec)
+            out_csv = tmp_path / "rows.csv"
+            code_out, summary, err_out = run_cli(capsys, *argv_spec, "--out",
+                                                 str(out_csv))
+            summary = json.loads(summary)
+            summary.pop("timings")
+            outs.append((code, out, err, code_out, out_csv.read_bytes(),
+                         summary, err_out))
+        assert outs[0] == outs[1]
+        assert len(outs[0][1].splitlines()) > len(all_pairs(g)) * 4
 
     def test_cor27_pair_at_distance_zero(self, random_file, tmp_path, capsys):
         grid = ("--tmin", "0.5", "--tmax", "4", "--tcount", "4")

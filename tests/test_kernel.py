@@ -320,6 +320,13 @@ class TestEngine:
         assert weighted_tail_mass(g, u[1], masks[2]) == stacked[2, 1]
 
 
+def cut_coefs(taus, tol, spread):
+    """(coefs, err): _chebyshev_cut's result with coefs[j] the c_0..c_K of
+    taus[j], a slice of its one array of coefficients."""
+    c, starts, lengths, err = _chebyshev_cut(taus, tol, spread)
+    return [c[s:s + m] for s, m in zip(starts.tolist(), lengths.tolist())], err
+
+
 def reference_chebyshev(g, sub, p0, times, tol, entries=None):
     """_chebyshev one step at a time: B = I + Q^T/Lam by scipy's sparse
     arithmetic, T_{k+1} = 2 (B @ T_k) - T_{k-1} by scipy's `@` into a fresh
@@ -329,8 +336,8 @@ def reference_chebyshev(g, sub, p0, times, tol, entries=None):
              else rate_matrix(g)[np.ix_(sub, sub)].tocsr())
     lam, nu = float(g.rates[sub].max()), g.nu[sub]
     readout = (lambda v: v) if entries is None else (lambda v: v[entries])
-    coefs, err = _chebyshev_cut([lam * t for t in times], tol,
-                                math.sqrt(nu.max() / nu.min()))
+    coefs, err = cut_coefs([lam * t for t in times], tol,
+                           math.sqrt(nu.max() / nu.min()))
     order = sorted(range(len(times)), key=lambda j: -len(coefs[j]))
     lengths = np.array([len(coefs[j]) for j in order], dtype=np.intp)
     shape = readout(p0).shape
@@ -376,7 +383,7 @@ def lam_t_with_cut(cut, spread):
     """A Lam t whose last summed step is ``cut``: the middle of the Lam t
     that stop there."""
     def last_step(lam_t):
-        return len(_chebyshev_cut([lam_t], DEFAULT_TOL, spread)[0][0]) - 1
+        return len(cut_coefs([lam_t], DEFAULT_TOL, spread)[0][0]) - 1
 
     def least(k):  # the least Lam t (to bisection precision) reaching k
         lo, hi = 0.0, 1.0
@@ -438,8 +445,8 @@ class TestChunkedSteps:
                "several": 4 * rows + 3, "rings": 3 * (rows + 2) - 1}[longest]
         cuts = [cut, max(cut - 1, 0), cut, cut // 2, 0]
         times = [lam_t_with_cut(k, spread) / lam if k else 0.0 for k in cuts]
-        coefs, _ = _chebyshev_cut([lam * t for t in times], DEFAULT_TOL,
-                                  spread)
+        coefs, _ = cut_coefs([lam * t for t in times], DEFAULT_TOL,
+                             spread)
         assert max(len(c) for c in coefs) == cut + 1
         b_t = kernel_mod._step_matrix(g, sub)
         monkeypatch.setattr(kernel_mod, "CHUNK_BYTES", (rows + 2) * (
@@ -574,6 +581,77 @@ class TestOneEngineCall:
         assert len(engine_calls) == 1
 
 
+class TestReadouts:
+    """kernel_rows's further readouts (``more``) share one engine call: the
+    coefficients of every time come from one _chebyshev_cut, B and the ring
+    matrix are built once, and each readout's rows and err_bounds are the
+    bits of a call of its own."""
+
+    GRID = [3.0, 0.0, 0.7, 11.0, 0.05, 0.7]
+
+    @staticmethod
+    def readouts(inside):
+        """(sources, times, diagonal) readouts: a first one of one source,
+        later ones that add sources to the start block or share them, a
+        repeated source, and readouts with no time or no source."""
+        return [(inside[1:2], TestReadouts.GRID, False),
+                (inside[::-1], [0.05, 11.0, 0.0], True),
+                (inside[-1:] * 2, [0.7, 3.0, 0.7], False),
+                (inside[:1], [], True),
+                ([], [1.0], False),
+                (inside, [11.0, 0.05], False)]
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 0],
+                             ids=["default", "one-step-chunks"])
+    @pytest.mark.parametrize("first", [0, 1], ids=["rows-first",
+                                                   "diagonal-first"])
+    @pytest.mark.parametrize("killed", [False, True])
+    def test_each_readout_equals_its_own_call(self, monkeypatch, killed,
+                                              first, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(kernel_mod, "CHUNK_BYTES", chunk_bytes)
+        built = []
+        for name in ("_chebyshev_cut", "_step_matrix", "_ring_matrix"):
+            def counted(*args, _real=getattr(kernel_mod, name), _name=name):
+                built.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(kernel_mod, name, counted)
+        for g in ENGINE_SUITE:
+            domain = g.vertex_ids[g.n // 2:] if killed else None
+            readouts = self.readouts(domain or g.vertex_ids)
+            readouts.insert(0, readouts.pop(first))
+            (sources, times, diagonal), *more = readouts
+            built.clear()
+            shared = hb.kernel_rows(g, sources, times, domain=domain,
+                                    diagonal=diagonal, more=more)
+            assert built == ["_chebyshev_cut", "_step_matrix",
+                             "_ring_matrix"]
+            assert len(shared) == len(readouts)
+            for (rows, err), (sources, times, diagonal) in zip(shared,
+                                                               readouts):
+                ref, ref_err = hb.kernel_rows(g, sources, times,
+                                              domain=domain,
+                                              diagonal=diagonal)
+                assert rows.shape == ref.shape and rows.dtype == ref.dtype
+                assert rows.tobytes() == ref.tobytes()
+                assert err.tobytes() == ref_err.tobytes()
+
+    def test_checks_every_readout(self):
+        g = STIFF
+        inside = g.vertex_ids[2:]
+        with pytest.raises(ValueError, match="times must be finite"):
+            hb.kernel_rows(g, inside, [1.0], more=[(inside, [-1.0], True)])
+        with pytest.raises(ValueError, match="times must be finite"):
+            hb.kernel_rows(g, inside, [1.0],
+                           more=[(inside, [math.nan], False)])
+        with pytest.raises(ValueError,
+                           match=f"origin {g.vertex_ids[1]!r} not in"):
+            hb.kernel_rows(g, inside, [1.0], domain=inside,
+                           more=[(g.vertex_ids[1:3], [1.0], True)])
+        with pytest.raises(hb.GraphFormatError, match="unknown vertex"):
+            hb.kernel_rows(g, inside, [1.0], more=[(["nope"], [1.0], True)])
+
+
 class TestJump:
     """Calls whose times stop the recurrence at very different steps, with
     Lam*t up to 1e4."""
@@ -584,8 +662,8 @@ class TestJump:
     def cut(g, lam_t, sub=None):
         """K, the last step the engine sums for Lam*t on g (or on sub)."""
         nu = g.nu if sub is None else g.nu[sub]
-        coefs, _ = _chebyshev_cut([lam_t], DEFAULT_TOL,
-                                  math.sqrt(nu.max() / nu.min()))
+        coefs, _ = cut_coefs([lam_t], DEFAULT_TOL,
+                             math.sqrt(nu.max() / nu.min()))
         return len(coefs[0]) - 1
 
     def test_matches_expm_oracle_after_a_jump(self):
@@ -710,7 +788,7 @@ class TestChebyshev:
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
     @pytest.mark.parametrize("tau", [1e-2, 0.5, 3.0, 40.0, 1e3, 1e5])
     def test_certified_tail_covers_mpmath_tail(self, tau, tol):
-        coefs, err = _chebyshev_cut([tau], tol, 1.0)
+        coefs, err = cut_coefs([tau], tol, 1.0)
         exact = bessel_tail(tau, len(coefs[0]) - 1)
         # certified, and tight: Amos's ratio bound is sharp at the cut
         assert exact <= err[0] <= tol
@@ -738,8 +816,8 @@ class TestChebyshev:
         for g in ENGINE_SUITE:
             lam_ts = [float(g.rates.max()) * t for t in times]
             rows, err = hb.kernel_rows(g, g.vertex_ids, times)
-            coefs, _ = _chebyshev_cut(lam_ts, DEFAULT_TOL,
-                                      math.sqrt(g.nu.max() / g.nu.min()))
+            coefs, _ = cut_coefs(lam_ts, DEFAULT_TOL,
+                                 math.sqrt(g.nu.max() / g.nu.min()))
             assert np.all(rows >= 0.0)
             for j, c in enumerate(coefs):
                 # 1^T T_k(B) = 1^T, so the expansion cut at K has mass
@@ -757,7 +835,7 @@ class TestChebyshev:
 
 
 def bessel_windows_of(taus, tol=DEFAULT_TOL, spread=1.0):
-    """(coefs, err, window): _chebyshev_cut's result for the taus, and the
+    """(coefs, err, window): cut_coefs's result for the taus, and the
     whole window of c_k it cut them from, c_0 halved there too."""
     seen = []
     real = kernel_mod._bessel_windows
@@ -767,7 +845,7 @@ def bessel_windows_of(taus, tol=DEFAULT_TOL, spread=1.0):
         return seen[-1]
     kernel_mod._bessel_windows = spy
     try:
-        coefs, err = _chebyshev_cut(taus, tol, spread)
+        coefs, err = cut_coefs(taus, tol, spread)
     finally:
         kernel_mod._bessel_windows = real
     return coefs, err, seen[0]
@@ -830,11 +908,11 @@ class TestTridiagonalSolve:
     def test_cut_bits_alone_and_in_mixed_grids(self):
         taus = [0.0, 1e-300, 0.5, 1e5, 2e6]
         for spread in (1.0, 1e6):
-            alone = [_chebyshev_cut([tau], DEFAULT_TOL, spread)
+            alone = [cut_coefs([tau], DEFAULT_TOL, spread)
                      for tau in taus]
             for grid in itertools.permutations(range(len(taus))):
-                coefs, err = _chebyshev_cut([taus[j] for j in grid],
-                                            DEFAULT_TOL, spread)
+                coefs, err = cut_coefs([taus[j] for j in grid],
+                                       DEFAULT_TOL, spread)
                 for i, j in enumerate(grid):
                     assert coefs[i].tobytes() == alone[j][0][0].tobytes()
                     assert err[i:i + 1].tobytes() == alone[j][1].tobytes()
@@ -847,7 +925,7 @@ class TestTridiagonalSolve:
             calls.append(len(args[1]))
             return dgtsv(*args)
         monkeypatch.setattr(kernel_mod, "dgtsv", counted)
-        coefs, err = _chebyshev_cut([], DEFAULT_TOL, 1.0)
+        coefs, err = cut_coefs([], DEFAULT_TOL, 1.0)
         assert coefs == [] and err.shape == (0,)
         hb.kernel_rows(STIFF, ["0"], [])
         assert calls == []
@@ -856,7 +934,7 @@ class TestTridiagonalSolve:
         tau, tol = 1e-3, 0.9
         alone, alone_err, window = bessel_windows_of([tau], tol)
         assert len(window) == 3 and calls == []
-        coefs, err = _chebyshev_cut([0.3, tau, 5.0], tol, 1.0)
+        coefs, err = cut_coefs([0.3, tau, 5.0], tol, 1.0)
         assert len(calls) == 1
         assert coefs[1].tobytes() == alone[0].tobytes()
         assert err[1:2].tobytes() == alone_err.tobytes()
@@ -906,20 +984,20 @@ class TestBesselCoefficients:
             for j in np.flatnonzero(np.array(times) == 0.0):
                 assert np.array_equal(rows[:, j], np.eye(STIFF.n))
                 assert err[j] == 0.0 and math.copysign(1.0, err[j]) == 1.0
-        coefs, err = _chebyshev_cut([0.0], DEFAULT_TOL, 1.0)
+        coefs, err = cut_coefs([0.0], DEFAULT_TOL, 1.0)
         assert coefs[0].tolist() == [1.0] and err[0].tobytes() == bytes(8)
 
     @pytest.mark.parametrize("spread", [1.0, 1e3, 1e6])
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
     def test_cuts_positive_and_as_with_ive(self, tol, spread, monkeypatch):
-        coefs, err = _chebyshev_cut(CUT_GRID, tol, spread)
+        coefs, err = cut_coefs(CUT_GRID, tol, spread)
         assert all(np.all(c > 0.0) for c in coefs)
 
         def ive_windows(taus, size, starts):
             ks = np.arange(size.sum()) - np.repeat(starts, size)
             return 2.0 * ive(ks, np.repeat(taus, size))
         monkeypatch.setattr(kernel_mod, "_bessel_windows", ive_windows)
-        ref, ref_err = _chebyshev_cut(CUT_GRID, tol, spread)
+        ref, ref_err = cut_coefs(CUT_GRID, tol, spread)
         assert [len(c) for c in coefs] == [len(c) for c in ref]
         assert np.all(np.abs(err - ref_err) <= 1e-11 * ref_err)
 
